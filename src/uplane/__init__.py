@@ -19,6 +19,7 @@ from .errors import (
     AgmBranchFailure,
     BadNf,
     ConvergenceFailure,
+    CrossCheckFailed,
     DegreeMismatch,
     DivisionByZero,
     EulerMismatch,

@@ -186,8 +186,9 @@ def _cmd_holonomy(args) -> str:
 
 def _cmd_signature(args) -> str:
     family = load_family(args.family)
-    sig = signature_from_monodromy(family)
+    # the signature and the ledger share the family's one contour pass
     report = kodaira.surface_report(family)
+    sig = signature_from_monodromy(family, report=report)
     ledger = curvature_ledger(family)
     out = {
         "family": family.name,

@@ -9,6 +9,8 @@ which g2, g3 and the discriminant pick up weights 4, 6 and 12.
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import BadNf, DegreeMismatch, SchemaError, SingularCurve
 
 _ZERO = (0j,)
@@ -20,7 +22,9 @@ class ComplexPoly:
 
     The trailing stored coefficient is nonzero unless the polynomial is
     identically zero.  Evaluation uses Horner's rule in a fixed descending
-    order so results are bit-reproducible.
+    order so results are bit-reproducible; `at` runs the same recurrence over
+    a numpy array, which is reproducible from run to run but may differ from
+    the scalar path by a rounding (about 3e-16 relative).
     """
 
     coeffs: tuple = _ZERO
@@ -47,6 +51,14 @@ class ComplexPoly:
 
     def __call__(self, u: complex) -> complex:
         acc = 0j
+        for c in reversed(self.coeffs):
+            acc = acc * u + c
+        return acc
+
+    def at(self, u: np.ndarray) -> np.ndarray:
+        """Values at every point of a complex array, by one vectorized Horner."""
+        u = np.asarray(u, dtype=complex)
+        acc = np.zeros_like(u)
         for c in reversed(self.coeffs):
             acc = acc * u + c
         return acc
@@ -184,6 +196,22 @@ class CurveFamily:
         if self.g3_poly.degree > 3:
             raise DegreeMismatch(f"deg g3 = {self.g3_poly.degree} > 3")
 
+    def cached(self, key: str, build):
+        """build(self), computed on the first request for key and kept.
+
+        The family is immutable, so data derived from it (the expanded
+        discriminant, the v-chart, contour integrals) is built once per object.
+        """
+        memo = self.__dict__.setdefault("_memo", {})
+        if key not in memo:
+            memo[key] = build(self)
+        return memo[key]
+
+    @property
+    def delta_poly(self) -> "ComplexPoly":
+        """expand_discriminant(self), without the degree check, expanded once."""
+        return self.cached("delta", expand_discriminant)
+
     def curve_at(self, u: complex) -> WeierstrassCurve:
         return WeierstrassCurve(self.g2_poly(u), self.g3_poly(u))
 
@@ -219,7 +247,7 @@ def discriminant_poly(family: CurveFamily) -> ComplexPoly:
     Raises DegreeMismatch unless the degree equals nf + 2, which is the
     ingestion-level validity test for a family file.
     """
-    d = expand_discriminant(family)
+    d = family.delta_poly
     if d.degree != family.nf + 2:
         raise DegreeMismatch(
             f"deg(discriminant) = {d.degree}, expected nf + 2 = {family.nf + 2}"
@@ -260,10 +288,15 @@ def to_v_chart(family: CurveFamily) -> VChartData:
     """Transport g2, g3 and the discriminant to the chart at infinity.
 
     ord_{v=0}(delta_v) = 12 - deg_u(delta) = 10 - nf for valid families.
+    Built once per family object.
     """
+    return family.cached("v_chart", _build_v_chart)
+
+
+def _build_v_chart(family: CurveFamily) -> VChartData:
     g2v = poly_to_v_chart(family.g2_poly, 4)
     g3v = poly_to_v_chart(family.g3_poly, 6)
-    dv = poly_to_v_chart(expand_discriminant(family), 12)
+    dv = poly_to_v_chart(family.delta_poly, 12)
     return VChartData(g2_v=g2v, g3_v=g3v, delta_v=dv, nf=family.nf)
 
 

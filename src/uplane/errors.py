@@ -69,5 +69,22 @@ class NonIntegerWinding(UPlaneError):
     """Numerically integrated winding failed to converge to an integer."""
 
 
+class CrossCheckFailed(UPlaneError):
+    """Two independent routes to one quantity disagree beyond the tolerance.
+
+    Carries both route values and the tolerance, so a failure reports what
+    each route produced rather than only that they differ.
+    """
+
+    def __init__(self, quantity: str, value, reference, tol: float):
+        self.quantity = quantity
+        self.value = value
+        self.reference = reference
+        self.tol = tol
+        super().__init__(
+            f"{quantity}: {value!r} disagrees with {reference!r} (tolerance {tol:g})"
+        )
+
+
 class SchemaError(Exception):
     """Family file does not conform to the JSON schema (not a domain error)."""

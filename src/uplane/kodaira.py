@@ -16,7 +16,6 @@ from .curves import (
     ORDER_INFINITE,
     CurveFamily,
     discriminant_poly,
-    expand_discriminant,
     to_v_chart,
 )
 from .errors import (
@@ -114,7 +113,7 @@ def find_singular_fibers(family: CurveFamily):
     Companion-matrix eigenvalues, Newton-polished, then merged into clusters
     of radius 1e-7 (1 + max |root|); multiplicities sum to deg Delta.
     """
-    d = expand_discriminant(family)
+    d = family.delta_poly
     if d.is_zero:
         raise IdenticallySingular("discriminant vanishes identically")
     norm = max(abs(c) for c in d.coeffs)

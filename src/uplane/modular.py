@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import exp1, gamma as gamma_fn, gammaincc
 
 from .errors import ConvergenceFailure
 
@@ -225,6 +224,8 @@ def _upper_gamma(a: float, x):
     Gamma(a, x) = (Gamma(a+1, x) - x^a e^{-x}) / a, seeded from a positive
     first argument where scipy's regularized form applies; Gamma(0, x) = E1(x).
     """
+    from scipy.special import exp1, gamma as gamma_fn, gammaincc  # oracle-only dependency
+
     x = np.asarray(x, dtype=float)
     if a > 0:
         return gammaincc(a, x) * gamma_fn(a)
@@ -255,6 +256,8 @@ def _lattice_ranges(tau: complex, tail: float = 46.0):
 
 
 def _zeta_sums_at_zero(nu: SpinStructure, tau: complex):
+    from scipy.special import exp1  # oracle-only dependency
+
     h1, h2 = nu.shifts
     imt = tau.imag
     delta = 1 if nu.is_odd else 0
@@ -317,6 +320,8 @@ def epstein_zeta_value(s: float, nu: SpinStructure, tau) -> float:
     Convergent everywhere except the pole at s = 1; for s > 1 it agrees with
     the direct lattice sum, and s -> 0 recovers zeta(0) in {0, -1}.
     """
+    from scipy.special import gamma as gamma_fn  # oracle-only dependency
+
     t = _tau_of(tau)
     delta = 1 if nu.is_odd else 0
     if s == 0.0:

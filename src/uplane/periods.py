@@ -37,6 +37,9 @@ TWO_PI = 2.0 * math.pi
 #: relative tolerance of the modular-discriminant post-condition
 ETA_IDENTITY_RTOL = 1e-9
 
+#: AGM stopping tolerance on |a - b| / (|a| + |b|): a few ulp of double precision
+AGM_RTOL = 4e-16
+
 #: documented step below which periods_along_family guarantees no basis jump
 CONTINUITY_STEP = 1e-3
 
@@ -73,15 +76,26 @@ def cubic_roots(curve: WeierstrassCurve):
 
 def agm(a: complex, b: complex) -> complex:
     """Complex AGM with the 'right choice' square-root branch at each step."""
+    return agm_steps(a, b)[0]
+
+
+def agm_steps(a: complex, b: complex):
+    """(agm(a, b), number of AGM steps taken).
+
+    Iteration stops once |a - b| is within a few ulp of |a| + |b|
+    (AGM_RTOL); convergence is quadratic, so that takes a handful of steps.
+    """
+    steps = 0
     for _ in range(200):
-        if abs(a - b) <= 1e-17 * (abs(a) + abs(b)):
+        if abs(a - b) <= AGM_RTOL * (abs(a) + abs(b)):
             break
         am = 0.5 * (a + b)
         g = cmath.sqrt(a * b)
         if abs(g - am) > abs(g + am):
             g = -g
         a, b = am, g
-    return 0.5 * (a + b)
+        steps += 1
+    return 0.5 * (a + b), steps
 
 
 def _modular_delta(tau: complex, omega: complex) -> complex:

@@ -13,6 +13,7 @@ from uplane import (
     family_from_dict,
     family_to_dict,
     j_invariant,
+    sample_family,
     to_v_chart,
 )
 from uplane.curves import poly_to_v_chart
@@ -109,6 +110,24 @@ def test_horner_is_deterministic():
     p = ComplexPoly.of([0.1 + 0.2j, -0.7, 3.1 - 0.4j, 0.05j])
     vals = {p(0.3 + 0.7j) for _ in range(100)}
     assert len(vals) == 1
+
+
+def test_expansions_built_once_per_family(monkeypatch):
+    import sys
+
+    curves = sys.modules["uplane.curves"]
+    calls = []
+    expand = curves.expand_discriminant
+    monkeypatch.setattr(curves, "expand_discriminant", lambda f: calls.append(f) or expand(f))
+    fam = family_from_dict(family_to_dict(sample_family(2)))
+    assert discriminant_poly(fam) is discriminant_poly(fam)
+    assert to_v_chart(fam) is to_v_chart(fam)
+    assert len(calls) == 1
+    # the cache is not part of the family's value
+    fresh = family_from_dict(family_to_dict(fam))
+    assert fresh == fam and hash(fresh) == hash(fam)
+    assert discriminant_poly(fresh) == discriminant_poly(fam)
+    assert len(calls) == 2
 
 
 def test_family_json_round_trip():

@@ -1,7 +1,12 @@
 import cmath
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from uplane import (
@@ -9,8 +14,10 @@ from uplane import (
     coalesced_family,
     isotrivial_family,
     Chart,
+    ComplexPoly,
     LoopSpec,
     LoopTooCloseToSingularity,
+    NonIntegerWinding,
     Operator,
     Orientation,
     SingularFiber,
@@ -18,12 +25,17 @@ from uplane import (
     connection_form,
     curvature_ledger,
     discriminant_poly,
+    family_to_dict,
     find_singular_fibers,
     holonomy,
     sample_family,
     signature_from_monodromy,
     surface_report,
 )
+from uplane.cli import main
+
+# the package attribute `uplane.holonomy` is the function of that name
+H = sys.modules["uplane.holonomy"]
 
 
 def _node_loop(center, radius, orientation=Orientation.CLOCKWISE, samples=1024):
@@ -156,6 +168,13 @@ def test_loop_too_close():
         holonomy(Operator.DBAR, fam, _node_loop(0.0, 1.0))  # passes through u = +-1
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_overflowing_loop_is_a_domain_error():
+    # Delta overflows on a circle of radius 1e200: a typed error, not a NaN winding
+    with pytest.raises(NonIntegerWinding, match="not finite"):
+        holonomy(Operator.DBAR, sample_family(0), _node_loop(0.0, 1e200))
+
+
 def test_trivialization_check():
     fam = sample_family(0)
     assert canonical_trivialization_check(fam, _node_loop(1.0, 0.5))
@@ -230,3 +249,152 @@ def test_signature_exact_arithmetic_nf0():
     assert 2 * Fraction(-2, 3) - Fraction(1, 2) * Fraction(-20, 3) - 2 == 0
     # nf = 4: 6 * (-2/3) - (1/2)(-12/3) - 2 = -4
     assert 6 * Fraction(-2, 3) - Fraction(1, 2) * Fraction(-12, 3) - 2 == -4
+
+
+# ---------------------------------------------------------------------------
+# The vectorized contour engine.
+# ---------------------------------------------------------------------------
+
+
+def test_array_horner_matches_scalar_and_is_reproducible():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        deg = int(rng.integers(0, 13))
+        p = ComplexPoly.of(rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1))
+        z = (rng.normal(size=257) + 1j * rng.normal(size=257)) * rng.uniform(0.1, 3.0)
+        vec = p.at(z)
+        scalar = np.array([p(w) for w in z])
+        # relative to sum |c_k| |z|^k, the scale Horner's rounding error is bounded by
+        scale = sum(abs(c) * np.abs(z) ** k for k, c in enumerate(p.coeffs))
+        assert np.max(np.abs(vec - scalar) / scale) <= 1e-14
+        # bit-identical on every rerun, whatever the array's length or order
+        assert np.array_equal(vec, p.at(z))
+        assert np.array_equal(vec[1:], p.at(z[1:]))
+        assert np.array_equal(vec, p.at(z[::-1])[::-1])
+
+
+_PASS_FAMILIES = [sample_family(nf) for nf in range(5)] + [
+    coalesced_family(),
+    isotrivial_family(),
+]
+# signature of each family; the ledger totals are 2 (signature) and 1 (dbar)
+_PASS_SIGNATURES = [0, -1, -2, -3, -4, -2, -4]
+
+
+@pytest.mark.parametrize(
+    "fam, sig", zip(_PASS_FAMILIES, _PASS_SIGNATURES), ids=[f.name for f in _PASS_FAMILIES]
+)
+def test_one_pass_engine_exact_outputs(fam, sig):
+    cp = H._contour_pass(fam, 4096)
+    assert cp.roots == tuple(find_singular_fibers(fam))
+    # ccw windings are the vanishing orders of Delta in each chart
+    assert [w for w, _ in cp.nodes] == [m for _, m in cp.roots]
+    assert cp.infinity[0] == cp.ord_inf == surface_report(fam).fibers[-1].ord_delta
+    # every loop agrees with a separate single-loop holonomy, both orientations
+    loops = list(zip(cp.node_loops, cp.nodes)) + [(cp.infinity_loop, cp.infinity)]
+    for loop, (w_ccw, _) in loops:
+        for op in Operator:
+            for orient, sign in ((Orientation.COUNTERCLOCKWISE, 1), (Orientation.CLOCKWISE, -1)):
+                res = holonomy(op, fam, LoopSpec(
+                    center=loop.center, radius=loop.radius, samples=4096,
+                    orientation=orient, chart=loop.chart,
+                ))
+                assert res.winding == sign * w_ccw
+                if op is Operator.SIGNATURE:
+                    assert res.log_monodromy == Fraction(2, 3) * sign * w_ccw
+    for op, den, total in ((Operator.SIGNATURE, 6, 2), (Operator.DBAR, 12, 1)):
+        led = curvature_ledger(fam, operator=op)
+        assert led.total == total
+        assert [r for _, r in led.residues] == (
+            [Fraction(m, den) for _, m in cp.roots] + [Fraction(cp.ord_inf, den)]
+        )
+        assert led.max_numeric_error <= 1e-8
+    assert signature_from_monodromy(fam) == sig
+
+
+def test_signature_command_integrates_each_loop_once(monkeypatch, tmp_path):
+    fam = sample_family(3)
+    path = tmp_path / "nf3.json"
+    path.write_text(json.dumps(family_to_dict(fam)))
+    counts = {"loops": 0, "reports": 0}
+    integrate, report = H._ccw_winding_and_transport, surface_report
+
+    def counted_integrate(*args):
+        counts["loops"] += 1
+        return integrate(*args)
+
+    def counted_report(*args, **kwargs):
+        counts["reports"] += 1
+        return report(*args, **kwargs)
+
+    monkeypatch.setattr(H, "_ccw_winding_and_transport", counted_integrate)
+    monkeypatch.setattr(sys.modules["uplane.kodaira"], "surface_report", counted_report)
+    assert main(["signature", "--family", str(path), "--out", str(tmp_path / "o.json")]) == 0
+    assert counts == {"loops": 5 + 1, "reports": 1}
+
+
+def test_undersampled_loop_doubles_until_resolved(monkeypatch):
+    # 64 samples on a circle passing 0.02 from the node at u = 1: the
+    # trapezoid integral is far from 2 pi i there, so the sample count doubles
+    fam = sample_family(0)
+    sizes = []
+    at = ComplexPoly.at
+
+    def spied(poly, z):
+        sizes.append(len(z))
+        return at(poly, z)
+
+    monkeypatch.setattr(ComplexPoly, "at", spied)
+    loop = _node_loop(0.5, 0.52, Orientation.CLOCKWISE, samples=64)
+    res = holonomy(Operator.SIGNATURE, fam, loop)
+    assert sizes[0] == 64 and max(sizes) > 64
+    assert res.winding == -1 and res.log_monodromy == Fraction(-2, 3)
+    assert abs(res.phase - res.phase_exact) <= 1e-12
+    ref = holonomy(Operator.SIGNATURE, fam, _node_loop(0.5, 0.52, samples=max(sizes)))
+    assert res.phase == ref.phase
+
+
+_FORCED_FAILURES = {
+    # the Euler-number route reports a signature off by one
+    "euler_route": (
+        "import dataclasses\n"
+        "from uplane import kodaira\n"
+        "real = kodaira.surface_report\n"
+        "kodaira.surface_report = lambda fam: dataclasses.replace(real(fam), sign_z=real(fam).sign_z + 1)\n",
+        ["signature"],
+        "monodromy route vs Euler-number route",
+    ),
+    # the exact log-monodromy per winding is wrong, so the numeric phase disagrees
+    "phase": (
+        "from fractions import Fraction\n"
+        "h = sys.modules['uplane.holonomy']\n"
+        "h._ETA_PER_WINDING[h.Operator.SIGNATURE] = Fraction(1, 3)\n",
+        ["holonomy", "--center", "1,0", "--radius", "0.5", "--operator", "signature",
+         "--orientation", "cw"],
+        "holonomy phase vs exact log-monodromy",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FORCED_FAILURES))
+def test_cross_check_failure_exits_1_under_python_O(case, tmp_path):
+    patch, argv, message = _FORCED_FAILURES[case]
+    path = tmp_path / "nf0.json"
+    path.write_text(json.dumps(family_to_dict(sample_family(0))))
+    script = (
+        "import sys\n"
+        "if not sys.flags.optimize:\n"
+        "    sys.exit(3)\n"
+        "import uplane.cli\n" + patch
+        + f"sys.exit(uplane.cli.main({[argv[0], '--family', str(path)] + argv[1:]!r}))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr

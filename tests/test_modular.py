@@ -212,3 +212,23 @@ def test_epstein_tail_bound_guard():
 def test_j_from_tau_special_points():
     assert abs(j_from_tau(1j) - 1728.0) < 1e-8
     assert abs(j_from_tau(cmath.exp(1j * math.pi / 3))) < 1e-8
+
+
+def test_scipy_loaded_only_by_the_zeta_oracle():
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    script = (
+        "import sys, uplane.cli\n"
+        "before = 'scipy' in sys.modules\n"
+        "from uplane import SpinStructure, epstein_zeta_logdet\n"
+        "epstein_zeta_logdet(SpinStructure(0, 1), 1j, 1.0)\n"
+        "print(before, 'scipy' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60, check=True,
+    ).stdout
+    assert out.split() == ["False", "True"]

@@ -9,6 +9,7 @@ from uplane import (
     SingularCurve,
     SingularFiber,
     WeierstrassCurve,
+    agm,
     compute_periods,
     cubic_roots,
     j_invariant,
@@ -124,6 +125,31 @@ def test_oracle_against_mpmath_agm():
     eta = q24 * mp.qp(mp.e ** (2j * mp.pi * tau))
     resid = abs((2 * mp.pi) ** 12 * eta**24 / (2 * mp.mpc(p.omega)) ** 12 - delta) / abs(delta)
     assert resid < 1e-9
+
+
+def test_agm_converges_in_few_steps():
+    import itertools
+
+    from uplane.periods import agm_steps
+
+    # the argument pairs compute_periods feeds the AGM, on random curves
+    rng = np.random.default_rng(11)
+    mp.mp.dps = 30
+    for _ in range(200):
+        g2, g3 = 2.0 * (rng.normal(size=2) + 1j * rng.normal(size=2))
+        for e1, e2, e3 in itertools.permutations(cubic_roots(WeierstrassCurve(g2, g3))):
+            for a, b in ((e1 - e3, e1 - e2), (e1 - e3, e2 - e3)):
+                a, b = cmath.sqrt(a), cmath.sqrt(b)
+                m, steps = agm_steps(a, b)
+                assert steps <= 8
+                assert m == agm(a, b)
+    # against a 30-digit AGM with the same branch rule
+    a, b = cmath.sqrt(1.3 - 0.4j), cmath.sqrt(-0.2 + 0.9j)
+    x, y = mp.mpc(a), mp.mpc(b)
+    for _ in range(12):
+        am, g = (x + y) / 2, mp.sqrt(x * y)
+        x, y = am, (-g if abs(g - am) > abs(g + am) else g)
+    assert abs(agm(a, b) - complex(x)) <= 1e-15 * abs(complex(x))
 
 
 def test_family_reduces_to_compute_periods():
