@@ -47,6 +47,7 @@ from .geometry import (
     KaehlerData,
     UPlanePoint,
     anomaly_check,
+    d_tau_du,
     f1,
     is_isotrivial,
     kaehler_coefficient,

@@ -212,7 +212,7 @@ def _cmd_scan(args) -> str:
     except ValueError as exc:
         raise SchemaError(f"bad --grid spec {args.grid!r}: {exc}") from exc
     d = discriminant_poly(family)
-    roots = [z for z, _ in kodaira.find_singular_fibers(family)]
+    roots = [z for z, _ in family.cached("nodes", kodaira.find_singular_fibers)]
     lines = ["u_re,u_im,im_tau,f1,quillen_norm,scalar_curvature"]
     for iy in range(ny):
         for ix in range(nx):

@@ -1,11 +1,26 @@
 """Kaehler geometry of the u-plane: metric coefficient, scalar curvature,
 the one-loop free energy F1 = -1/2 ln det', and the anomaly-equation check.
 
-Derivatives in u are second-order central differences with one Richardson
-level (default step 1e-4 * (1 + |u|)).  All stencil evaluations continue the
-period frame from the stencil center, so tau never jumps lattice basis inside
-a stencil.  F1 itself is basis-independent, which makes its Laplacian robust
-even without seeding; the seeding matters for d tau / du.
+d tau/du is closed-form.  Ramanujan's dj/dtau = -2 pi i j E6/E4 with
+g2 = (2 pi)^4 E4 / (12 (2 omega)^4), g3 = (2 pi)^6 E6 / (216 (2 omega)^6) and
+j = 1728 g2^3 / Delta gives
+
+    d tau/du = (3 pi i / 4) W / (omega^2 Delta),   W = 2 g2 g3' - 3 g2' g3,
+
+where W is the u-derivative part of dj/du = 1728 * 27 g2^2 g3 W / Delta^2.
+The factor g2^2 g3 cancels, so the points j = 0 and j = 1728 need no special
+case; the form is singular only on singular fibers (Delta = 0).  W is
+expanded once per family, and j is constant exactly when W vanishes
+identically.
+
+The u-derivatives that remain finite differences are second-order central
+differences with one Richardson level (default step 1e-4 * (1 + |u|)):
+`uplane_point`, the check route for the closed form, and the Laplacian of F1
+in `anomaly_check`, the independent side of the anomaly equation.  All
+stencil evaluations continue the period frame from the stencil center, so
+tau never jumps lattice basis inside a stencil.  F1 itself is
+basis-independent, which makes its Laplacian robust even without seeding;
+the seeding matters for the d tau/du stencil.
 
 The anomaly ratio constant below was fixed by symbolic differentiation before
 anything here was implemented: with ln|Delta(u)| and ln|omega(u)|^2 harmonic
@@ -72,26 +87,22 @@ def _check_stencil(family: CurveFamily, points, rel_tol: float = 1e-9):
             raise StencilCrossesSingularity(f"stencil point {z} is on a singular fiber")
 
 
-def is_isotrivial(family: CurveFamily, tol: float = 1e-10) -> bool:
-    """True when j is constant in u: |dj/du| < tol at five probe points.
+def _j_numerator(family: CurveFamily):
+    """(W, scale): W = 2 g2 g3' - 3 g2' g3 and the largest coefficient of its two terms."""
+    g2, g3 = family.g2_poly, family.g3_poly
+    a = 2.0 * (g2 * g3.derivative())
+    b = 3.0 * (g2.derivative() * g3)
+    return a - b, max(abs(c) for c in a.coeffs + b.coeffs)
 
-    dj/du = 1728 (3 g2^2 g2' Delta - g2^3 Delta') / Delta^2, evaluated from
-    exact polynomial coefficients.
+
+def is_isotrivial(family: CurveFamily, tol: float = 1e-10) -> bool:
+    """True when j is constant in u: W = 2 g2 g3' - 3 g2' g3 vanishes identically.
+
+    Every coefficient of W must be below tol times the largest coefficient of
+    its two terms; g2 = 0 or g3 = 0 identically (j = 1728 or j = 0) count too.
     """
-    g2 = family.g2_poly
-    d = discriminant_poly(family)
-    num = 3.0 * (g2 * g2) * g2.derivative() * d - (g2 * g2 * g2) * d.derivative()
-    probes = [0.37 + 0.41j, -0.83 + 0.29j, 0.52 - 0.77j, -0.31 - 0.63j, 1.11 + 0.95j]
-    for z in probes:
-        dz = d(z)
-        tries = 0
-        while abs(dz) < 1e-6 * _delta_scale(family, z) and tries < 20:
-            z += 0.1 + 0.07j
-            dz = d(z)
-            tries += 1
-        if abs(1728.0 * num(z) / dz**2) >= tol:
-            return False
-    return True
+    w, scale = family.cached("j_numerator", _j_numerator)
+    return all(abs(c) <= tol * scale for c in w.coeffs)
 
 
 def kaehler_coefficient(family: CurveFamily, u: complex, prev: Periods = None) -> float:
@@ -101,7 +112,10 @@ def kaehler_coefficient(family: CurveFamily, u: complex, prev: Periods = None) -
 
 
 def uplane_point(family: CurveFamily, u: complex, h: float = None) -> UPlanePoint:
-    """Periods at u plus Richardson-extrapolated d tau/du and d2 tau/du2."""
+    """Periods at u plus Richardson-extrapolated d tau/du and d2 tau/du2.
+
+    Five period solves; the finite-difference check route for `d_tau_du`.
+    """
     if h is None:
         h = default_step(u)
     _check_stencil(family, [u, u + h, u - h, u + h / 2, u - h / 2])
@@ -122,12 +136,26 @@ def uplane_point(family: CurveFamily, u: complex, h: float = None) -> UPlanePoin
     return UPlanePoint(u=u, periods=center, d_tau_du=d1, d2_tau_du2=d2)
 
 
-def scalar_curvature(family: CurveFamily, u: complex, h: float = None) -> float:
-    """S = |d tau / d a|^2 / (8 Im^3 tau) with d tau/d a = (1/omega) d tau/du."""
-    pt = uplane_point(family, u, h=h)
-    p = pt.periods
-    dtau_da = pt.d_tau_du / p.omega
+def d_tau_du(family: CurveFamily, u: complex, p: Periods) -> complex:
+    """Closed-form d tau/du = (3 pi i / 4) W(u) / (omega^2 Delta(u)).
+
+    p are the periods of the fiber at u; d tau/du is in their frame.
+    """
+    w, _ = family.cached("j_numerator", _j_numerator)
+    return 0.75j * math.pi * w(u) / (p.omega**2 * family.delta_poly(u))
+
+
+def _curvature(family: CurveFamily, u: complex, p: Periods) -> float:
+    dtau_da = d_tau_du(family, u, p) / p.omega
     return abs(dtau_da) ** 2 / (8.0 * p.tau.imag**3)
+
+
+def scalar_curvature(family: CurveFamily, u: complex) -> float:
+    """S = |d tau / d a|^2 / (8 Im^3 tau) with d tau/d a = (1/omega) d tau/du.
+
+    One period solve; d tau/du is the closed form of `d_tau_du`.
+    """
+    return _curvature(family, u, periods_along_family(family, u))
 
 
 def f1(family: CurveFamily, u: complex, prev: Periods = None) -> float:
@@ -136,10 +164,10 @@ def f1(family: CurveFamily, u: complex, prev: Periods = None) -> float:
     return -0.5 * math.log(det_prime_laplacian(p))
 
 
-def kaehler_data(family: CurveFamily, u: complex, h: float = None) -> KaehlerData:
+def kaehler_data(family: CurveFamily, u: complex) -> KaehlerData:
     return KaehlerData(
         omega_form_coeff=kaehler_coefficient(family, u),
-        scalar_curvature=scalar_curvature(family, u, h=h),
+        scalar_curvature=scalar_curvature(family, u),
         f1=f1(family, u),
     )
 
@@ -149,10 +177,11 @@ def anomaly_check(family: CurveFamily, u: complex, h: float = None) -> AnomalyRe
 
     lhs = (1/Im tau) (1/|omega|^2) d_u d_ubar F1 with the mixed derivative
     from the 5-point Laplacian (d_u d_ubar = Laplacian_2d / 4) at steps h and
-    h/2, Richardson-combined; rhs = scalar curvature.  For isotrivial
-    families both sides vanish and the ratio is NaN; a vanishing rhs at a
-    non-isotrivial point raises DivisionByZero (an isolated critical point of
-    tau(u), where the ratio is 0/0).
+    h/2, Richardson-combined; rhs = scalar curvature from the closed-form
+    d tau/du at the center periods.  For isotrivial families both sides
+    vanish and the ratio is NaN; a vanishing rhs at a non-isotrivial point
+    raises DivisionByZero (an isolated critical point of tau(u), where the
+    ratio is 0/0).
     """
     if h is None:
         h = default_step(u)
@@ -174,7 +203,7 @@ def anomaly_check(family: CurveFamily, u: complex, h: float = None) -> AnomalyRe
 
     lap_r = (4.0 * lap(h / 2.0) - lap(h)) / 3.0
     lhs = lap_r / 4.0 / (center.tau.imag * abs(center.omega) ** 2)
-    rhs = scalar_curvature(family, u, h=h)
+    rhs = _curvature(family, u, center)
     if is_isotrivial(family):
         # both sides are exactly zero in exact arithmetic; the ratio is noise
         return AnomalyRecord(lhs=lhs, rhs=rhs, ratio=float("nan"))

@@ -257,7 +257,7 @@ class _ContourPass:
 
 
 def _integrate_loops(family: CurveFamily, samples: int) -> _ContourPass:
-    roots = tuple(find_singular_fibers(family))
+    roots = family.cached("nodes", find_singular_fibers)
     delta = _chart_delta(family, Chart.U)
     zeros = _zeros(delta)
     node_loops = tuple(

@@ -20,6 +20,7 @@ from .curves import (
 )
 from .errors import (
     BadNf,
+    CrossCheckFailed,
     EulerMismatch,
     IdenticallySingular,
     NonMinimal,
@@ -108,10 +109,12 @@ class SurfaceReport:
 
 
 def find_singular_fibers(family: CurveFamily):
-    """Roots of the discriminant with multiplicities.
+    """Roots of the discriminant with multiplicities, as a tuple of (root, mult).
 
     Companion-matrix eigenvalues, Newton-polished, then merged into clusters
     of radius 1e-7 (1 + max |root|); multiplicities sum to deg Delta.
+    Callers that want each family's roots once read them through
+    `family.cached("nodes", find_singular_fibers)`.
     """
     d = family.delta_poly
     if d.is_zero:
@@ -143,8 +146,10 @@ def find_singular_fibers(family: CurveFamily):
             clusters.append([z, 1])
     out = [(c[0] / c[1], c[1]) for c in clusters]
     out.sort(key=lambda rc: (rc[0].real, rc[0].imag))
-    assert sum(m for _, m in out) == d.degree
-    return out
+    total = sum(m for _, m in out)
+    if total != d.degree:
+        raise CrossCheckFailed("root multiplicities vs deg Delta", total, d.degree, 0.0)
+    return tuple(out)
 
 
 def _classify_orders(a: int, b: int, d: int) -> KodairaType:
@@ -209,14 +214,16 @@ def surface_report(family: CurveFamily) -> SurfaceReport:
     removing the fiber at infinity subtracts sign(E_inf) = 2 - e(E_inf).
     Exact rational arithmetic throughout.
     """
-    reports = [classify_fiber(family, root) for root, _ in find_singular_fibers(family)]
+    nodes = family.cached("nodes", find_singular_fibers)
+    reports = [classify_fiber(family, root) for root, _ in nodes]
     inf_report = classify_fiber(family, AT_INFINITY)
     reports.append(inf_report)
     total = sum(r.euler for r in reports)
     if total != 12:
         raise EulerMismatch(f"fiber Euler numbers sum to {total}, expected 12")
     sign_zbar = -Fraction(2, 3) * total
-    assert sign_zbar.denominator == 1
+    if sign_zbar.denominator != 1:
+        raise CrossCheckFailed("sign(Zbar) is an integer", sign_zbar, round(sign_zbar), 0.0)
     sign_z = sign_zbar - (2 - inf_report.euler)
     return SurfaceReport(
         fibers=tuple(reports),

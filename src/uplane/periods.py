@@ -145,13 +145,34 @@ def _validated(curve, cands, order_key):
     return None
 
 
+def _nearest_basis(w: complex, wp: complex, seed: Periods):
+    """The oriented basis of the half-period lattice <w, wp> nearest the seed's.
+
+    The seed's half-periods are written in real coordinates of (w, wp) and
+    rounded to integers; (w, wp) itself is returned unless that gives
+    another basis of determinant 1.  The AGM candidates shear omega' by
+    multiples of omega but never omega by multiples of omega', so near some
+    fibers none of them continues the seed's frame.
+    """
+    area = (w.conjugate() * wp).imag
+
+    def coords(z: complex):
+        return round((z.conjugate() * wp).imag / area), round((w.conjugate() * z).imag / area)
+
+    (a, b), (c, d) = coords(seed.omega), coords(seed.omega_prime)
+    if (a, b, c, d) == (1, 0, 0, 1) or a * d - b * c != 1:
+        return w, wp
+    return a * w + b * wp, c * w + d * wp
+
+
 def compute_periods(curve: WeierstrassCurve, seed: Periods = None) -> Periods:
     """Half-periods of a smooth curve, validated against the eta identity.
 
     With a seed, the validated candidate minimizing
-    |omega - seed.omega| + |omega' - seed.omega_prime| is returned, so the
-    basis varies continuously along a family; without one, the deterministic
-    default normalization applies.
+    |omega - seed.omega| + |omega' - seed.omega_prime| is taken and moved to
+    the basis of its lattice nearest the seed's, so the basis varies
+    continuously along a family; without one, the deterministic default
+    normalization applies.
 
     Raises SingularCurve when the cubic has (nearly) repeated roots and
     AgmBranchFailure when no candidate passes the modular-discriminant check.
@@ -181,6 +202,9 @@ def compute_periods(curve: WeierstrassCurve, seed: Periods = None) -> Periods:
             f"g2={curve.g2}, g3={curve.g3}"
         )
     w, wp, tau, _ = hit
+    if seed is not None:
+        w, wp = _nearest_basis(w, wp, seed)
+        tau = wp / w
     # independent cross-check: j from modular functions must reproduce j(curve)
     jc = j_of_curve(curve)
     jt = modular.j_from_tau(tau)

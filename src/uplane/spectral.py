@@ -2,15 +2,15 @@
 (Dirichlet) determinants with their conformal-rescaling cross-check.
 
 Every quantity here is computed along at least two stated routes and the
-routes are asserted against each other, so a convention slip in one formula
-cannot pass silently.
+routes are checked against each other (CrossCheckFailed on disagreement), so
+a convention slip in one formula cannot pass silently.
 """
 
 import math
 from dataclasses import dataclass
 
 from .curves import WeierstrassCurve, discriminant
-from .errors import OddStructure
+from .errors import CrossCheckFailed, OddStructure
 from .modular import EVEN_STRUCTURES, SpinStructure, dedekind_eta, theta_ab
 from .periods import Periods
 
@@ -23,6 +23,12 @@ TWO_PI = 2.0 * math.pi
 #: L-factorization 4 zeta(s) beta(s) of the square lattice), while the chain
 #: that produces ||sigma||_Q = |Delta|^{1/12} carries the extra (2 pi)^-2.
 CONTINUATION_OVER_CLOSED_FORM = TWO_PI**2
+
+
+def _cross_check(quantity: str, value: float, reference: float, tol: float, scale: float):
+    """Raise CrossCheckFailed unless |value - reference| <= tol * scale (NaN fails)."""
+    if not abs(value - reference) <= tol * scale:
+        raise CrossCheckFailed(quantity, value, reference, tol)
 
 
 def fiber_volume(p: Periods) -> float:
@@ -45,7 +51,7 @@ def det_prime_laplacian(p: Periods) -> float:
     eta = dedekind_eta(p.tau)
     via_eta = 4.0 * p.tau.imag**2 * abs(p.omega) ** 2 * abs(eta) ** 4 / TWO_PI**2
     via_delta = fiber_volume(p) ** 2 / TWO_PI**4 * abs(modular_discriminant(p)) ** (1.0 / 6.0)
-    assert abs(via_eta - via_delta) <= 1e-12 * via_eta, (via_eta, via_delta)
+    _cross_check("det' Laplacian: eta route vs Delta route", via_eta, via_delta, 1e-12, via_eta)
     return via_eta
 
 
@@ -64,7 +70,8 @@ def det_twisted(nu: SpinStructure, p: Periods) -> float:
     xi = -nu.nu2 / 2.0 - nu.nu1 * tau / 2.0
     gauss = math.exp(-2.0 * math.pi * xi.imag**2 / tau.imag)
     alt = gauss * abs(theta_ab(0, 0, xi, tau) / eta) ** 2
-    assert abs(primary - alt) <= 1e-10 * max(primary, 1.0), (primary, alt)
+    _cross_check("twisted determinant: theta constant vs divisor form", primary, alt, 1e-10,
+                 max(primary, 1.0))
     return primary
 
 
@@ -93,7 +100,7 @@ def det_dirichlet_annulus(p: Periods) -> float:
     """
     primary = math.sqrt(det_prime_laplacian(p))
     alt = fiber_volume(p) / TWO_PI * abs(dedekind_eta(p.tau) ** 2 / (2.0 * p.omega))
-    assert abs(primary - alt) <= 1e-12 * primary, (primary, alt)
+    _cross_check("annulus determinant: sqrt(det') vs eta form", primary, alt, 1e-12, primary)
     return primary
 
 
@@ -111,7 +118,8 @@ def det_dirichlet_flat(p: Periods) -> float:
     lam = abs(p.omega) / math.pi
     ell = 2.0 * math.pi**2 * tau.imag
     rescaled = det_dirichlet_annulus(p) / lam / math.exp(ell / (6.0 * math.pi))
-    assert abs(primary - rescaled) <= 1e-9 * max(primary, 1e-300), (primary, rescaled)
+    _cross_check("flat annulus determinant vs conformal rescaling", primary, rescaled, 1e-9,
+                 max(primary, 1e-300))
     return primary
 
 
@@ -125,7 +133,8 @@ def quillen_norm_sigma_hat(p: Periods) -> float:
     q112 = abs(p.q) ** (1.0 / 12.0)
     primary = abs(p.q) ** (1.0 / 6.0) / abs(eta) ** 2 / TWO_PI**2
     factored = q112 * (q112 / (TWO_PI**2 * abs(eta) ** 2))
-    assert abs(primary - factored) <= 1e-12 * max(primary, 1e-300)
+    _cross_check("flat-annulus Quillen norm vs factorized form", primary, factored, 1e-12,
+                 max(primary, 1e-300))
     return primary
 
 

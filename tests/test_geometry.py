@@ -2,12 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from uplane import (
     ANOMALY_RATIO,
+    ComplexPoly,
+    CurveFamily,
+    DivisionByZero,
     StencilCrossesSingularity,
     anomaly_check,
+    coalesced_family,
+    d_tau_du,
     f1,
+    find_singular_fibers,
     is_isotrivial,
     isotrivial_family,
     kaehler_coefficient,
@@ -16,16 +24,40 @@ from uplane import (
     uplane_point,
 )
 from uplane.curves import discriminant_poly
+from uplane.geometry import _j_numerator
 from uplane.periods import periods_along_family
 from uplane.spectral import fiber_volume
 
 POINTS = [0.3 + 0.9j, -1.2 + 0.7j, 2.0 + 1.0j, 0.1 - 1.5j, -0.6 - 0.8j]
 
 
+#: the non-isotrivial fixture families, on which the closed-form d tau/du is checked
+CHECKED_FAMILIES = [sample_family(nf) for nf in range(5)] + [coalesced_family()]
+
+
 def test_isotrivial_detection():
     assert is_isotrivial(isotrivial_family())
+    assert is_isotrivial(_rescaled(isotrivial_family(), 1.7))
+    for fam in CHECKED_FAMILIES:
+        assert not is_isotrivial(fam)
+    assert not is_isotrivial(_rescaled(sample_family(0), 1.3))
+
+
+def test_isotrivial_numerator_coefficients():
+    # W = 2 g2 g3' - 3 g2' g3 is exactly zero for the constant-j family and
+    # clearly nonzero for the others
+    assert _j_numerator(isotrivial_family())[0].is_zero
     for nf in range(5):
-        assert not is_isotrivial(sample_family(nf))
+        w, _ = _j_numerator(sample_family(nf))
+        assert 0.6 <= max(abs(c) for c in w.coeffs) <= 150.0
+
+
+def test_isotrivial_when_g2_or_g3_vanishes():
+    # j = 0 (g2 = 0) and j = 1728 (g3 = 0) are constant too
+    pure_g3 = CurveFamily(ComplexPoly.of([0.0]), ComplexPoly.of([1.0, 0.0, 0.0, 1.0]), nf=4)
+    pure_g2 = CurveFamily(ComplexPoly.of([1.0, 0.0, 1.0]), ComplexPoly.of([0.0]), nf=4)
+    assert is_isotrivial(pure_g3)
+    assert is_isotrivial(pure_g2)
 
 
 def test_kaehler_coefficient_positive_and_volume_relation():
@@ -58,22 +90,62 @@ def test_uplane_point_richardson_consistency():
 
 def test_scalar_curvature_zero_for_isotrivial():
     fam = isotrivial_family()
-    s = scalar_curvature(fam, 0.7 + 0.4j, h=1e-2)
+    s = scalar_curvature(fam, 0.7 + 0.4j)
     assert abs(s) < 1e-12
 
 
-def test_scalar_curvature_step_stability():
-    fam = sample_family(0)
-    for u in POINTS[:3]:
-        a = scalar_curvature(fam, u, h=1e-4)
-        b = scalar_curvature(fam, u, h=5e-5)
-        assert abs(a - b) <= 1e-6 * abs(a)
-        assert a > 0
+def _zeros(poly, fam, gap=0.05):
+    """Zeros of a nonconstant poly at least gap away from every node of fam."""
+    if poly.degree < 1:
+        return []
+    nodes = [z for z, _ in find_singular_fibers(fam)]
+    zs = [complex(z) for z in np.roots(list(reversed(poly.coeffs)))]
+    return [z for z in zs if min(abs(z - w) for w in nodes) >= gap]
+
+
+def _assert_matches_stencil(fam, u):
+    pt = uplane_point(fam, u)
+    closed = d_tau_du(fam, u, pt.periods)
+    assert abs(closed - pt.d_tau_du) <= 1e-8 * (1.0 + abs(pt.d_tau_du)), (fam.name, u)
+
+
+def test_closed_form_d_tau_du_matches_stencil():
+    # generic points plus the zeros of g2 and g3 (j = 0 and j = 1728), where
+    # the Ramanujan form E4 / (j E6) is 0/0 but the closed form is not
+    checked = 0
+    for fam in CHECKED_FAMILIES:
+        points = [0.3 + 0.9j, -1.2 + 0.7j]
+        points += _zeros(fam.g2_poly, fam) + _zeros(fam.g3_poly, fam)
+        for u in points:
+            _assert_matches_stencil(fam, u)
+            checked += 1
+    assert checked >= 15
+
+
+def test_scalar_curvature_exactly_zero_at_critical_point():
+    # g2 = 3u^2 has a double zero at u = 0, so W = 2 g2 g3' - 3 g2' g3 = 0
+    # there: tau'(0) = 0 exactly, and the anomaly ratio is 0/0
+    fam = sample_family(1)
+    assert scalar_curvature(fam, 0j) == 0.0
+    assert d_tau_du(fam, 0j, periods_along_family(fam, 0j)) == 0
+    with pytest.raises(DivisionByZero):
+        anomaly_check(fam, 0j)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.integers(0, len(CHECKED_FAMILIES) - 1),
+    x=st.floats(-2.5, 2.5),
+    y=st.floats(-2.5, 2.5),
+)
+def test_closed_form_d_tau_du_sweep(k, x, y):
+    fam = CHECKED_FAMILIES[k]
+    u = complex(x, y)
+    assume(min(abs(u - z) for z, _ in find_singular_fibers(fam)) >= 0.05)
+    _assert_matches_stencil(fam, u)
 
 
 def _rescaled(fam, s):
-    from uplane import ComplexPoly, CurveFamily
-
     return CurveFamily(
         g2_poly=ComplexPoly.of([s**4 * cc for cc in fam.g2_poly.coeffs]),
         g3_poly=ComplexPoly.of([s**6 * cc for cc in fam.g3_poly.coeffs]),
@@ -99,14 +171,14 @@ def test_scalar_curvature_rescale_isotrivial_invariance():
     fam = isotrivial_family()
     scaled = _rescaled(fam, 1.7)
     u = 0.7 + 0.4j
-    assert abs(scalar_curvature(fam, u, h=1e-2)) < 1e-12
-    assert abs(scalar_curvature(scaled, u, h=1e-2)) < 1e-12
+    assert abs(scalar_curvature(fam, u)) < 1e-12
+    assert abs(scalar_curvature(scaled, u)) < 1e-12
 
 
 def test_stencil_crossing_detected():
     fam = sample_family(0)  # node at u = 1
     with pytest.raises(StencilCrossesSingularity):
-        scalar_curvature(fam, 1.0 + 1e-4, h=1e-4)  # u - h hits the node
+        uplane_point(fam, 1.0 + 1e-4, h=1e-4)  # u - h hits the node
 
 
 def test_f1_example_square_fiber():

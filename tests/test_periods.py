@@ -10,6 +10,7 @@ from uplane import (
     SingularFiber,
     WeierstrassCurve,
     agm,
+    coalesced_family,
     compute_periods,
     cubic_roots,
     j_invariant,
@@ -169,6 +170,21 @@ def test_family_fiber_and_singular_fiber():
     assert p.tau.imag > 0
     with pytest.raises(SingularFiber):
         periods_along_family(fam, 1.0)
+
+
+def test_seeded_step_keeps_frame_where_no_candidate_continues_it():
+    # one step left of u = 0.3 + 0.9j on the coalesced family the AGM
+    # candidate nearest the seed is (omega - omega', omega'); unless it is moved
+    # to the lattice basis nearest the seed, tau jumps from -0.38 + 1.02i to
+    # 0.56 + 0.72i inside a finite-difference stencil
+    fam = coalesced_family()
+    u = 0.3 + 0.9j
+    center = periods_along_family(fam, u)
+    for z in (u - 1.3e-4, u + 1.3e-4, u - 2.6e-4):
+        p = periods_along_family(fam, z, prev=center)
+        assert abs(p.omega - center.omega) < 1e-3
+        assert abs(p.omega_prime - center.omega_prime) < 1e-3
+        assert abs(p.tau - center.tau) < 1e-3
 
 
 def test_continuity_scan_with_seed():

@@ -1,5 +1,8 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -205,3 +208,44 @@ def test_all_determinants_positive_on_smooth_fibers():
         assert det_dirichlet_annulus(p) > 0
         assert det_dirichlet_flat(p) > 0
         assert quillen_norm_sigma_hat(p) > 0
+
+
+@pytest.mark.parametrize(
+    "patch, argv, message",
+    [
+        # the Delta route of det' is off by a factor 2^(1/6)
+        (
+            "real = spectral.modular_discriminant\n"
+            "spectral.modular_discriminant = lambda p: 2.0 * real(p)\n",
+            ["determinants", "--tau", "0.3,1.1", "--two-omega", "1,0"],
+            "det' Laplacian: eta route vs Delta route",
+        ),
+        # theta with a nonzero argument is 10% off, so only the divisor form moves
+        (
+            "real = spectral.theta_ab\n"
+            "spectral.theta_ab = lambda a, b, z, t: real(a, b, z, t) * (1.1 if z else 1.0)\n",
+            ["determinants", "--tau", "0.3,1.1", "--two-omega", "1,0"],
+            "twisted determinant: theta constant vs divisor form",
+        ),
+    ],
+    ids=["det_prime", "det_twisted"],
+)
+def test_spectral_cross_check_failure_exits_1_under_python_O(patch, argv, message):
+    script = (
+        "import sys\n"
+        "if not sys.flags.optimize:\n"
+        "    sys.exit(3)\n"
+        "import uplane.cli\n"
+        "from uplane import spectral\n" + patch
+        + f"sys.exit(uplane.cli.main({argv!r}))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
