@@ -12,10 +12,10 @@ from uplane import (
     canonical_trivialization_check,
     curvature_ledger,
     find_singular_fibers,
-    holonomy,
     sample_family,
     signature_from_monodromy,
 )
+from uplane.holonomy import holonomy
 
 fam = sample_family(2)
 print(f"family {fam.name}: nodes at", [f"{z:.3f}" for z, _ in find_singular_fibers(fam)])

@@ -44,7 +44,6 @@ from .families import (
 from .geometry import (
     ANOMALY_RATIO,
     AnomalyRecord,
-    KaehlerData,
     UPlanePoint,
     anomaly_check,
     d_tau_du,
@@ -64,7 +63,6 @@ from .holonomy import (
     canonical_trivialization_check,
     connection_form,
     curvature_ledger,
-    holonomy,
     signature_from_monodromy,
 )
 from .kodaira import (

@@ -13,7 +13,7 @@ import math
 import sys
 
 from . import geometry, kodaira, modular, spectral
-from .curves import WeierstrassCurve, discriminant_poly, load_family
+from .curves import WeierstrassCurve, discriminant, discriminant_poly, j_invariant, load_family
 from .errors import SchemaError, UPlaneError
 from .holonomy import (
     Chart,
@@ -64,7 +64,7 @@ def _periods_from_tau(tau: complex, two_omega: complex) -> Periods:
 def _cmd_periods(args) -> str:
     curve = WeierstrassCurve(g2=args.g2, g3=args.g3)
     p = compute_periods(curve)
-    delta = curve.g2**3 - 27.0 * curve.g3**2
+    delta = discriminant(curve)
     mod_delta = spectral.modular_discriminant(p)
     rel = abs(mod_delta - delta) / abs(delta)
     out = {
@@ -73,7 +73,7 @@ def _cmd_periods(args) -> str:
         "tau": _c(p.tau),
         "q": _c(p.q),
         "eta_identity_rel_err": rel,
-        "j_curve": _c(1728.0 * curve.g2**3 / delta),
+        "j_curve": _c(j_invariant(curve)),
         "j_tau": _c(modular.j_from_tau(p.tau)),
     }
     return json.dumps(out, indent=2) + "\n"

@@ -150,18 +150,20 @@ class WeierstrassCurve:
     g2: complex
     g3: complex
 
-    @property
-    def is_smooth(self) -> bool:
-        return discriminant(self) != 0
-
-    @property
-    def is_cusp(self) -> bool:
-        return self.g2 == 0 and self.g3 == 0
-
 
 def discriminant(curve: WeierstrassCurve) -> complex:
     """g2^3 - 27 g3^2; zero exactly at nodes (g2,g3 != 0) and cusps (g2=g3=0)."""
     return curve.g2**3 - 27.0 * curve.g3**2
+
+
+def is_numerically_singular(curve: WeierstrassCurve, delta: complex) -> bool:
+    """Whether delta = discriminant(curve) is rounding noise on its terms.
+
+    |Delta| <= 1e-12 (|g2|^3 + 27 |g3|^2): the curve is a node or a cusp as
+    far as double precision can tell.
+    """
+    scale = abs(curve.g2) ** 3 + 27.0 * abs(curve.g3) ** 2
+    return abs(delta) <= 1e-12 * max(scale, 1e-300)
 
 
 def j_invariant(curve: WeierstrassCurve) -> complex:
@@ -216,7 +218,7 @@ class CurveFamily:
         return WeierstrassCurve(self.g2_poly(u), self.g3_poly(u))
 
     def delta_at(self, u: complex) -> complex:
-        return self.curve_at(u).g2 ** 3 - 27.0 * self.curve_at(u).g3 ** 2
+        return discriminant(self.curve_at(u))
 
 
 def expand_discriminant(family: CurveFamily) -> ComplexPoly:
@@ -253,6 +255,17 @@ def discriminant_poly(family: CurveFamily) -> ComplexPoly:
             f"deg(discriminant) = {d.degree}, expected nf + 2 = {family.nf + 2}"
         )
     return d
+
+
+def near_singular_fiber(family: CurveFamily, u: complex, rel_tol: float) -> bool:
+    """Whether |Delta(u)| < rel_tol * sum_k |c_k| |u|^k.
+
+    The right side is the size of the terms of the expanded discriminant that
+    cancel at a node, so the test is scale-free in u and in the coefficients.
+    """
+    d = discriminant_poly(family)
+    scale = sum(abs(c) * abs(u) ** k for k, c in enumerate(d.coeffs)) + 1e-300
+    return abs(d(u)) < rel_tol * scale
 
 
 def poly_to_v_chart(p: ComplexPoly, weight: int) -> ComplexPoly:

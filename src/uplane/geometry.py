@@ -38,7 +38,7 @@ curvature S = |d tau/d a|^2 / (8 Im^3 tau):
 import math
 from dataclasses import dataclass
 
-from .curves import CurveFamily, discriminant_poly
+from .curves import CurveFamily, near_singular_fiber
 from .errors import DivisionByZero, StencilCrossesSingularity
 from .periods import Periods, periods_along_family
 from .spectral import det_prime_laplacian
@@ -58,13 +58,6 @@ class UPlanePoint:
 
 
 @dataclass(frozen=True)
-class KaehlerData:
-    omega_form_coeff: float
-    scalar_curvature: float
-    f1: float
-
-
-@dataclass(frozen=True)
 class AnomalyRecord:
     lhs: float
     rhs: float
@@ -75,15 +68,9 @@ def default_step(u: complex) -> float:
     return 1e-4 * (1.0 + abs(u))
 
 
-def _delta_scale(family: CurveFamily, u: complex) -> float:
-    d = discriminant_poly(family)
-    return sum(abs(c) * abs(u) ** k for k, c in enumerate(d.coeffs)) + 1e-300
-
-
 def _check_stencil(family: CurveFamily, points, rel_tol: float = 1e-9):
-    d = discriminant_poly(family)
     for z in points:
-        if abs(d(z)) < rel_tol * _delta_scale(family, z):
+        if near_singular_fiber(family, z, rel_tol):
             raise StencilCrossesSingularity(f"stencil point {z} is on a singular fiber")
 
 
@@ -162,14 +149,6 @@ def f1(family: CurveFamily, u: complex, prev: Periods = None) -> float:
     """One-loop free energy: -1/2 ln det' of the fiber Laplacian at u."""
     p = periods_along_family(family, u, prev=prev)
     return -0.5 * math.log(det_prime_laplacian(p))
-
-
-def kaehler_data(family: CurveFamily, u: complex) -> KaehlerData:
-    return KaehlerData(
-        omega_form_coeff=kaehler_coefficient(family, u),
-        scalar_curvature=scalar_curvature(family, u),
-        f1=f1(family, u),
-    )
 
 
 def anomaly_check(family: CurveFamily, u: complex, h: float = None) -> AnomalyRecord:

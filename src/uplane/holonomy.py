@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .curves import ComplexPoly, CurveFamily, discriminant_poly, to_v_chart
+from .curves import ComplexPoly, CurveFamily, discriminant_poly, near_singular_fiber, to_v_chart
 from .errors import (
     CrossCheckFailed,
     LoopTooCloseToSingularity,
@@ -105,12 +105,10 @@ def _chart_delta(family: CurveFamily, chart: Chart) -> ComplexPoly:
 
 def connection_form(operator: Operator, family: CurveFamily, u: complex) -> complex:
     """du-coefficient of the flat connection: (1/12 or 1/6) Delta'(u)/Delta(u)."""
-    d = discriminant_poly(family)
-    val = d(u)
-    scale = sum(abs(c) * abs(u) ** k for k, c in enumerate(d.coeffs)) + 1e-300
-    if abs(val) < 1e-12 * scale:
+    if near_singular_fiber(family, u, 1e-12):
         raise SingularFiber(f"fiber at u={u} is singular")
-    return float(_COEFF[operator]) * d.derivative()(u) / val
+    d = discriminant_poly(family)
+    return float(_COEFF[operator]) * d.derivative()(u) / d(u)
 
 
 def _zeros(delta: ComplexPoly) -> list:
@@ -259,7 +257,7 @@ class _ContourPass:
 def _integrate_loops(family: CurveFamily, samples: int) -> _ContourPass:
     roots = family.cached("nodes", find_singular_fibers)
     delta = _chart_delta(family, Chart.U)
-    zeros = _zeros(delta)
+    zeros = [z for z, _ in roots]
     node_loops = tuple(
         LoopSpec(center=z, radius=_node_loop_radius(roots, i), samples=samples)
         for i, (z, _) in enumerate(roots)

@@ -145,32 +145,28 @@ def theta_ab(a: int, b: int, v: complex, tau) -> complex:
     return tot
 
 
-def eisenstein_e4(tau) -> complex:
-    """E4(tau) = 1 + 240 sum n^3 q^n / (1 - q^n)."""
+def _eisenstein(tau, power: int, coeff: float) -> complex:
+    """1 + coeff sum n^power q^n / (1 - q^n), summed until a term is below 1e-17."""
     q = TauPoint.of(tau).q
     s = 0j
     qn = 1.0 + 0.0j
     for n in range(1, _MAX_TERMS):
         qn *= q
-        term = n**3 * qn / (1.0 - qn)
+        term = n**power * qn / (1.0 - qn)
         s += term
         if abs(term) < _TERM_TOL * max(1.0, abs(s)):
             break
-    return 1.0 + 240.0 * s
+    return 1.0 + coeff * s
+
+
+def eisenstein_e4(tau) -> complex:
+    """E4(tau) = 1 + 240 sum n^3 q^n / (1 - q^n)."""
+    return _eisenstein(tau, 3, 240.0)
 
 
 def eisenstein_e6(tau) -> complex:
     """E6(tau) = 1 - 504 sum n^5 q^n / (1 - q^n)."""
-    q = TauPoint.of(tau).q
-    s = 0j
-    qn = 1.0 + 0.0j
-    for n in range(1, _MAX_TERMS):
-        qn *= q
-        term = n**5 * qn / (1.0 - qn)
-        s += term
-        if abs(term) < _TERM_TOL * max(1.0, abs(s)):
-            break
-    return 1.0 - 504.0 * s
+    return _eisenstein(tau, 5, -504.0)
 
 
 def j_from_tau(tau) -> complex:
@@ -242,53 +238,52 @@ def _upper_gamma(a: float, x):
     return g
 
 
-def _lattice_ranges(tau: complex, tail: float = 46.0):
-    """Half-width N so that dropped terms are below e^{-tail}."""
+def _lattice_grids(nu: SpinStructure, tau: complex):
+    """The two lattice grids of the continuation, |m|, |n| <= N.
+
+    N is chosen so that dropped terms are below e^-46.  Returns
+    (qf, mask, r, kmask, phase): the direct-sum grid
+    Q = |(m+h1) tau - (n+h2)|^2 with the origin masked out for the odd
+    structure, the Fourier grid r = |m + n tau|^2 with k = 0 masked out, and
+    its phase cos(2 pi k.h).  Masked entries of Q and r are 1, so both grids
+    can be divided by and raised to any power; sums take where=mask.
+    """
     imt = tau.imag
-    t2 = abs(tau) ** 2
     # smallest eigenvalue of [[|tau|^2, -Re tau], [-Re tau, 1]]
-    tr, det = t2 + 1.0, imt * imt
+    tr, det = abs(tau) ** 2 + 1.0, imt * imt
     lam_min = 0.5 * (tr - math.sqrt(max(tr * tr - 4.0 * det, 0.0)))
     if lam_min <= 0:
         raise ConvergenceFailure(f"degenerate lattice form at tau={tau}")
-    n = int(math.ceil(math.sqrt(tail * imt / (math.pi * lam_min)))) + 2
-    return n
-
-
-def _zeta_sums_at_zero(nu: SpinStructure, tau: complex):
-    from scipy.special import exp1  # oracle-only dependency
-
-    h1, h2 = nu.shifts
-    imt = tau.imag
-    delta = 1 if nu.is_odd else 0
-    n = _lattice_ranges(tau)
+    n = int(math.ceil(math.sqrt(46.0 * imt / (math.pi * lam_min)))) + 2
     if n > 600:
         raise ConvergenceFailure(
             f"lattice sum needs half-width {n} at tau={tau}; tail bound above 1e-10"
         )
     idx = np.arange(-n, n + 1)
     m_grid, n_grid = np.meshgrid(idx, idx, indexing="ij")
-
-    y = (m_grid + h1) * tau - (n_grid + h2)
-    qf = np.abs(y) ** 2
+    h1, h2 = nu.shifts
+    qf = np.abs((m_grid + h1) * tau - (n_grid + h2)) ** 2
     mask = np.ones_like(qf, dtype=bool)
-    if delta:
+    if nu.is_odd:
         mask[(m_grid == 0) & (n_grid == 0)] = False
-    x = math.pi * qf / imt
-    direct = float(np.sum(exp1(np.where(mask, np.clip(x, 1e-300, 700.0), 1.0)), where=mask))
+    qf = np.where(mask, qf, 1.0)
 
-    r = np.abs(m_grid + n_grid * tau) ** 2
     kmask = (m_grid != 0) | (n_grid != 0)
-    xr = math.pi * np.where(kmask, r, 1.0) / imt
+    r = np.where(kmask, np.abs(m_grid + n_grid * tau) ** 2, 1.0)
+    phase = np.cos(2.0 * math.pi * (m_grid * h1 + n_grid * h2))
+    return qf, mask, r, kmask, phase
+
+
+def _zeta_sums_at_zero(nu: SpinStructure, tau: complex):
+    from scipy.special import exp1  # oracle-only dependency
+
+    imt = tau.imag
+    qf, mask, r, kmask, phase = _lattice_grids(nu, tau)
+    direct = float(np.sum(exp1(np.clip(math.pi * qf / imt, 1e-300, 700.0)), where=mask))
     fourier = float(
-        np.sum(
-            np.cos(2.0 * math.pi * (m_grid * h1 + n_grid * h2))
-            * np.exp(-np.clip(xr, 0.0, 700.0))
-            / np.where(kmask, r, 1.0),
-            where=kmask,
-        )
+        np.sum(phase * np.exp(-np.clip(math.pi * r / imt, 0.0, 700.0)) / r, where=kmask)
     ) * (imt / math.pi)
-    return direct, fourier, delta
+    return direct, fourier, 1 if nu.is_odd else 0
 
 
 def epstein_zeta_prime0(nu: SpinStructure, tau) -> float:
@@ -328,32 +323,14 @@ def epstein_zeta_value(s: float, nu: SpinStructure, tau) -> float:
         return -float(delta)
     if s <= 0.0 or s == 1.0:
         raise ValueError("supported range is real s > 0 with s != 1")
-    h1, h2 = nu.shifts
     imt = t.imag
     bigt = math.pi / imt
-    n = _lattice_ranges(t)
-    if n > 600:
-        raise ConvergenceFailure(f"lattice sum needs half-width {n} at tau={t}")
-    idx = np.arange(-n, n + 1)
-    m_grid, n_grid = np.meshgrid(idx, idx, indexing="ij")
+    qf, mask, r, kmask, phase = _lattice_grids(nu, t)
+    direct = float(np.sum(qf ** (-s) * _upper_gamma(s, bigt * qf), where=mask))
 
-    qf = np.abs((m_grid + h1) * t - (n_grid + h2)) ** 2
-    mask = np.ones_like(qf, dtype=bool)
-    if delta:
-        mask[(m_grid == 0) & (n_grid == 0)] = False
-    qf_safe = np.where(mask, qf, 1.0)
-    direct = float(np.sum(qf_safe ** (-s) * _upper_gamma(s, bigt * qf_safe), where=mask))
-
-    r = np.abs(m_grid + n_grid * t) ** 2
-    kmask = (m_grid != 0) | (n_grid != 0)
-    ck = math.pi**2 * np.where(kmask, r, 1.0) / imt**2
+    ck = math.pi**2 * r / imt**2
     fourier = float(
-        np.sum(
-            np.cos(2.0 * math.pi * (m_grid * h1 + n_grid * h2))
-            * ck ** (s - 1.0)
-            * _upper_gamma(1.0 - s, ck / bigt),
-            where=kmask,
-        )
+        np.sum(phase * ck ** (s - 1.0) * _upper_gamma(1.0 - s, ck / bigt), where=kmask)
     ) * (math.pi / imt)
 
     middle = (math.pi / imt) * bigt ** (s - 1.0) / (s - 1.0)

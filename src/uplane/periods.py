@@ -13,12 +13,13 @@ is post-validated against the modular-discriminant identity
 
     (2 pi)^12 eta(tau)^24 / (2 omega)^12 = g2^3 - 27 g3^2,
 
-which holds for every true basis of the period lattice and fails for any
-branch mistake.  Among validated candidates a deterministic normalization
-(maximal Im tau, then minimal |Re tau|, then positive Re tau, then the
-lexicographically largest omega) fixes the returned basis; callers tracking a
-family provide the previous fiber's periods as a seed instead, and the
-candidate closest to the seed wins, which keeps frames continuous along loops.
+with the left side from `spectral.modular_discriminant`; it holds for every
+true basis of the period lattice and fails for any branch mistake.  Among
+validated candidates a deterministic normalization (maximal Im tau, then
+minimal |Re tau|, then positive Re tau, then the lexicographically largest
+omega) fixes the returned basis; callers tracking a family provide the
+previous fiber's periods as a seed instead, and the candidate closest to the
+seed wins, which keeps frames continuous along loops.
 """
 
 import cmath
@@ -28,11 +29,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import CurveFamily, WeierstrassCurve, discriminant
+from .curves import (
+    CurveFamily,
+    WeierstrassCurve,
+    discriminant,
+    is_numerically_singular,
+    j_invariant,
+)
 from .errors import AgmBranchFailure, SingularCurve, SingularFiber
-from . import modular
-
-TWO_PI = 2.0 * math.pi
+from .modular import j_from_tau
+from .spectral import modular_discriminant
 
 #: relative tolerance of the modular-discriminant post-condition
 ETA_IDENTITY_RTOL = 1e-9
@@ -98,10 +104,6 @@ def agm_steps(a: complex, b: complex):
     return 0.5 * (a + b), steps
 
 
-def _modular_delta(tau: complex, omega: complex) -> complex:
-    return TWO_PI**12 * modular.dedekind_eta(tau) ** 24 / (2.0 * omega) ** 12
-
-
 def _candidate_params(roots):
     """All basis candidates: root permutations x sign of omega' x shear x global sign."""
     seen = set()
@@ -136,12 +138,17 @@ def _default_key(w, tau):
     return (-q(tau.imag), q(abs(tau.real)), -q(tau.real), -q(w.real), -q(w.imag))
 
 
-def _validated(curve, cands, order_key):
-    delta = discriminant(curve)
-    for w, wp, tau in sorted(cands, key=order_key):
-        resid = abs(_modular_delta(tau, w) - delta) / abs(delta)
-        if resid <= ETA_IDENTITY_RTOL:
-            return w, wp, tau, resid
+def _basis(w: complex, wp: complex) -> Periods:
+    tau = wp / w
+    return Periods(omega=w, omega_prime=wp, tau=tau, q=cmath.exp(2j * math.pi * tau))
+
+
+def _validated(delta, cands, order_key):
+    """The first candidate in order_key order whose modular discriminant is delta."""
+    for w, wp, _ in sorted(cands, key=order_key):
+        p = _basis(w, wp)
+        if abs(modular_discriminant(p) - delta) / abs(delta) <= ETA_IDENTITY_RTOL:
+            return p
     return None
 
 
@@ -178,8 +185,7 @@ def compute_periods(curve: WeierstrassCurve, seed: Periods = None) -> Periods:
     AgmBranchFailure when no candidate passes the modular-discriminant check.
     """
     delta = discriminant(curve)
-    dscale = abs(curve.g2) ** 3 + 27.0 * abs(curve.g3) ** 2
-    if abs(delta) <= 1e-12 * max(dscale, 1e-300):
+    if is_numerically_singular(curve, delta):
         raise SingularCurve(f"discriminant vanishes for g2={curve.g2}, g3={curve.g3}")
     roots = cubic_roots(curve)
     scale = 1.0 + max(abs(e) for e in roots)
@@ -195,31 +201,22 @@ def compute_periods(curve: WeierstrassCurve, seed: Periods = None) -> Periods:
         ) + _default_key(c[0], c[2])
     else:
         key = lambda c: _default_key(c[0], c[2])
-    hit = _validated(curve, cands, key)
-    if hit is None:
+    p = _validated(delta, cands, key)
+    if p is None:
         raise AgmBranchFailure(
             f"no AGM basis candidate satisfied the eta^24 identity for "
             f"g2={curve.g2}, g3={curve.g3}"
         )
-    w, wp, tau, _ = hit
     if seed is not None:
-        w, wp = _nearest_basis(w, wp, seed)
-        tau = wp / w
+        p = _basis(*_nearest_basis(p.omega, p.omega_prime, seed))
     # independent cross-check: j from modular functions must reproduce j(curve)
-    jc = j_of_curve(curve)
-    jt = modular.j_from_tau(tau)
+    jc = j_invariant(curve)
+    jt = j_from_tau(p.tau)
     if abs(jt - jc) > 1e-8 * (1.0 + abs(jc)):
         raise AgmBranchFailure(
             f"j mismatch after validation: j(curve)={jc}, j(tau)={jt}"
         )
-    return Periods(omega=w, omega_prime=wp, tau=tau, q=cmath.exp(2j * math.pi * tau))
-
-
-def j_of_curve(curve: WeierstrassCurve) -> complex:
-    d = discriminant(curve)
-    if d == 0:
-        raise SingularCurve("j undefined: discriminant vanishes")
-    return 1728.0 * curve.g2**3 / d
+    return p
 
 
 def periods_along_family(family: CurveFamily, u: complex, prev: Periods = None) -> Periods:
@@ -229,10 +226,8 @@ def periods_along_family(family: CurveFamily, u: complex, prev: Periods = None) 
     discriminant zeros.
     """
     curve = family.curve_at(u)
-    # scale-aware singularity screen before the expensive part
-    d = discriminant(curve)
-    scale = abs(curve.g2) ** 3 + 27.0 * abs(curve.g3) ** 2
-    if abs(d) <= 1e-12 * max(scale, 1e-300):
+    # screened here too, so a node raises SingularFiber without a SingularCurve inside
+    if is_numerically_singular(curve, discriminant(curve)):
         raise SingularFiber(f"discriminant vanishes at u={u}")
     try:
         return compute_periods(curve, seed=prev)

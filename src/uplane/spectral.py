@@ -6,15 +6,18 @@ routes are checked against each other (CrossCheckFailed on disagreement), so
 a convention slip in one formula cannot pass silently.
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .curves import WeierstrassCurve, discriminant
 from .errors import CrossCheckFailed, OddStructure
-from .modular import EVEN_STRUCTURES, SpinStructure, dedekind_eta, theta_ab
-from .periods import Periods
+from .modular import EVEN_STRUCTURES, TWO_PI, SpinStructure, dedekind_eta, theta_ab
 
-TWO_PI = 2.0 * math.pi
+if TYPE_CHECKING:  # periods validates its solves here, so it imports this module
+    from .periods import Periods
 
 #: Exact ratio between the zeta-continuation value of the odd-structure
 #: determinant and the closed form used by the Quillen-metric chain below.

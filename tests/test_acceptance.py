@@ -33,7 +33,6 @@ from uplane import (
     det_twisted_all_even,
     epstein_zeta_logdet,
     find_singular_fibers,
-    holonomy,
     isotrivial_family,
     modular_discriminant,
     quillen_norm_sigma,
@@ -43,6 +42,7 @@ from uplane import (
     table1_expected,
     theta_ab,
 )
+from uplane.holonomy import holonomy
 from uplane.spectral import CONTINUATION_OVER_CLOSED_FORM
 
 TAUS = (1j, cmath.exp(1j * math.pi / 3), 0.3 + 1.7j)

@@ -24,7 +24,7 @@ from uplane import (
     uplane_point,
 )
 from uplane.curves import discriminant_poly
-from uplane.geometry import _j_numerator
+from uplane.geometry import _check_stencil, _j_numerator
 from uplane.periods import periods_along_family
 from uplane.spectral import fiber_volume
 
@@ -179,6 +179,15 @@ def test_stencil_crossing_detected():
     fam = sample_family(0)  # node at u = 1
     with pytest.raises(StencilCrossesSingularity):
         uplane_point(fam, 1.0 + 1e-4, h=1e-4)  # u - h hits the node
+
+
+@pytest.mark.parametrize("direction", [1.0, -1.0, 1j])
+def test_stencil_screen_threshold(direction):
+    # |u^2 - 1| / (1 + |u|^2) = |u - 1| to first order near the node u = 1 of nf0
+    fam = sample_family(0)
+    with pytest.raises(StencilCrossesSingularity):
+        _check_stencil(fam, [1.0 + direction * 0.5e-9])
+    _check_stencil(fam, [1.0 + direction * 2e-9])
 
 
 def test_f1_example_square_fiber():

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -27,15 +28,13 @@ from uplane import (
     discriminant_poly,
     family_to_dict,
     find_singular_fibers,
-    holonomy,
     sample_family,
     signature_from_monodromy,
     surface_report,
 )
+import uplane.holonomy as H
 from uplane.cli import main
-
-# the package attribute `uplane.holonomy` is the function of that name
-H = sys.modules["uplane.holonomy"]
+from uplane.holonomy import holonomy
 
 
 def _node_loop(center, radius, orientation=Orientation.CLOCKWISE, samples=1024):
@@ -58,6 +57,26 @@ def test_connection_form_formula():
 def test_connection_form_singular():
     with pytest.raises(SingularFiber):
         connection_form(Operator.DBAR, sample_family(0), 1.0)
+
+
+@pytest.mark.parametrize("direction", [1.0, -1.0, 1j])
+def test_connection_form_screen_threshold(direction):
+    # |u^2 - 1| / (1 + |u|^2) = |u - 1| to first order near the node u = 1 of nf0
+    fam = sample_family(0)
+    with pytest.raises(SingularFiber):
+        connection_form(Operator.DBAR, fam, 1.0 + direction * 0.5e-12)
+    u = 1.0 + direction * 2e-12
+    expect = 2.0 * u / (u * u - 1.0) / 12.0
+    assert abs(connection_form(Operator.DBAR, fam, u) - expect) < 1e-3 * abs(expect)
+
+
+def test_import_names_the_holonomy_module():
+    import uplane
+    import uplane.holonomy as h
+
+    assert isinstance(h, types.ModuleType)
+    assert uplane.holonomy is h
+    assert h.holonomy.__module__ == "uplane.holonomy"
 
 
 def test_dbar_node_holonomy():
@@ -367,7 +386,7 @@ _FORCED_FAILURES = {
     # the exact log-monodromy per winding is wrong, so the numeric phase disagrees
     "phase": (
         "from fractions import Fraction\n"
-        "h = sys.modules['uplane.holonomy']\n"
+        "import uplane.holonomy as h\n"
         "h._ETA_PER_WINDING[h.Operator.SIGNATURE] = Fraction(1, 3)\n",
         ["holonomy", "--center", "1,0", "--radius", "0.5", "--operator", "signature",
          "--orientation", "cw"],

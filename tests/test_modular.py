@@ -4,6 +4,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uplane import (
     EVEN_STRUCTURES,
@@ -11,6 +13,8 @@ from uplane import (
     SpinStructure,
     dedekind_eta,
     eigenvalue_2dbar,
+    eisenstein_e4,
+    eisenstein_e6,
     epstein_zeta_logdet,
     epstein_zeta_value,
     j_from_tau,
@@ -207,6 +211,17 @@ def test_epstein_tail_bound_guard():
 
     with pytest.raises(ConvergenceFailure):
         epstein_zeta_logdet(SpinStructure(0, 0), 40000j, 0.5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.floats(-3.0, 3.0), y=st.floats(0.1, 3.0))
+def test_eisenstein_series_against_eta_product(x, y):
+    # E4^3 - E6^2 = 1728 eta^24: the two q-series against the SL(2,Z)-reduced
+    # eta product, down to Im tau = 0.1 where the series run to ~100 terms
+    tau = complex(x, y)
+    e4, e6 = eisenstein_e4(tau), eisenstein_e6(tau)
+    err = abs(e4**3 - e6**2 - 1728.0 * dedekind_eta(tau) ** 24)
+    assert err <= 1e-12 * (abs(e4) ** 3 + abs(e6) ** 2)
 
 
 def test_j_from_tau_special_points():

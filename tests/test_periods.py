@@ -8,6 +8,7 @@ import pytest
 from uplane import (
     SingularCurve,
     SingularFiber,
+    UPlaneError,
     WeierstrassCurve,
     agm,
     coalesced_family,
@@ -170,6 +171,28 @@ def test_family_fiber_and_singular_fiber():
     assert p.tau.imag > 0
     with pytest.raises(SingularFiber):
         periods_along_family(fam, 1.0)
+
+
+@pytest.mark.parametrize("factor, screened", [(0.5, True), (2.0, False)])
+def test_curve_screen_threshold(factor, screened):
+    # near the node u = 1 of nf0, |Delta| / (|g2|^3 + 27 |g3|^2) = 27 |u - 1|
+    # to first order; the screen rejects at 1e-12 of that scale
+    fam = sample_family(0)
+
+    def error(call):
+        try:
+            call()
+        except UPlaneError as exc:
+            return exc
+        return None
+
+    for direction in (1.0, -1.0, 1j):
+        u = 1.0 + direction * factor * 1e-12 / 27.0
+        # periods_along_family screens before it solves: no SingularCurve inside
+        exc = error(lambda: periods_along_family(fam, u))
+        assert (isinstance(exc, SingularFiber) and exc.__cause__ is None) == screened
+        exc = error(lambda: compute_periods(fam.curve_at(u)))
+        assert (isinstance(exc, SingularCurve) and "discriminant vanishes" in str(exc)) == screened
 
 
 def test_seeded_step_keeps_frame_where_no_candidate_continues_it():
