@@ -155,7 +155,8 @@ def _cmd_anomaly(args) -> str:
 
 def _cmd_holonomy(args) -> str:
     family = load_family(args.family)
-    loop = LoopSpec(
+    op = Operator.DBAR if args.operator == "dbar" else Operator.SIGNATURE
+    res = holonomy(op, family, LoopSpec(
         center=args.center,
         radius=args.radius,
         samples=args.samples,
@@ -163,9 +164,8 @@ def _cmd_holonomy(args) -> str:
             Orientation.CLOCKWISE if args.orientation == "cw" else Orientation.COUNTERCLOCKWISE
         ),
         chart=Chart.U if args.chart == "u" else Chart.V,
-    )
-    op = Operator.DBAR if args.operator == "dbar" else Operator.SIGNATURE
-    res = holonomy(op, family, loop)
+    ))
+    loop = res.loop  # --samples is a floor; this is the count integrated
     out = {
         "family": family.name,
         "operator": op.value,

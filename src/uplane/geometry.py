@@ -64,8 +64,11 @@ class AnomalyRecord:
     ratio: float
 
 
-def default_step(u: complex) -> float:
-    return 1e-4 * (1.0 + abs(u))
+def _step(u: complex, h: float = None) -> float:
+    """h, which must be finite and positive, or by default 1e-4 (1 + |u|)."""
+    if h is not None and not 0 < h < math.inf:
+        raise ValueError(f"finite-difference step must be finite and positive, not {h}")
+    return 1e-4 * (1.0 + abs(u)) if h is None else h
 
 
 def _check_stencil(family: CurveFamily, points, rel_tol: float = 1e-9):
@@ -103,8 +106,7 @@ def uplane_point(family: CurveFamily, u: complex, h: float = None) -> UPlanePoin
 
     Five period solves; the finite-difference check route for `d_tau_du`.
     """
-    if h is None:
-        h = default_step(u)
+    h = _step(u, h)
     _check_stencil(family, [u, u + h, u - h, u + h / 2, u - h / 2])
     center = periods_along_family(family, u)
 
@@ -162,8 +164,7 @@ def anomaly_check(family: CurveFamily, u: complex, h: float = None) -> AnomalyRe
     raises DivisionByZero (an isolated critical point of tau(u), where the
     ratio is 0/0).
     """
-    if h is None:
-        h = default_step(u)
+    h = _step(u, h)
     stencil = [u]
     for hh in (h, h / 2.0):
         stencil += [u + hh, u - hh, u + 1j * hh, u - 1j * hh]

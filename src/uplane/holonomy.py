@@ -33,10 +33,11 @@ from .errors import (
 )
 from .kodaira import AT_INFINITY, find_singular_fibers
 
-_MAX_SAMPLES = 1 << 20
+#: sample counts a loop may be integrated at; a loop that needs more is refused
+_MIN_SAMPLES, _MAX_SAMPLES = 64, 1 << 20
 #: agreement required between the numeric phase and the exact log-monodromy
 _PHASE_TOL = 1e-9
-#: distance of integral / (2 pi i) from the winding at which sampling stops;
+#: distance of integral / (2 pi i) from the winding that the check accepts;
 #: a phase error of 1e-9 for the 1/6 operator is a distance of 9.5e-10
 _INTEGRAL_TOL = 1e-10
 
@@ -71,10 +72,10 @@ class LoopSpec:
     chart: Chart = Chart.U
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("loop radius must be positive")
-        if self.samples < 64:
-            raise ValueError("at least 64 samples required")
+        if not (cmath.isfinite(self.center) and 0 < self.radius < math.inf):
+            raise ValueError("loop center must be finite and radius finite and positive")
+        if not _MIN_SAMPLES <= self.samples <= _MAX_SAMPLES:
+            raise ValueError(f"loop samples must be between {_MIN_SAMPLES} and {_MAX_SAMPLES}")
 
 
 @dataclass(frozen=True)
@@ -98,9 +99,7 @@ class CurvatureLedger:
 
 
 def _chart_delta(family: CurveFamily, chart: Chart) -> ComplexPoly:
-    if chart is Chart.U:
-        return discriminant_poly(family)
-    return to_v_chart(family).delta_v
+    return discriminant_poly(family) if chart is Chart.U else to_v_chart(family).delta_v
 
 
 def connection_form(operator: Operator, family: CurveFamily, u: complex) -> complex:
@@ -112,11 +111,12 @@ def connection_form(operator: Operator, family: CurveFamily, u: complex) -> comp
 
 
 def _zeros(delta: ComplexPoly) -> list:
-    return np.roots(list(reversed(delta.coeffs))) if delta.degree > 0 else []
+    """Zeros of a chart discriminant as (location, 1) pairs, repeated zeros listed apart."""
+    return [(z, 1) for z in np.roots(list(reversed(delta.coeffs)))] if delta.degree > 0 else []
 
 
 def _loop_clearance(zeros, loop: LoopSpec):
-    for z in zeros:
+    for z, _ in zeros:
         gap = abs(abs(complex(z) - loop.center) - loop.radius)
         if gap < 1e-6:
             raise LoopTooCloseToSingularity(
@@ -124,49 +124,61 @@ def _loop_clearance(zeros, loop: LoopSpec):
             )
 
 
-def _ccw_winding_and_transport(delta: ComplexPoly, loop: LoopSpec):
-    """Counterclockwise winding of Delta and the integral of Delta'/Delta dz.
+def _sample_count(zeros, loop: LoopSpec) -> int:
+    """Smallest n >= loop.samples whose trapezoid error bound is _INTEGRAL_TOL / 8 or less.
 
-    Trapezoid rule on equispaced samples (spectrally accurate for periodic
-    integrands), with Delta and Delta' evaluated over the whole sample array
-    at once.  The winding is read twice: from the unwrapped argument of Delta
-    (an integer up to rounding at any sample count) and, by the argument
-    principle, as integral / (2 pi i), which is only near that integer once
-    the samples resolve the loop.  The sample count doubles until the first
-    sits within 1e-8 of an integer and the second within _INTEGRAL_TOL of it.
-    The transport of an operator is its coefficient times the returned
-    integral.
+    The n-point rule misses integral / (2 pi i) by at most the sum of m rho^n / (1 - rho^n)
+    over the zeros (location, multiplicity m), rho = s/r for a zero at distance s < r from
+    the center and r/s outside (Trefethen & Weideman, SIAM Review 2014); n <= _MAX_SAMPLES.
     """
-    dp = delta.derivative()
-    n = loop.samples
-    while True:
-        theta = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-        rim = np.exp(1j * theta)
-        z = loop.center + loop.radius * rim
-        dz = 1j * loop.radius * rim * (2.0 * math.pi / n)
-        vals = delta.at(z)
-        dvals = dp.at(z)
-        if np.any(np.abs(vals) == 0.0):
-            raise LoopTooCloseToSingularity("contour hits a discriminant zero")
-        integral = np.sum(dvals / vals * dz)
-        if not cmath.isfinite(integral):
-            raise NonIntegerWinding(f"contour integral is not finite at {n} samples")
-        args = np.angle(vals)
-        jumps = np.diff(np.concatenate([args, args[:1]]))
-        jumps = (jumps + math.pi) % (2.0 * math.pi) - math.pi
-        winding = float(np.sum(jumps) / (2.0 * math.pi))
-        k = round(winding)
-        off = abs(integral / (2j * math.pi) - k)
-        if abs(winding - k) <= 1e-8 and off <= _INTEGRAL_TOL:
-            return k, integral
-        if n >= _MAX_SAMPLES:
-            if max(abs(winding - k), off) > 1e-6:
-                raise NonIntegerWinding(
-                    f"winding {winding} (integral {integral / (2j * math.pi)}) "
-                    f"not integral at {n} samples"
-                )
-            return k, integral
-        n *= 2
+    dist = [(m, abs(complex(z) - loop.center)) for z, m in zeros]
+    rhos = [(m, min(s, loop.radius) / max(s, loop.radius)) for m, s in dist]
+
+    def bound(n: int) -> float:
+        return sum(m * rho**n / (1.0 - rho**n) if rho < 1.0 else math.inf for m, rho in rhos)
+
+    tol, lo, hi = _INTEGRAL_TOL / 8, loop.samples, _MAX_SAMPLES
+    if bound(lo) <= tol:
+        return lo
+    if bound(hi) > tol:
+        raise LoopTooCloseToSingularity(f"contour needs over {hi} samples near a zero")
+    while hi - lo > 1:  # bound(lo) > tol >= bound(hi)
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if bound(mid) <= tol else (mid, hi)
+    return hi
+
+
+def _ccw_winding_and_transport(delta: ComplexPoly, loop: LoopSpec, zeros):
+    """(loop at the sample count used, ccw winding of Delta, integral of Delta'/Delta dz).
+
+    One trapezoid rule at `_sample_count` of the chart discriminant's `zeros`,
+    (location, multiplicity) pairs, over one array of Delta and Delta' values.
+    The winding is read from the unwrapped argument of Delta (within 1e-8 of
+    an integer) and as integral / (2 pi i) (within _INTEGRAL_TOL of it); else
+    NonIntegerWinding.  An operator's transport is its coefficient times the integral.
+    """
+    _loop_clearance(zeros, loop)
+    n = _sample_count(zeros, loop)
+    theta = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    rim = np.exp(1j * theta)
+    z = loop.center + loop.radius * rim
+    dz = 1j * loop.radius * rim * (2.0 * math.pi / n)
+    vals = delta.at(z)
+    dvals = delta.derivative().at(z)
+    if np.any(np.abs(vals) == 0.0):
+        raise LoopTooCloseToSingularity("contour hits a discriminant zero")
+    integral = np.sum(dvals / vals * dz)
+    if not cmath.isfinite(integral):
+        raise NonIntegerWinding(f"contour integral is not finite at {n} samples")
+    args = np.angle(vals)
+    jumps = np.diff(np.concatenate([args, args[:1]]))
+    jumps = (jumps + math.pi) % (2.0 * math.pi) - math.pi
+    winding = float(np.sum(jumps) / (2.0 * math.pi))
+    k = round(winding)
+    if abs(winding - k) > 1e-8 or abs(integral / (2j * math.pi) - k) > _INTEGRAL_TOL:
+        raise NonIntegerWinding(f"winding {winding} (integral {integral / (2j * math.pi)}) "
+                                f"not integral at {n} samples")
+    return replace(loop, samples=n), k, integral
 
 
 def _holonomy_result(
@@ -206,8 +218,7 @@ def holonomy(operator: Operator, family: CurveFamily, loop: LoopSpec) -> Holonom
     with exp(-i pi/2 * log_monodromy) to 1e-9, else CrossCheckFailed.
     """
     delta = _chart_delta(family, loop.chart)
-    _loop_clearance(_zeros(delta), loop)
-    return _holonomy_result(operator, loop, *_ccw_winding_and_transport(delta, loop))
+    return _holonomy_result(operator, *_ccw_winding_and_transport(delta, loop, _zeros(delta)))
 
 
 def canonical_trivialization_check(family: CurveFamily, loop: LoopSpec) -> bool:
@@ -221,19 +232,19 @@ def canonical_trivialization_check(family: CurveFamily, loop: LoopSpec) -> bool:
     return six_eta.denominator == 1 and six_eta.numerator % 4 == 0
 
 
-def _node_loop_radius(roots, index: int) -> float:
+def _node_loop(roots, index: int) -> LoopSpec:
+    """Counterclockwise loop around the index-th node that encloses no other node."""
     z = roots[index][0]
     others = [abs(z - w) for j, (w, _) in enumerate(roots) if j != index]
-    if not others:
-        return 0.5 * (1.0 + abs(z))
-    return 0.4 * min(others)
+    radius = 0.4 * min(others) if others else 0.5 * (1.0 + abs(z))
+    return LoopSpec(center=z, radius=radius, samples=_MIN_SAMPLES)
 
 
-def _infinity_loop(roots, samples: int) -> LoopSpec:
+def _infinity_loop(roots) -> LoopSpec:
     """Counterclockwise loop around v = 0 that encloses no finite node."""
     images = [1.0 / abs(z) for z, _ in roots if abs(z) > 1e-12]
     radius = 0.4 * min(images) if images else 0.5
-    return LoopSpec(center=0.0, radius=radius, samples=samples, chart=Chart.V)
+    return LoopSpec(center=0.0, radius=radius, samples=_MIN_SAMPLES, chart=Chart.V)
 
 
 @dataclass(frozen=True)
@@ -241,51 +252,39 @@ class _ContourPass:
     """Every loop of a family integrated once, counterclockwise, coefficient 1.
 
     One loop around each finite singular fiber in the u-chart and one around
-    v = 0; each integral is (winding, integral of Delta'/Delta dz).  The
-    holonomies, the curvature ledger of either operator and the signature are
-    all derived from these numbers.
+    v = 0, each as (loop, winding, integral of Delta'/Delta dz).  The
+    holonomies, the curvature ledger of either operator and the signature
+    are all derived from these numbers.
     """
 
     roots: tuple  # ((location, multiplicity), ...) from find_singular_fibers
-    node_loops: tuple
     nodes: tuple
-    infinity_loop: LoopSpec
     infinity: tuple
     ord_inf: int
 
 
-def _integrate_loops(family: CurveFamily, samples: int) -> _ContourPass:
+def _integrate_loops(family: CurveFamily) -> _ContourPass:
     roots = family.cached("nodes", find_singular_fibers)
-    delta = _chart_delta(family, Chart.U)
-    zeros = [z for z, _ in roots]
-    node_loops = tuple(
-        LoopSpec(center=z, radius=_node_loop_radius(roots, i), samples=samples)
-        for i, (z, _) in enumerate(roots)
-    )
-    nodes = []
-    for loop in node_loops:
-        _loop_clearance(zeros, loop)
-        nodes.append(_ccw_winding_and_transport(delta, loop))
-    vchart = to_v_chart(family)
-    loop_inf = _infinity_loop(roots, samples)
-    _loop_clearance(_zeros(vchart.delta_v), loop_inf)
+    delta, vchart = _chart_delta(family, Chart.U), to_v_chart(family)
+    # every other zero is >= 2.5 radii from a loop's center (rho <= 0.4): 64 samples do
     return _ContourPass(
         roots=roots,
-        node_loops=node_loops,
-        nodes=tuple(nodes),
-        infinity_loop=loop_inf,
-        infinity=_ccw_winding_and_transport(vchart.delta_v, loop_inf),
+        nodes=tuple(_ccw_winding_and_transport(delta, _node_loop(roots, i), roots)
+                    for i in range(len(roots))),
+        infinity=_ccw_winding_and_transport(
+            vchart.delta_v, _infinity_loop(roots), _zeros(vchart.delta_v)
+        ),
         ord_inf=vchart.ord_delta_at_zero,
     )
 
 
-def _contour_pass(family: CurveFamily, samples: int) -> _ContourPass:
-    """The family's contour pass at this sample count, integrated on first use."""
-    return family.cached(f"contours/{samples}", lambda fam: _integrate_loops(fam, samples))
+def _contour_pass(family: CurveFamily) -> _ContourPass:
+    """The family's contour pass, integrated on first use."""
+    return family.cached("contours", _integrate_loops)
 
 
 def curvature_ledger(
-    family: CurveFamily, operator: Operator = Operator.SIGNATURE, samples: int = 4096
+    family: CurveFamily, operator: Operator = Operator.SIGNATURE
 ) -> CurvatureLedger:
     """Curvature-current residues of the extended determinant line bundle.
 
@@ -295,10 +294,10 @@ def curvature_ledger(
     contour integral of the connection form, per chart, to 1e-8.
     """
     den = 6 if operator is Operator.SIGNATURE else 12
-    cp = _contour_pass(family, samples)
+    cp = _contour_pass(family)
     located = [(z, Fraction(mult, den), integral)
-               for (z, mult), (_, integral) in zip(cp.roots, cp.nodes)]
-    located.append((AT_INFINITY, Fraction(cp.ord_inf, den), cp.infinity[1]))
+               for (z, mult), (_, _, integral) in zip(cp.roots, cp.nodes)]
+    located.append((AT_INFINITY, Fraction(cp.ord_inf, den), cp.infinity[2]))
     worst = 0.0
     for _, exact, integral in located:
         numeric = (integral / (2j * math.pi * den)).real
@@ -310,7 +309,7 @@ def curvature_ledger(
     return CurvatureLedger(residues=residues, total=total, max_numeric_error=worst)
 
 
-def signature_from_monodromy(family: CurveFamily, samples: int = 4096, report=None) -> int:
+def signature_from_monodromy(family: CurveFamily, report=None) -> int:
     """Signature of the fibered surface from exact signature log-monodromies.
 
     sum_n eta0[gamma_n] - (1/2) eta0[gamma_inf] - 2, with gamma_n clockwise
@@ -321,14 +320,14 @@ def signature_from_monodromy(family: CurveFamily, samples: int = 4096, report=No
     """
     from .kodaira import surface_report  # local import avoids a cycle at import time
 
-    cp = _contour_pass(family, samples)
+    cp = _contour_pass(family)
 
-    def eta_cw(loop, measured):
+    def eta_cw(loop, w_ccw, integral):
         cw = replace(loop, orientation=Orientation.CLOCKWISE)
-        return _holonomy_result(Operator.SIGNATURE, cw, *measured).log_monodromy
+        return _holonomy_result(Operator.SIGNATURE, cw, w_ccw, integral).log_monodromy
 
-    eta_sum = sum(map(eta_cw, cp.node_loops, cp.nodes), Fraction(0))
-    eta_inf = eta_cw(cp.infinity_loop, cp.infinity)
+    eta_sum = sum((eta_cw(*node) for node in cp.nodes), Fraction(0))
+    eta_inf = eta_cw(*cp.infinity)
     sig = eta_sum - Fraction(1, 2) * eta_inf - 2
     if sig.denominator != 1:
         raise CrossCheckFailed("signature from monodromy is an integer", sig, round(sig), 0.0)

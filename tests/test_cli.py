@@ -94,6 +94,56 @@ def test_holonomy_command(capsys, family_file):
     assert doc["log_monodromy"] == {"num": -1, "den": 3}
 
 
+def _holonomy_argv(path, center="0.5,0", radius="0.52", samples=None):
+    argv = ["holonomy", "--family", path, "--center", center, "--radius", radius,
+            "--operator", "signature", "--orientation", "cw"]
+    return argv + (["--samples", samples] if samples else [])
+
+
+def test_holonomy_samples_is_a_floor(capsys, family_file):
+    # 64 samples cannot resolve a loop 0.02 from the node at u = 1; the count
+    # printed is the one integrated, and a request at that count is the same
+    path = family_file(0)
+    code, out, _ = _run(capsys, _holonomy_argv(path, samples="64"))
+    used = json.loads(out)["loop"]["samples"]
+    assert code == 0 and used > 64
+    assert _run(capsys, _holonomy_argv(path, samples=str(used)))[1] == out
+    code, out, _ = _run(capsys, _holonomy_argv(path, samples="4096"))
+    assert code == 0 and json.loads(out)["loop"]["samples"] == 4096
+
+
+def test_unresolvable_holonomy_loop_exit_1(capsys, family_file):
+    code, out, err = _run(capsys, _holonomy_argv(family_file(0), center="0,0", radius="1.00001"))
+    assert code == 1 and out == ""
+    assert "samples" in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flag, value", [
+    ("--radius", "nan"),
+    ("--radius", "inf"),
+    ("--center", "nan,0"),
+    ("--center", "0,inf"),
+    ("--samples", str((1 << 20) + 1)),
+])
+def test_holonomy_non_loop_exit_2(capsys, family_file, flag, value):
+    argv = _holonomy_argv(family_file(0), center="1,0", radius="0.5", samples="1024")
+    argv[argv.index(flag) + 1] = value
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert "loop" in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("step", ["0", "-0.01", "nan", "inf"])
+def test_anomaly_bad_step_exit_2(capsys, family_file, step):
+    code, out, err = _run(
+        capsys, ["anomaly", "--family", family_file(0), "--at", "0.3,0.9", "--step", step]
+    )
+    assert code == 2 and out == ""
+    assert "step" in err
+
+
 def test_anomaly_command(capsys, family_file):
     code, out, _ = _run(
         capsys, ["anomaly", "--family", family_file(0), "--at", "0.3,0.9"]

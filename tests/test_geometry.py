@@ -242,6 +242,15 @@ def test_anomaly_ratio_constant_and_pinned():
     assert abs(mean - ANOMALY_RATIO) <= 1e-3 * ANOMALY_RATIO
 
 
+@pytest.mark.parametrize("h", [0.0, -0.01, math.nan, math.inf])
+def test_finite_difference_step_must_be_finite_and_positive(h):
+    fam = sample_family(0)
+    with pytest.raises(ValueError, match="step"):
+        anomaly_check(fam, 0.3 + 0.9j, h=h)
+    with pytest.raises(ValueError, match="step"):
+        uplane_point(fam, 0.3 + 0.9j, h=h)
+
+
 def test_anomaly_step_refinement():
     fam = sample_family(0)
     u = 0.3 + 0.9j

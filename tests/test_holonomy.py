@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from uplane import (
     AT_INFINITY,
@@ -304,14 +306,13 @@ _PASS_SIGNATURES = [0, -1, -2, -3, -4, -2, -4]
     "fam, sig", zip(_PASS_FAMILIES, _PASS_SIGNATURES), ids=[f.name for f in _PASS_FAMILIES]
 )
 def test_one_pass_engine_exact_outputs(fam, sig):
-    cp = H._contour_pass(fam, 4096)
+    cp = H._contour_pass(fam)
     assert cp.roots == tuple(find_singular_fibers(fam))
     # ccw windings are the vanishing orders of Delta in each chart
-    assert [w for w, _ in cp.nodes] == [m for _, m in cp.roots]
-    assert cp.infinity[0] == cp.ord_inf == surface_report(fam).fibers[-1].ord_delta
+    assert [w for _, w, _ in cp.nodes] == [m for _, m in cp.roots]
+    assert cp.infinity[1] == cp.ord_inf == surface_report(fam).fibers[-1].ord_delta
     # every loop agrees with a separate single-loop holonomy, both orientations
-    loops = list(zip(cp.node_loops, cp.nodes)) + [(cp.infinity_loop, cp.infinity)]
-    for loop, (w_ccw, _) in loops:
+    for loop, w_ccw, _ in cp.nodes + (cp.infinity,):
         for op in Operator:
             for orient, sign in ((Orientation.COUNTERCLOCKWISE, 1), (Orientation.CLOCKWISE, -1)):
                 res = holonomy(op, fam, LoopSpec(
@@ -352,10 +353,8 @@ def test_signature_command_integrates_each_loop_once(monkeypatch, tmp_path):
     assert counts == {"loops": 5 + 1, "reports": 1}
 
 
-def test_undersampled_loop_doubles_until_resolved(monkeypatch):
-    # 64 samples on a circle passing 0.02 from the node at u = 1: the
-    # trapezoid integral is far from 2 pi i there, so the sample count doubles
-    fam = sample_family(0)
+def _spy_sample_sizes(monkeypatch) -> list:
+    """Length of every array ComplexPoly.at evaluates from now on."""
     sizes = []
     at = ComplexPoly.at
 
@@ -364,13 +363,103 @@ def test_undersampled_loop_doubles_until_resolved(monkeypatch):
         return at(poly, z)
 
     monkeypatch.setattr(ComplexPoly, "at", spied)
+    return sizes
+
+
+def test_undersampled_loop_integrates_once_at_the_rule_count(monkeypatch):
+    # 64 samples on a circle passing 0.02 from the node at u = 1 miss the
+    # trapezoid error bound; the count comes from the zeros, sampled once
+    fam = sample_family(0)
     loop = _node_loop(0.5, 0.52, Orientation.CLOCKWISE, samples=64)
+    rho = 0.5 / 0.52  # the node at u = 1 is the nearest zero; the one at -1 has 0.52/1.5
+    n = next(n for n in range(64, 1 << 20)
+             if rho**n / (1 - rho**n) + (0.52 / 1.5) ** n <= H._INTEGRAL_TOL / 8)
+    assert n > 64
+    sizes = _spy_sample_sizes(monkeypatch)
     res = holonomy(Operator.SIGNATURE, fam, loop)
-    assert sizes[0] == 64 and max(sizes) > 64
+    assert sizes == [n, n]  # Delta and Delta', once each
+    assert res.loop.samples == n
     assert res.winding == -1 and res.log_monodromy == Fraction(-2, 3)
-    assert abs(res.phase - res.phase_exact) <= 1e-12
-    ref = holonomy(Operator.SIGNATURE, fam, _node_loop(0.5, 0.52, samples=max(sizes)))
-    assert res.phase == ref.phase
+    # the rule's bound on integral / (2 pi i), times 2 pi / 6 for the phase
+    assert abs(res.phase - res.phase_exact) <= 2 * math.pi / 6 * H._INTEGRAL_TOL / 8
+    ref = holonomy(Operator.SIGNATURE, fam, _node_loop(0.5, 0.52, samples=n))
+    assert ref.loop.samples == n and res.phase == ref.phase
+
+
+def test_integral_read_refuses_an_unresolved_loop(monkeypatch):
+    # with the rule bypassed, 64 samples leave integral / (2 pi i) far from the winding
+    monkeypatch.setattr(H, "_sample_count", lambda zeros, loop: loop.samples)
+    with pytest.raises(NonIntegerWinding, match="not integral at 64 samples"):
+        holonomy(Operator.SIGNATURE, sample_family(0), _node_loop(0.5, 0.52, samples=64))
+
+
+def test_internal_pass_integrates_every_loop_at_64_samples(monkeypatch):
+    sizes = _spy_sample_sizes(monkeypatch)
+    loops = []
+    for fam in [sample_family(nf) for nf in range(5)] + [coalesced_family(), isotrivial_family()]:
+        cp = H._contour_pass(fam)
+        loops += [loop for loop, _, _ in cp.nodes + (cp.infinity,)]
+    assert [loop.samples for loop in loops] == [64] * len(loops)
+    assert sizes == [64] * (2 * len(loops))  # Delta and Delta' of each loop, once
+
+
+def test_unresolvable_loop_is_refused_before_sampling(monkeypatch):
+    # radius 1.00001 around the nodes at +-1 of nf0: rho = 1/1.00001 needs
+    # ~2.6 million samples, more than _MAX_SAMPLES
+    sizes = _spy_sample_sizes(monkeypatch)
+    with pytest.raises(LoopTooCloseToSingularity, match="samples"):
+        holonomy(Operator.SIGNATURE, sample_family(0), _node_loop(0.0, 1.00001))
+    assert sizes == []
+
+
+_SWEEP_FAMILIES = [sample_family(nf) for nf in range(5)]
+
+
+def _chart_zeros(fam, chart):
+    """Zeros of the chart discriminant with multiplicity, as the benchmark's checker counts
+    them: the nodes, or in the v-chart (v = -1/u) their images plus v = 0 of order 12 - deg."""
+    nodes = find_singular_fibers(fam)
+    if chart is Chart.U:
+        return list(nodes)
+    return [(-1.0 / z, m) for z, m in nodes] + [(0j, 12 - discriminant_poly(fam).degree)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    nf=st.integers(0, 4),
+    chart=st.sampled_from(list(Chart)),
+    x=st.floats(-2.5, 2.5),
+    y=st.floats(-2.5, 2.5),
+    radius=st.floats(0.02, 3.0),
+    op=st.sampled_from(list(Operator)),
+    orientation=st.sampled_from(list(Orientation)),
+)
+def test_sample_count_rule_resolves_random_loops(nf, chart, x, y, radius, op, orientation):
+    fam = _SWEEP_FAMILIES[nf]
+    loop = LoopSpec(complex(x, y), radius, samples=64, orientation=orientation, chart=chart)
+    zeros = _chart_zeros(fam, chart)
+    assume(min(abs(abs(z - loop.center) - radius) for z, _ in zeros) >= 1e-3)
+    n = H._sample_count(H._zeros(H._chart_delta(fam, chart)), loop)
+    assume(n <= 1 << 14)
+    res = holonomy(op, fam, loop)
+    assert res.loop.samples == n
+    enclosed = sum(m for z, m in zeros if abs(z - loop.center) < radius)
+    assert res.winding == (enclosed if orientation is Orientation.COUNTERCLOCKWISE else -enclosed)
+    assert abs(res.phase - res.phase_exact) <= 1e-9
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"center": complex(math.nan, 0.0)},
+    {"center": complex(0.0, math.inf)},
+    {"radius": math.nan},
+    {"radius": math.inf},
+    {"radius": 0.0},
+    {"samples": 63},
+    {"samples": H._MAX_SAMPLES + 1},
+])
+def test_loop_spec_rejects_what_is_not_a_loop(kwargs):
+    with pytest.raises(ValueError):
+        LoopSpec(**{"center": 1.0, "radius": 0.5, **kwargs})
 
 
 _FORCED_FAILURES = {
