@@ -8,6 +8,7 @@ CSV uses 17-significant-digit scientific notation so doubles round-trip.
 """
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -27,14 +28,18 @@ from .holonomy import (
 from .periods import Periods, compute_periods, periods_along_family
 
 
-def _parse_complex(text: str) -> complex:
+def _parse_complex(text: str, what: str) -> complex:
+    """RE,IM as a complex number with both parts finite, else SchemaError naming `what`."""
     parts = text.split(",")
     if len(parts) != 2:
-        raise SchemaError(f"expected RE,IM but got {text!r}")
+        raise SchemaError(f"{what}: expected RE,IM but got {text!r}")
     try:
-        return complex(float(parts[0]), float(parts[1]))
+        z = complex(float(parts[0]), float(parts[1]))
     except ValueError as exc:
-        raise SchemaError(f"bad complex literal {text!r}: {exc}") from exc
+        raise SchemaError(f"{what}: bad complex literal {text!r}: {exc}") from exc
+    if not cmath.isfinite(z):
+        raise SchemaError(f"{what} must be finite, not {text!r}")
+    return z
 
 
 def _c(z: complex):
@@ -50,8 +55,6 @@ def _fmt(x: float) -> str:
 
 
 def _periods_from_tau(tau: complex, two_omega: complex) -> Periods:
-    import cmath
-
     omega = two_omega / 2.0
     return Periods(
         omega=omega,
@@ -61,13 +64,13 @@ def _periods_from_tau(tau: complex, two_omega: complex) -> Periods:
     )
 
 
-def _cmd_periods(args) -> str:
+def _cmd_periods(args) -> dict:
     curve = WeierstrassCurve(g2=args.g2, g3=args.g3)
     p = compute_periods(curve)
     delta = discriminant(curve)
     mod_delta = spectral.modular_discriminant(p)
     rel = abs(mod_delta - delta) / abs(delta)
-    out = {
+    return {
         "omega": _c(p.omega),
         "omega_prime": _c(p.omega_prime),
         "tau": _c(p.tau),
@@ -76,12 +79,11 @@ def _cmd_periods(args) -> str:
         "j_curve": _c(j_invariant(curve)),
         "j_tau": _c(modular.j_from_tau(p.tau)),
     }
-    return json.dumps(out, indent=2) + "\n"
 
 
-def _cmd_determinants(args) -> str:
+def _cmd_determinants(args) -> dict:
     p = _periods_from_tau(args.tau, args.two_omega)
-    out = {
+    return {
         "tau": _c(p.tau),
         "q": _c(p.q),
         "det_prime": spectral.det_prime_laplacian(p),
@@ -90,10 +92,9 @@ def _cmd_determinants(args) -> str:
         "det_dirichlet_flat": spectral.det_dirichlet_flat(p),
         "quillen_norm": spectral.quillen_norm_from_periods(p),
     }
-    return json.dumps(out, indent=2) + "\n"
 
 
-def _cmd_zeta_oracle(args) -> str:
+def _cmd_zeta_oracle(args) -> dict:
     nu = modular.SpinStructure(args.nu1, args.nu2)
     p = _periods_from_tau(args.tau, args.two_omega)
     logdet = modular.epstein_zeta_logdet(nu, p.tau, p.omega)
@@ -104,7 +105,7 @@ def _cmd_zeta_oracle(args) -> str:
         closed = spectral.det_twisted(nu, p)
         kind = "theta_over_eta_squared"
     det = math.exp(logdet)
-    out = {
+    return {
         "tau": _c(p.tau),
         "nu": [nu.nu1, nu.nu2],
         "log_det": logdet,
@@ -113,7 +114,6 @@ def _cmd_zeta_oracle(args) -> str:
         "closed_form_kind": kind,
         "rel_err_vs_closed": abs(det - closed) / closed,
     }
-    return json.dumps(out, indent=2) + "\n"
 
 
 def _fiber_dict(r) -> dict:
@@ -129,10 +129,10 @@ def _fiber_dict(r) -> dict:
     }
 
 
-def _cmd_classify(args) -> str:
+def _cmd_classify(args) -> dict:
     family = load_family(args.family)
     report = kodaira.surface_report(family)
-    out = {
+    return {
         "family": family.name,
         "nf": family.nf,
         "fibers": [_fiber_dict(r) for r in report.fibers],
@@ -140,7 +140,6 @@ def _cmd_classify(args) -> str:
         "sign_zbar": report.sign_zbar,
         "sign_z": report.sign_z,
     }
-    return json.dumps(out, indent=2) + "\n"
 
 
 def _cmd_anomaly(args) -> str:
@@ -153,20 +152,18 @@ def _cmd_anomaly(args) -> str:
     return header + "\n" + row + "\n"
 
 
-def _cmd_holonomy(args) -> str:
+def _cmd_holonomy(args) -> dict:
     family = load_family(args.family)
-    op = Operator.DBAR if args.operator == "dbar" else Operator.SIGNATURE
+    op = Operator(args.operator)
     res = holonomy(op, family, LoopSpec(
         center=args.center,
         radius=args.radius,
         samples=args.samples,
-        orientation=(
-            Orientation.CLOCKWISE if args.orientation == "cw" else Orientation.COUNTERCLOCKWISE
-        ),
-        chart=Chart.U if args.chart == "u" else Chart.V,
+        orientation=Orientation(args.orientation),
+        chart=Chart(args.chart),
     ))
     loop = res.loop  # --samples is a floor; this is the count integrated
-    out = {
+    return {
         "family": family.name,
         "operator": op.value,
         "loop": {
@@ -181,16 +178,15 @@ def _cmd_holonomy(args) -> str:
         "phase": _c(res.phase),
         "phase_exact": _c(res.phase_exact),
     }
-    return json.dumps(out, indent=2) + "\n"
 
 
-def _cmd_signature(args) -> str:
+def _cmd_signature(args) -> dict:
     family = load_family(args.family)
     # the signature and the ledger share the family's one contour pass
     report = kodaira.surface_report(family)
     sig = signature_from_monodromy(family, report=report)
     ledger = curvature_ledger(family)
-    out = {
+    return {
         "family": family.name,
         "nf": family.nf,
         "signature": sig,
@@ -198,7 +194,6 @@ def _cmd_signature(args) -> str:
         "sign_z_surface": report.sign_z,
         "curvature_total": _frac(ledger.total),
     }
-    return json.dumps(out, indent=2) + "\n"
 
 
 def _cmd_scan(args) -> str:
@@ -209,8 +204,12 @@ def _cmd_scan(args) -> str:
         nx, ny = int(nx), int(ny)
         if nx < 1 or ny < 1:
             raise ValueError("grid counts must be positive")
+        if not all(map(math.isfinite, (x0, x1, y0, y1))):
+            raise ValueError("grid bounds must be finite")
     except ValueError as exc:
         raise SchemaError(f"bad --grid spec {args.grid!r}: {exc}") from exc
+    if not 0.0 <= args.margin < math.inf:
+        raise SchemaError(f"--margin must be finite and >= 0, not {args.margin}")
     d = discriminant_poly(family)
     roots = [z for z, _ in family.cached("nodes", kodaira.find_singular_fibers)]
     lines = ["u_re,u_im,im_tau,f1,quillen_norm,scalar_curvature"]
@@ -224,7 +223,7 @@ def _cmd_scan(args) -> str:
                 continue
             try:
                 p = periods_along_family(family, u)
-                s = geometry.scalar_curvature(family, u)
+                s = geometry.scalar_curvature(family, u, p)
             except UPlaneError as exc:
                 print(f"scan: skipping u={u} ({exc})", file=sys.stderr)
                 continue
@@ -251,21 +250,25 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_parser(name, **kw):
         return sub.add_parser(name, parents=[common], **kw)
 
+    def add_complex(p, flag, what):
+        p.add_argument(flag, type=lambda text: _parse_complex(text, what), required=True,
+                       metavar="RE,IM")
+
     p = add_parser("periods", help="half-periods and modulus of one curve")
-    p.add_argument("--g2", type=_parse_complex, required=True, metavar="RE,IM")
-    p.add_argument("--g3", type=_parse_complex, required=True, metavar="RE,IM")
+    add_complex(p, "--g2", "g2")
+    add_complex(p, "--g3", "g3")
     p.set_defaults(func=_cmd_periods)
 
     p = add_parser("determinants", help="determinant zoo at a fiber (tau, 2*omega)")
-    p.add_argument("--tau", type=_parse_complex, required=True, metavar="RE,IM")
-    p.add_argument("--two-omega", type=_parse_complex, required=True, metavar="RE,IM")
+    add_complex(p, "--tau", "tau")
+    add_complex(p, "--two-omega", "2 omega")
     p.set_defaults(func=_cmd_determinants)
 
     p = add_parser("zeta-oracle", help="lattice-zeta continuation determinant")
-    p.add_argument("--tau", type=_parse_complex, required=True, metavar="RE,IM")
+    add_complex(p, "--tau", "tau")
     p.add_argument("--nu1", type=int, choices=(0, 1), required=True)
     p.add_argument("--nu2", type=int, choices=(0, 1), required=True)
-    p.add_argument("--two-omega", type=_parse_complex, required=True, metavar="RE,IM")
+    add_complex(p, "--two-omega", "2 omega")
     p.set_defaults(func=_cmd_zeta_oracle)
 
     p = add_parser("classify", help="Kodaira types and signature of a family")
@@ -274,13 +277,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("anomaly", help="anomaly-equation check at one base point")
     p.add_argument("--family", required=True)
-    p.add_argument("--at", type=_parse_complex, required=True, metavar="RE,IM")
+    add_complex(p, "--at", "base point")
     p.add_argument("--step", type=float, default=None)
     p.set_defaults(func=_cmd_anomaly)
 
     p = add_parser("holonomy", help="loop holonomy of a determinant line")
     p.add_argument("--family", required=True)
-    p.add_argument("--center", type=_parse_complex, required=True, metavar="RE,IM")
+    add_complex(p, "--center", "loop center")
     p.add_argument("--radius", type=float, required=True)
     p.add_argument("--operator", choices=("dbar", "signature"), required=True)
     p.add_argument("--orientation", choices=("cw", "ccw"), required=True)
@@ -313,14 +316,9 @@ def _join_flag_values(argv):
     argparse otherwise mistakes negative coordinates for option strings.
     """
     out = []
-    it = iter(argv)
-    for tok in it:
-        if tok in _VALUE_FLAGS:
-            val = next(it, None)
-            if val is None:
-                out.append(tok)
-            else:
-                out.append(f"{tok}={val}")
+    for tok in argv:
+        if out and out[-1] in _VALUE_FLAGS:
+            out[-1] += "=" + tok
         else:
             out.append(tok)
     return out
@@ -330,9 +328,12 @@ def main(argv=None) -> int:
     parser = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_join_flag_values(argv))
     try:
+        # inside the try: a complex flag's parser raises SchemaError
+        args = parser.parse_args(_join_flag_values(argv))
         text = args.func(args)
+        if isinstance(text, dict):
+            text = json.dumps(text, indent=2) + "\n"
     except (SchemaError, ValueError) as exc:
         # ValueError covers input validation (e.g. tau outside the upper
         # half-plane, zero omega); both are caller errors, not domain errors

@@ -6,8 +6,10 @@ valid flavor count nf.  The second chart on the base is v with u = -1/v, in
 which g2, g3 and the discriminant pick up weights 4, 6 and 12.
 """
 
+import cmath
 import json
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 import numpy as np
 
@@ -64,10 +66,8 @@ class ComplexPoly:
         return acc
 
     def __add__(self, other: "ComplexPoly") -> "ComplexPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0j] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [0j] * (n - len(other.coeffs))
-        return ComplexPoly.of([x + y for x, y in zip(a, b)])
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0j)
+        return ComplexPoly.of([x + y for x, y in pairs])
 
     def __sub__(self, other: "ComplexPoly") -> "ComplexPoly":
         return self + (other * -1.0)
@@ -93,16 +93,13 @@ class ComplexPoly:
         work = list(self.coeffs)
         out = []
         for _ in range(len(self.coeffs)):
-            rem = 0j
-            for c in reversed(work):
-                rem = rem * u0 + c
-            out.append(rem)
             # divide by (u - u0): synthetic division, quotient replaces work
             quo = []
             acc = 0j
             for c in reversed(work):
                 acc = acc * u0 + c
                 quo.append(acc)
+            out.append(acc)  # the remainder, work(u0)
             work = list(reversed(quo[:-1]))
             if not work:
                 break
@@ -152,8 +149,17 @@ class WeierstrassCurve:
 
 
 def discriminant(curve: WeierstrassCurve) -> complex:
-    """g2^3 - 27 g3^2; zero exactly at nodes (g2,g3 != 0) and cusps (g2=g3=0)."""
-    return curve.g2**3 - 27.0 * curve.g3**2
+    """g2^3 - 27 g3^2; zero exactly at nodes (g2,g3 != 0) and cusps (g2=g3=0).
+
+    Raises ValueError when it is not a finite double (g2 or g3 overflowed).
+    """
+    try:
+        d = curve.g2**3 - 27.0 * curve.g3**2
+    except OverflowError:
+        d = cmath.inf
+    if not cmath.isfinite(d):
+        raise ValueError(f"discriminant overflows for g2={curve.g2}, g3={curve.g3}")
+    return d
 
 
 def is_numerically_singular(curve: WeierstrassCurve, delta: complex) -> bool:
@@ -162,8 +168,12 @@ def is_numerically_singular(curve: WeierstrassCurve, delta: complex) -> bool:
     |Delta| <= 1e-12 (|g2|^3 + 27 |g3|^2): the curve is a node or a cusp as
     far as double precision can tell.
     """
-    scale = abs(curve.g2) ** 3 + 27.0 * abs(curve.g3) ** 2
-    return abs(delta) <= 1e-12 * max(scale, 1e-300)
+    return abs(delta) <= 1e-12 * max(discriminant_scale(curve), 1e-300)
+
+
+def discriminant_scale(curve: WeierstrassCurve) -> float:
+    """|g2|^3 + 27 |g3|^2, the size of the terms that cancel in Delta at a node."""
+    return abs(curve.g2) ** 3 + 27.0 * abs(curve.g3) ** 2
 
 
 def j_invariant(curve: WeierstrassCurve) -> complex:
@@ -264,7 +274,10 @@ def near_singular_fiber(family: CurveFamily, u: complex, rel_tol: float) -> bool
     cancel at a node, so the test is scale-free in u and in the coefficients.
     """
     d = discriminant_poly(family)
-    scale = sum(abs(c) * abs(u) ** k for k, c in enumerate(d.coeffs)) + 1e-300
+    try:
+        scale = sum(abs(c) * abs(u) ** k for k, c in enumerate(d.coeffs)) + 1e-300
+    except OverflowError:
+        raise ValueError(f"discriminant overflows at u={u}") from None
     return abs(d(u)) < rel_tol * scale
 
 

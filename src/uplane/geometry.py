@@ -134,17 +134,13 @@ def d_tau_du(family: CurveFamily, u: complex, p: Periods) -> complex:
     return 0.75j * math.pi * w(u) / (p.omega**2 * family.delta_poly(u))
 
 
-def _curvature(family: CurveFamily, u: complex, p: Periods) -> float:
-    dtau_da = d_tau_du(family, u, p) / p.omega
-    return abs(dtau_da) ** 2 / (8.0 * p.tau.imag**3)
-
-
-def scalar_curvature(family: CurveFamily, u: complex) -> float:
+def scalar_curvature(family: CurveFamily, u: complex, p: Periods) -> float:
     """S = |d tau / d a|^2 / (8 Im^3 tau) with d tau/d a = (1/omega) d tau/du.
 
-    One period solve; d tau/du is the closed form of `d_tau_du`.
+    p are the periods of the fiber at u; d tau/du is the closed form of `d_tau_du`.
     """
-    return _curvature(family, u, periods_along_family(family, u))
+    dtau_da = d_tau_du(family, u, p) / p.omega
+    return abs(dtau_da) ** 2 / (8.0 * p.tau.imag**3)
 
 
 def f1(family: CurveFamily, u: complex, prev: Periods = None) -> float:
@@ -183,7 +179,7 @@ def anomaly_check(family: CurveFamily, u: complex, h: float = None) -> AnomalyRe
 
     lap_r = (4.0 * lap(h / 2.0) - lap(h)) / 3.0
     lhs = lap_r / 4.0 / (center.tau.imag * abs(center.omega) ** 2)
-    rhs = _curvature(family, u, center)
+    rhs = scalar_curvature(family, u, center)
     if is_isotrivial(family):
         # both sides are exactly zero in exact arithmetic; the ratio is noise
         return AnomalyRecord(lhs=lhs, rhs=rhs, ratio=float("nan"))

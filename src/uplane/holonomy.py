@@ -163,11 +163,12 @@ def _ccw_winding_and_transport(delta: ComplexPoly, loop: LoopSpec, zeros):
     rim = np.exp(1j * theta)
     z = loop.center + loop.radius * rim
     dz = 1j * loop.radius * rim * (2.0 * math.pi / n)
-    vals = delta.at(z)
-    dvals = delta.derivative().at(z)
-    if np.any(np.abs(vals) == 0.0):
-        raise LoopTooCloseToSingularity("contour hits a discriminant zero")
-    integral = np.sum(dvals / vals * dz)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite integral raises below
+        vals = delta.at(z)
+        dvals = delta.derivative().at(z)
+        if np.any(np.abs(vals) == 0.0):
+            raise LoopTooCloseToSingularity("contour hits a discriminant zero")
+        integral = np.sum(dvals / vals * dz)
     if not cmath.isfinite(integral):
         raise NonIntegerWinding(f"contour integral is not finite at {n} samples")
     args = np.angle(vals)

@@ -12,12 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .curves import (
-    ORDER_INFINITE,
-    CurveFamily,
-    discriminant_poly,
-    to_v_chart,
-)
+from .curves import CurveFamily, discriminant_poly, to_v_chart
 from .errors import (
     BadNf,
     CrossCheckFailed,
@@ -45,6 +40,8 @@ class _AtInfinity:
 AT_INFINITY = _AtInfinity()
 
 _EULER_ADDITIVE = {"II": 2, "III": 3, "IV": 4, "IV*": 8, "III*": 9, "II*": 10}
+#: an additive type's ord Delta equals its Euler number
+_ADDITIVE_BY_DELTA = {e: kind for kind, e in _EULER_ADDITIVE.items()}
 _KINDS = ("I", "I*", "II", "III", "IV", "II*", "III*", "IV*")
 
 
@@ -162,22 +159,10 @@ def _classify_orders(a: int, b: int, d: int) -> KodairaType:
         )
     if a == 0:
         return KodairaType("I", d)
-    if d == 2:
-        return KodairaType("II")
-    if d == 3:
-        return KodairaType("III")
-    if d == 4:
-        return KodairaType("IV")
-    if d == 6:
-        return KodairaType("I*", 0)
-    if a == 2 and b == 3:
+    if d == 6 or (a == 2 and b == 3 and d not in (2, 3, 4)):
         return KodairaType("I*", d - 6)
-    if d == 8:
-        return KodairaType("IV*")
-    if d == 9:
-        return KodairaType("III*")
-    if d == 10:
-        return KodairaType("II*")
+    if d in _ADDITIVE_BY_DELTA:
+        return KodairaType(_ADDITIVE_BY_DELTA[d])
     raise NonMinimal(f"unclassifiable vanishing orders (g2, g3, Delta) = ({a}, {b}, {d})")
 
 
@@ -193,8 +178,6 @@ def classify_fiber(family: CurveFamily, location) -> FiberReport:
         a = family.g2_poly.order_at(location)
         b = family.g3_poly.order_at(location)
         d = discriminant_poly(family).order_at(location)
-    a = min(a, ORDER_INFINITE)
-    b = min(b, ORDER_INFINITE)
     kt = _classify_orders(a, b, d)
     return FiberReport(
         location=location,

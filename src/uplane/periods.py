@@ -33,6 +33,7 @@ from .curves import (
     CurveFamily,
     WeierstrassCurve,
     discriminant,
+    discriminant_scale,
     is_numerically_singular,
     j_invariant,
 )
@@ -42,6 +43,11 @@ from .spectral import modular_discriminant
 
 #: relative tolerance of the modular-discriminant post-condition
 ETA_IDENTITY_RTOL = 1e-9
+
+#: |Delta| / discriminant_scale below which Delta's own rounding, ~1e-16 of the
+#: scale, exceeds ETA_IDENTITY_RTOL of |Delta|: there a failed check means a
+#: fiber too close to singular, not a wrong AGM branch
+ETA_RESOLVABLE = 1e-16 / ETA_IDENTITY_RTOL
 
 #: AGM stopping tolerance on |a - b| / (|a| + |b|): a few ulp of double precision
 AGM_RTOL = 4e-16
@@ -181,8 +187,9 @@ def compute_periods(curve: WeierstrassCurve, seed: Periods = None) -> Periods:
     continuously along a family; without one, the deterministic default
     normalization applies.
 
-    Raises SingularCurve when the cubic has (nearly) repeated roots and
-    AgmBranchFailure when no candidate passes the modular-discriminant check.
+    Raises SingularCurve when the cubic has (nearly) repeated roots, or when the
+    eta or j check fails with |Delta| below ETA_RESOLVABLE of its terms;
+    AgmBranchFailure when one fails above that level.
     """
     delta = discriminant(curve)
     if is_numerically_singular(curve, delta):
@@ -203,20 +210,19 @@ def compute_periods(curve: WeierstrassCurve, seed: Periods = None) -> Periods:
         key = lambda c: _default_key(c[0], c[2])
     p = _validated(delta, cands, key)
     if p is None:
-        raise AgmBranchFailure(
-            f"no AGM basis candidate satisfied the eta^24 identity for "
-            f"g2={curve.g2}, g3={curve.g3}"
-        )
-    if seed is not None:
-        p = _basis(*_nearest_basis(p.omega, p.omega_prime, seed))
-    # independent cross-check: j from modular functions must reproduce j(curve)
-    jc = j_invariant(curve)
-    jt = j_from_tau(p.tau)
-    if abs(jt - jc) > 1e-8 * (1.0 + abs(jc)):
-        raise AgmBranchFailure(
-            f"j mismatch after validation: j(curve)={jc}, j(tau)={jt}"
-        )
-    return p
+        failure = "no AGM basis candidate satisfied the eta^24 identity"
+    else:
+        if seed is not None:
+            p = _basis(*_nearest_basis(p.omega, p.omega_prime, seed))
+        # independent cross-check: j from modular functions must reproduce j(curve)
+        jc, jt = j_invariant(curve), j_from_tau(p.tau)
+        if abs(jt - jc) <= 1e-8 * (1.0 + abs(jc)):
+            return p
+        failure = f"j mismatch after validation: j(curve)={jc}, j(tau)={jt}"
+    failure += f" for g2={curve.g2}, g3={curve.g3}"
+    if abs(delta) < ETA_RESOLVABLE * discriminant_scale(curve):
+        raise SingularCurve(f"discriminant within its rounding of zero: {failure}")
+    raise AgmBranchFailure(failure)
 
 
 def periods_along_family(family: CurveFamily, u: complex, prev: Periods = None) -> Periods:

@@ -245,3 +245,92 @@ def test_isotrivial_family_rejected_by_scan_curvature(tmp_path, capsys):
     assert code == 0
     rows = out.strip().split("\n")[1:]
     assert len(rows) == 4
+
+
+def _one_error_line(err):
+    lines = err.strip().split("\n")
+    return len(lines) == 1 and lines[0].startswith("error: ")
+
+
+_COMPLEX_FLAG_ARGV = {
+    "--g2": ["periods", "--g2", "4,0", "--g3", "0,0"],
+    "--g3": ["periods", "--g2", "4,0", "--g3", "0,0"],
+    "--tau": ["determinants", "--tau", "0,1", "--two-omega", "1,0"],
+    "--two-omega": ["determinants", "--tau", "0,1", "--two-omega", "1,0"],
+    "--at": ["anomaly", "--family", None, "--at", "0.3,0.9"],
+    "--center": ["holonomy", "--family", None, "--center", "1,0", "--radius", "0.5",
+                 "--operator", "dbar", "--orientation", "cw"],
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flag", sorted(_COMPLEX_FLAG_ARGV))
+@pytest.mark.parametrize("value", ["nan,0", "0,inf", "-inf,1"])
+def test_non_finite_complex_flag_exit_2(capsys, family_file, flag, value):
+    argv = [family_file(0) if a is None else a for a in _COMPLEX_FLAG_ARGV[flag]]
+    assert _run(capsys, argv)[0] == 0  # the argv is valid before the value is swapped in
+    argv[argv.index(flag) + 1] = value
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert _one_error_line(err) and "finite" in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flag, value", [
+    ("--margin", "nan"),
+    ("--margin", "inf"),
+    ("--margin", "-1"),
+    ("--grid", "nan,3,2,3,3,3"),
+    ("--grid", "2,3,2,inf,3,3"),
+])
+def test_scan_bad_margin_or_grid_exit_2(capsys, family_file, flag, value):
+    argv = ["scan", "--family", family_file(0), "--grid", "2,3,2,3,3,3", "--margin", "0.1"]
+    argv[argv.index(flag) + 1] = value
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert _one_error_line(err) and flag in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, expected", [
+    (["anomaly", "--at", "1e200,0"], 2),
+    (["anomaly", "--at", "1e100,0"], 2),
+    (["scan", "--grid", "1e200,1e200,0,0,1,1"], 2),
+    (["holonomy", "--center", "0,0", "--radius", "1e200", "--operator", "dbar",
+      "--orientation", "cw"], 1),
+])
+def test_overflowing_input_is_one_error_line(capsys, family_file, argv, expected):
+    code, out, err = _run(capsys, argv[:1] + ["--family", family_file(0)] + argv[1:])
+    assert code == expected and out == ""
+    assert _one_error_line(err)
+
+
+def test_scan_solves_each_point_once(capsys, family_file, monkeypatch):
+    import uplane.periods as P
+
+    calls = []
+    solve = P.compute_periods
+    monkeypatch.setattr(P, "compute_periods", lambda *a, **kw: calls.append(a) or solve(*a, **kw))
+    code, out, _ = _run(
+        capsys, ["scan", "--family", family_file(0), "--grid", "2,3,2,3,3,3", "--margin", "0.1"]
+    )
+    rows = out.strip().split("\n")[1:]
+    assert code == 0 and len(rows) == 9
+    assert len(calls) == len(rows)
+
+
+def test_scan_curvature_matches_library(capsys, family_file):
+    from uplane.cli import _fmt
+    from uplane.geometry import scalar_curvature
+    from uplane.periods import periods_along_family
+
+    fam = sample_family(0)
+    code, out, _ = _run(
+        capsys, ["scan", "--family", family_file(0), "--grid", "0.5,1.5,-0.5,0.5,3,3",
+                 "--margin", "0.2"]
+    )
+    assert code == 0
+    for row in out.strip().split("\n")[1:]:
+        cells = row.split(",")
+        u = complex(float(cells[0]), float(cells[1]))
+        assert cells[5] == _fmt(scalar_curvature(fam, u, periods_along_family(fam, u)))

@@ -90,7 +90,7 @@ def test_uplane_point_richardson_consistency():
 
 def test_scalar_curvature_zero_for_isotrivial():
     fam = isotrivial_family()
-    s = scalar_curvature(fam, 0.7 + 0.4j)
+    s = scalar_curvature(fam, 0.7 + 0.4j, periods_along_family(fam, 0.7 + 0.4j))
     assert abs(s) < 1e-12
 
 
@@ -126,7 +126,7 @@ def test_scalar_curvature_exactly_zero_at_critical_point():
     # g2 = 3u^2 has a double zero at u = 0, so W = 2 g2 g3' - 3 g2' g3 = 0
     # there: tau'(0) = 0 exactly, and the anomaly ratio is 0/0
     fam = sample_family(1)
-    assert scalar_curvature(fam, 0j) == 0.0
+    assert scalar_curvature(fam, 0j, periods_along_family(fam, 0j)) == 0.0
     assert d_tau_du(fam, 0j, periods_along_family(fam, 0j)) == 0
     with pytest.raises(DivisionByZero):
         anomaly_check(fam, 0j)
@@ -162,8 +162,8 @@ def test_scalar_curvature_rescale_law():
     s = 1.3
     scaled = _rescaled(fam, s)
     for u in POINTS[:3]:
-        a = scalar_curvature(fam, u)
-        b = scalar_curvature(scaled, u)
+        a = scalar_curvature(fam, u, periods_along_family(fam, u))
+        b = scalar_curvature(scaled, u, periods_along_family(scaled, u))
         assert abs(b - s**2 * a) <= 1e-9 * abs(b)
 
 
@@ -171,8 +171,8 @@ def test_scalar_curvature_rescale_isotrivial_invariance():
     fam = isotrivial_family()
     scaled = _rescaled(fam, 1.7)
     u = 0.7 + 0.4j
-    assert abs(scalar_curvature(fam, u)) < 1e-12
-    assert abs(scalar_curvature(scaled, u)) < 1e-12
+    assert abs(scalar_curvature(fam, u, periods_along_family(fam, u))) < 1e-12
+    assert abs(scalar_curvature(scaled, u, periods_along_family(scaled, u))) < 1e-12
 
 
 def test_stencil_crossing_detected():

@@ -225,3 +225,39 @@ def test_continuity_scan_with_seed():
         prev = p
     steps = [abs(b - a) for a, b in zip(taus, taus[1:])]
     assert max(steps) < 50 * h
+
+
+@pytest.mark.parametrize("distance", [1e-10, 1e-9])
+@pytest.mark.parametrize("theta", [0.3, 1.7, 4.0])
+def test_unresolvable_near_node_is_a_singular_fiber(distance, theta):
+    # |Delta| / (|g2|^3 + 27 |g3|^2) is 2.7e-9 and 2.7e-8 here, below ETA_RESOLVABLE:
+    # Delta's own rounding exceeds the eta identity's tolerance, so the solve
+    # names the fiber singular instead of blaming an AGM branch
+    from uplane.curves import discriminant, discriminant_scale
+    from uplane.periods import ETA_RESOLVABLE
+
+    fam = sample_family(0)
+    u = 1.0 + distance * cmath.exp(1j * theta)
+    curve = fam.curve_at(u)
+    assert abs(discriminant(curve)) < ETA_RESOLVABLE * discriminant_scale(curve)
+    with pytest.raises(SingularFiber, match="within its rounding of zero"):
+        periods_along_family(fam, u)
+    with pytest.raises(SingularCurve, match="within its rounding of zero"):
+        compute_periods(curve)
+
+
+@pytest.mark.parametrize("theta", [0.3, 1.7, 4.0])
+def test_resolvable_near_node_still_solves(theta):
+    # at 5e-9 of the node the ratio is 1.35e-7, above ETA_RESOLVABLE, and every direction solves
+    p = periods_along_family(sample_family(0), 1.0 + 5e-9 * cmath.exp(1j * theta))
+    assert p.tau.imag > 0
+
+
+def test_failed_validation_above_rounding_is_a_branch_failure(monkeypatch):
+    import uplane.periods as P
+    from uplane import AgmBranchFailure
+
+    monkeypatch.setattr(P, "_validated", lambda delta, cands, key: None)
+    with pytest.raises(AgmBranchFailure, match="eta\\^24 identity") as info:
+        compute_periods(WeierstrassCurve(4, 0))
+    assert not isinstance(info.value, SingularCurve)
