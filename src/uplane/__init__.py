@@ -80,7 +80,6 @@ from .modular import (
     EVEN_STRUCTURES,
     ODD_STRUCTURE,
     SpinStructure,
-    TauPoint,
     dedekind_eta,
     eigenvalue_2dbar,
     eisenstein_e4,

@@ -350,7 +350,10 @@ def _complex_list(val, key: str):
             or not all(isinstance(x, (int, float)) for x in item)
         ):
             raise SchemaError(f"field '{key}' must contain [re, im] number pairs")
-        out.append(complex(item[0], item[1]))
+        z = complex(item[0], item[1])
+        if not cmath.isfinite(z):
+            raise SchemaError(f"field '{key}' must contain finite numbers, got {list(item)}")
+        out.append(z)
     if not out:
         raise SchemaError(f"field '{key}' must be non-empty")
     return out

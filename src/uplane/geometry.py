@@ -16,11 +16,10 @@ identically.
 The u-derivatives that remain finite differences are second-order central
 differences with one Richardson level (default step 1e-4 * (1 + |u|)):
 `uplane_point`, the check route for the closed form, and the Laplacian of F1
-in `anomaly_check`, the independent side of the anomaly equation.  All
-stencil evaluations continue the period frame from the stencil center, so
-tau never jumps lattice basis inside a stencil.  F1 itself is
-basis-independent, which makes its Laplacian robust even without seeding;
-the seeding matters for the d tau/du stencil.
+in `anomaly_check`, the independent side of the anomaly equation.  The
+d tau/du stencil continues the period frame from the stencil center, so tau
+never jumps lattice basis inside it.  F1 and 8 Im(tau) |omega|^2 are
+SL(2,Z)-invariant, so their evaluations need no seed.
 
 The anomaly ratio constant below was fixed by symbolic differentiation before
 anything here was implemented: with ln|Delta(u)| and ln|omega(u)|^2 harmonic
@@ -95,9 +94,9 @@ def is_isotrivial(family: CurveFamily, tol: float = 1e-10) -> bool:
     return all(abs(c) <= tol * scale for c in w.coeffs)
 
 
-def kaehler_coefficient(family: CurveFamily, u: complex, prev: Periods = None) -> float:
+def kaehler_coefficient(family: CurveFamily, u: complex) -> float:
     """Coefficient of i du ^ dubar in the Kaehler form: 8 Im(tau) |omega|^2."""
-    p = periods_along_family(family, u, prev=prev)
+    p = periods_along_family(family, u)
     return 8.0 * p.tau.imag * abs(p.omega) ** 2
 
 
@@ -143,9 +142,9 @@ def scalar_curvature(family: CurveFamily, u: complex, p: Periods) -> float:
     return abs(dtau_da) ** 2 / (8.0 * p.tau.imag**3)
 
 
-def f1(family: CurveFamily, u: complex, prev: Periods = None) -> float:
+def f1(family: CurveFamily, u: complex) -> float:
     """One-loop free energy: -1/2 ln det' of the fiber Laplacian at u."""
-    p = periods_along_family(family, u, prev=prev)
+    p = periods_along_family(family, u)
     return -0.5 * math.log(det_prime_laplacian(p))
 
 
@@ -169,13 +168,9 @@ def anomaly_check(family: CurveFamily, u: complex, h: float = None) -> AnomalyRe
     center = periods_along_family(family, u)
     f0 = -0.5 * math.log(det_prime_laplacian(center))
 
-    def f_at(z: complex) -> float:
-        return f1(family, z, prev=center)
-
     def lap(hh: float) -> float:
-        return (
-            f_at(u + hh) + f_at(u - hh) + f_at(u + 1j * hh) + f_at(u - 1j * hh) - 4.0 * f0
-        ) / hh**2
+        ring = (u + hh, u - hh, u + 1j * hh, u - 1j * hh)
+        return (sum(f1(family, z) for z in ring) - 4.0 * f0) / hh**2
 
     lap_r = (4.0 * lap(h / 2.0) - lap(h)) / 3.0
     lhs = lap_r / 4.0 / (center.tau.imag * abs(center.omega) ** 2)

@@ -47,40 +47,34 @@ EVEN_STRUCTURES = (SpinStructure(0, 0), SpinStructure(0, 1), SpinStructure(1, 0)
 ODD_STRUCTURE = SpinStructure(1, 1)
 
 
-@dataclass(frozen=True)
-class TauPoint:
-    """A modulus in the upper half-plane together with its nome q = e^{2 pi i tau}."""
-
-    tau: complex
-    q: complex
-
-    @staticmethod
-    def of(tau) -> "TauPoint":
-        if isinstance(tau, TauPoint):
-            return tau
-        tau = complex(tau)
-        if tau.imag <= 0:
-            raise ValueError(f"Im tau must be positive, got {tau}")
-        return TauPoint(tau=tau, q=cmath.exp(2j * math.pi * tau))
-
-
 def _tau_of(tau) -> complex:
-    return TauPoint.of(tau).tau
+    tau = complex(tau)
+    if tau.imag <= 0:
+        raise ValueError(f"Im tau must be positive, got {tau}")
+    return tau
+
+
+#: slack of both boundary conventions of the fundamental domain
+_EDGE = 1e-9
 
 
 def reduce_tau(tau) -> tuple:
-    """SL(2,Z)-reduce tau into |Re| <= 1/2, |tau| >= 1.
+    """SL(2,Z)-reduce tau into the closed fundamental domain F.
 
+    F is |tau| >= 1 with -1/2 < Re tau <= 1/2, and Re tau >= 0 on |tau| = 1.
+    Both boundaries carry a slack of 1e-9: Re tau within it of -1/2 is moved
+    to +1/2, and |tau| within it of 1 counts as on the circle.
     Returns (tau_reduced, (a, b, c, d)) with tau_reduced = (a tau + b)/(c tau + d).
     """
     t = _tau_of(tau)
     a, b, c, d = 1, 0, 0, 1
     for _ in range(500):
-        n = round(t.real)
+        n = math.floor(0.5 + _EDGE - t.real)
         if n != 0:
-            t -= n
-            a, b = a - n * c, b - n * d
-        if abs(t) < 1.0 - 1e-15:
+            t += n
+            a, b = a + n * c, b + n * d
+        r = abs(t)
+        if r < 1.0 - _EDGE or (r <= 1.0 + _EDGE and t.real < 0.0):
             t = -1.0 / t
             a, b, c, d = -c, -d, a, b
         else:
@@ -147,7 +141,7 @@ def theta_ab(a: int, b: int, v: complex, tau) -> complex:
 
 def _eisenstein(tau, power: int, coeff: float) -> complex:
     """1 + coeff sum n^power q^n / (1 - q^n), summed until a term is below 1e-17."""
-    q = TauPoint.of(tau).q
+    q = cmath.exp(2j * math.pi * _tau_of(tau))
     s = 0j
     qn = 1.0 + 0.0j
     for n in range(1, _MAX_TERMS):
@@ -170,10 +164,14 @@ def eisenstein_e6(tau) -> complex:
 
 
 def j_from_tau(tau) -> complex:
-    """Klein j from Eisenstein series: j = 1728 E4^3 / (E4^3 - E6^2)."""
-    e4 = eisenstein_e4(tau)
-    e6 = eisenstein_e6(tau)
-    return 1728.0 * e4**3 / (e4**3 - e6**2)
+    """Klein j = E4^3 / eta^24, evaluated at the SL(2,Z)-reduced tau.
+
+    j is SL(2,Z)-invariant.  At the reduced point both q-series converge
+    fast and nothing cancels, unlike 1728 E4^3 / (E4^3 - E6^2), which loses
+    every digit as Im tau -> 0 and several as Im tau grows.
+    """
+    t, _ = reduce_tau(tau)
+    return eisenstein_e4(t) ** 3 / dedekind_eta(t) ** 24
 
 
 def lattice_g2_g3(tau, omega: complex) -> tuple:

@@ -7,19 +7,21 @@ For roots e1, e2, e3 of 4x^3 - g2 x - g3 the candidate half-periods are
 
 with M the arithmetic-geometric mean using principal square roots and, at
 each step, the square-root branch closer to the running arithmetic mean.
-Which permutation of the roots yields a correct, positively-oriented lattice
-basis is not knowable a priori in the complex case, so every candidate basis
-is post-validated against the modular-discriminant identity
+Which root permutation gives a lattice basis is not knowable a priori in the
+complex case, so the candidates are walked in the order they are built and
+validated against the modular-discriminant identity
 
     (2 pi)^12 eta(tau)^24 / (2 omega)^12 = g2^3 - 27 g3^2,
 
-with the left side from `spectral.modular_discriminant`; it holds for every
-true basis of the period lattice and fails for any branch mistake.  Among
-validated candidates a deterministic normalization (maximal Im tau, then
-minimal |Re tau|, then positive Re tau, then the lexicographically largest
-omega) fixes the returned basis; callers tracking a family provide the
-previous fiber's periods as a seed instead, and the candidate closest to the
-seed wins, which keeps frames continuous along loops.
+which holds for every basis of the period lattice and fails for any branch
+mistake.  A candidate that passes is put into the canonical basis of its
+lattice: tau in the closed fundamental domain F of `modular.reduce_tau`, and
+arg omega in (-pi/n, pi/n] by the rotations that fix the lattice (n = 2, or
+4 when g3 == 0 and 6 when g2 == 0 exactly).  The identity sees only omega^12
+and so passes rotated lattices too; the canonical basis must also reproduce
+(g2, g3) through `lattice_g2_g3`, to 1e-12 S^2 and 1e-12 S^3 with
+S = discriminant_scale^(1/6).  A seeded solve then moves to the basis nearest
+the seed's, which keeps frames continuous along loops.
 """
 
 import cmath
@@ -35,14 +37,16 @@ from .curves import (
     discriminant,
     discriminant_scale,
     is_numerically_singular,
-    j_invariant,
 )
 from .errors import AgmBranchFailure, SingularCurve, SingularFiber
-from .modular import j_from_tau
+from .modular import TWO_PI, lattice_g2_g3, reduce_tau
 from .spectral import modular_discriminant
 
 #: relative tolerance of the modular-discriminant post-condition
 ETA_IDENTITY_RTOL = 1e-9
+
+#: tolerance of the lattice-invariants check, in units of S^2 (g2) and S^3 (g3)
+INVARIANTS_RTOL = 1e-12
 
 #: |Delta| / discriminant_scale below which Delta's own rounding, ~1e-16 of the
 #: scale, exceeds ETA_IDENTITY_RTOL of |Delta|: there a failed check means a
@@ -138,22 +142,42 @@ def _candidate_params(roots):
     return cands
 
 
-def _default_key(w, tau):
-    # quantized so float noise between equivalent candidates cannot flip ties
-    q = lambda x: round(x, 9)
-    return (-q(tau.imag), q(abs(tau.real)), -q(tau.real), -q(w.real), -q(w.imag))
-
-
 def _basis(w: complex, wp: complex) -> Periods:
     tau = wp / w
     return Periods(omega=w, omega_prime=wp, tau=tau, q=cmath.exp(2j * math.pi * tau))
 
 
-def _validated(delta, cands, order_key):
-    """The first candidate in order_key order whose modular discriminant is delta."""
-    for w, wp, _ in sorted(cands, key=order_key):
-        p = _basis(w, wp)
-        if abs(modular_discriminant(p) - delta) / abs(delta) <= ETA_IDENTITY_RTOL:
+#: e^{-2 pi i / n}: the rotations that fix the square (n = 4) and hexagonal (n = 6) lattices
+_UNIT_ROOT = {4: -1j, 6: cmath.exp(-1j * math.pi / 3.0)}
+
+
+def _canonical(w: complex, wp: complex, n: int):
+    """The basis of <w, wp> with tau in F and arg w in (-pi/n, pi/n].
+
+    The final half-plane test is exact: Re w > 0, or Im w > 0 when Re w = 0.
+    """
+    _, (a, b, c, d) = reduce_tau(wp / w)
+    w, wp = c * wp + d * w, a * wp + b * w
+    if n > 2:
+        unit = _UNIT_ROOT[n] ** math.ceil(cmath.phase(w) * n / TWO_PI - 0.5)
+        w, wp = unit * w, unit * wp
+    if w.real < 0 or (w.real == 0 and w.imag < 0):
+        w, wp = -w, -wp
+    return w, wp
+
+
+def _validated(curve: WeierstrassCurve, delta: complex, cands):
+    """The canonical basis of the first candidate that satisfies the eta^24
+    identity and, reduced, reproduces (g2, g3); None if none does."""
+    n = 6 if curve.g2 == 0 else 4 if curve.g3 == 0 else 2
+    s = discriminant_scale(curve) ** (1.0 / 6.0)
+    for w, wp, _ in cands:
+        if not abs(modular_discriminant(_basis(w, wp)) - delta) / abs(delta) <= ETA_IDENTITY_RTOL:
+            continue
+        p = _basis(*_canonical(w, wp, n))
+        g2, g3 = lattice_g2_g3(p.tau, p.omega)
+        if (abs(g2 - curve.g2) <= INVARIANTS_RTOL * s**2
+                and abs(g3 - curve.g3) <= INVARIANTS_RTOL * s**3):
             return p
     return None
 
@@ -163,9 +187,7 @@ def _nearest_basis(w: complex, wp: complex, seed: Periods):
 
     The seed's half-periods are written in real coordinates of (w, wp) and
     rounded to integers; (w, wp) itself is returned unless that gives
-    another basis of determinant 1.  The AGM candidates shear omega' by
-    multiples of omega but never omega by multiples of omega', so near some
-    fibers none of them continues the seed's frame.
+    another basis of determinant 1.
     """
     area = (w.conjugate() * wp).imag
 
@@ -179,17 +201,12 @@ def _nearest_basis(w: complex, wp: complex, seed: Periods):
 
 
 def compute_periods(curve: WeierstrassCurve, seed: Periods = None) -> Periods:
-    """Half-periods of a smooth curve, validated against the eta identity.
+    """Half-periods of a smooth curve in their canonical basis, or with a seed
+    in the basis of their lattice nearest the seed's (module docstring).
 
-    With a seed, the validated candidate minimizing
-    |omega - seed.omega| + |omega' - seed.omega_prime| is taken and moved to
-    the basis of its lattice nearest the seed's, so the basis varies
-    continuously along a family; without one, the deterministic default
-    normalization applies.
-
-    Raises SingularCurve when the cubic has (nearly) repeated roots, or when the
-    eta or j check fails with |Delta| below ETA_RESOLVABLE of its terms;
-    AgmBranchFailure when one fails above that level.
+    Raises SingularCurve when the cubic has (nearly) repeated roots, or when no
+    candidate passes the eta and invariants checks with |Delta| below
+    ETA_RESOLVABLE of its terms; AgmBranchFailure when none passes above that level.
     """
     delta = discriminant(curve)
     if is_numerically_singular(curve, delta):
@@ -201,28 +218,14 @@ def compute_periods(curve: WeierstrassCurve, seed: Periods = None) -> Periods:
             raise SingularCurve(
                 f"repeated root pair {a}, {b} (g2={curve.g2}, g3={curve.g3})"
             )
-    cands = _candidate_params(roots)
-    if seed is not None:
-        key = lambda c: (
-            abs(c[0] - seed.omega) + abs(c[1] - seed.omega_prime),
-        ) + _default_key(c[0], c[2])
-    else:
-        key = lambda c: _default_key(c[0], c[2])
-    p = _validated(delta, cands, key)
+    p = _validated(curve, delta, _candidate_params(roots))
     if p is None:
-        failure = "no AGM basis candidate satisfied the eta^24 identity"
-    else:
-        if seed is not None:
-            p = _basis(*_nearest_basis(p.omega, p.omega_prime, seed))
-        # independent cross-check: j from modular functions must reproduce j(curve)
-        jc, jt = j_invariant(curve), j_from_tau(p.tau)
-        if abs(jt - jc) <= 1e-8 * (1.0 + abs(jc)):
-            return p
-        failure = f"j mismatch after validation: j(curve)={jc}, j(tau)={jt}"
-    failure += f" for g2={curve.g2}, g3={curve.g3}"
-    if abs(delta) < ETA_RESOLVABLE * discriminant_scale(curve):
-        raise SingularCurve(f"discriminant within its rounding of zero: {failure}")
-    raise AgmBranchFailure(failure)
+        failure = ("no AGM basis candidate satisfied the eta^24 identity and the"
+                   f" lattice invariants for g2={curve.g2}, g3={curve.g3}")
+        if abs(delta) < ETA_RESOLVABLE * discriminant_scale(curve):
+            raise SingularCurve(f"discriminant within its rounding of zero: {failure}")
+        raise AgmBranchFailure(failure)
+    return p if seed is None else _basis(*_nearest_basis(p.omega, p.omega_prime, seed))
 
 
 def periods_along_family(family: CurveFamily, u: complex, prev: Periods = None) -> Periods:

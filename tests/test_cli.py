@@ -189,6 +189,23 @@ def test_missing_field_exit_2_names_field(tmp_path, capsys):
     assert "g3" in err
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("field", ["g2", "g3", "masses"])
+def test_non_finite_family_coefficient_exit_2(tmp_path, capsys, field, value):
+    # json.load parses NaN and Infinity; they must be refused by name, not
+    # surface later as a wrong discriminant degree
+    doc = family_to_dict(sample_family(2))
+    doc["masses"] = [[0.5, 0.0], [-0.5, 0.0]]
+    doc[field][-1][0] = value
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, ["classify", "--family", str(path)])
+    assert code == 2
+    assert out == ""
+    assert f"field '{field}' must contain finite numbers" in err
+    assert "deg(discriminant)" not in err
+
+
 def test_invalid_tau_exit_2(capsys):
     code, out, err = _run(capsys, ["determinants", "--tau", "0,-1", "--two-omega", "1,0"])
     assert code == 2

@@ -68,6 +68,46 @@ def test_reduce_tau():
     assert abs((a * tau + b) / (c * tau + d) - t) < 1e-12
 
 
+@pytest.mark.parametrize("tau, reduced", [
+    (-0.5 + 1.3j, 0.5 + 1.3j),  # left edge -> right edge
+    (-0.5 + 4e-10 + 1.3j, 0.5 + 4e-10 + 1.3j),  # within the slack of the left edge
+    (-0.5 + 3e-9 + 1.3j, -0.5 + 3e-9 + 1.3j),  # outside it
+    (cmath.exp(2j * math.pi / 3), cmath.exp(1j * math.pi / 3)),  # rho, from the left corner
+    (cmath.exp(0.6j * math.pi), cmath.exp(0.4j * math.pi)),  # unit circle: Re tau >= 0
+    ((1 + 2e-10) * cmath.exp(0.6j * math.pi), cmath.exp(0.4j * math.pi) / (1 + 2e-10)),
+    (2.0 + 1j, 1j),
+])
+def test_reduce_tau_boundary_convention(tau, reduced):
+    t, (a, b, c, d) = reduce_tau(tau)
+    assert abs(t - reduced) < 1e-12
+    assert a * d - b * c == 1
+    assert abs((a * tau + b) / (c * tau + d) - t) < 1e-12
+
+
+def _mp_reduced(tau):
+    """tau moved into |Re| <= 1/2, |tau| >= 1 in the current mpmath precision."""
+    t = mp.mpc(tau)
+    for _ in range(1000):
+        t -= mp.floor(mp.re(t) + mp.mpf(1) / 2)
+        if abs(t) >= 1:
+            return t
+        t = -1 / t
+    raise AssertionError(f"no reduction of {tau}")
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=st.floats(-3.0, 3.0), y=st.floats(0.01, 3.0))
+def test_j_from_tau_against_mpmath(x, y):
+    # the 60-digit reference is kleinj at the point reduced in 60 digits:
+    # kleinj at the unreduced point is itself wrong near the real axis.  The
+    # bound allows the reduction's rounding, amplified by up to
+    # Im(reduced) / Im(tau) ~ 1e4 at Im tau = 0.01
+    tau = complex(x, y)
+    with mp.workdps(60):
+        ref = complex(1728 * mp.kleinj(_mp_reduced(tau)))
+    assert abs(j_from_tau(tau) - ref) <= 1e-11 * max(abs(ref), 1.0)
+
+
 def test_theta_odd_vanishes():
     for tau in (1j, 0.3 + 1.7j, -0.8 + 0.6j):
         assert abs(theta_ab(1, 1, 0.0, tau)) < 1e-14

@@ -4,6 +4,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from uplane import (
     SingularCurve,
@@ -14,12 +16,14 @@ from uplane import (
     coalesced_family,
     compute_periods,
     cubic_roots,
+    discriminant,
     j_invariant,
     lattice_g2_g3,
     modular_discriminant,
     periods_along_family,
     sample_family,
 )
+from uplane.curves import discriminant_scale
 
 # AGM oracles at 30+ digits (mpmath): pi / (2 agm(...)) on the root data of
 # 4x^3 - g2 x - g3 for the two classical lattices.
@@ -227,12 +231,22 @@ def test_continuity_scan_with_seed():
     assert max(steps) < 50 * h
 
 
+# 60-digit AGM references, reduced into F, for the fibers below that the
+# canonical basis resolves (the curve is fam.curve_at(u) as rounded to doubles)
+_NEAR_NODE_TAU = {
+    (1.7, 1e-9): 0.27056339533 + 3.84979919636j,
+    (1.7, 1e-10): 0.27056346853 + 4.21626698630j,
+}
+
+
 @pytest.mark.parametrize("distance", [1e-10, 1e-9])
 @pytest.mark.parametrize("theta", [0.3, 1.7, 4.0])
 def test_unresolvable_near_node_is_a_singular_fiber(distance, theta):
     # |Delta| / (|g2|^3 + 27 |g3|^2) is 2.7e-9 and 2.7e-8 here, below ETA_RESOLVABLE:
-    # Delta's own rounding exceeds the eta identity's tolerance, so the solve
-    # names the fiber singular instead of blaming an AGM branch
+    # Delta's own rounding exceeds the eta identity's tolerance, so a failed solve
+    # names the fiber singular instead of blaming an AGM branch.  In direction 1.7
+    # a candidate passes both checks (Im tau ~ 4 in F), and tau must then match
+    # the 60-digit reference
     from uplane.curves import discriminant, discriminant_scale
     from uplane.periods import ETA_RESOLVABLE
 
@@ -240,6 +254,11 @@ def test_unresolvable_near_node_is_a_singular_fiber(distance, theta):
     u = 1.0 + distance * cmath.exp(1j * theta)
     curve = fam.curve_at(u)
     assert abs(discriminant(curve)) < ETA_RESOLVABLE * discriminant_scale(curve)
+    reference = _NEAR_NODE_TAU.get((theta, distance))
+    if reference is not None:
+        assert abs(periods_along_family(fam, u).tau - reference) < 1e-8
+        assert abs(compute_periods(curve).tau - reference) < 1e-8
+        return
     with pytest.raises(SingularFiber, match="within its rounding of zero"):
         periods_along_family(fam, u)
     with pytest.raises(SingularCurve, match="within its rounding of zero"):
@@ -257,7 +276,73 @@ def test_failed_validation_above_rounding_is_a_branch_failure(monkeypatch):
     import uplane.periods as P
     from uplane import AgmBranchFailure
 
-    monkeypatch.setattr(P, "_validated", lambda delta, cands, key: None)
+    monkeypatch.setattr(P, "_validated", lambda curve, delta, cands: None)
     with pytest.raises(AgmBranchFailure, match="eta\\^24 identity") as info:
         compute_periods(WeierstrassCurve(4, 0))
     assert not isinstance(info.value, SingularCurve)
+
+
+def _in_closed_domain(tau: complex) -> bool:
+    # F with the 1e-9 slack of reduce_tau, widened by rounding of omega' / omega
+    edge, ulp = 1e-9, 1e-12
+    if not (-0.5 + edge - ulp < tau.real <= 0.5 + edge + ulp and abs(tau) >= 1 - edge - ulp):
+        return False
+    return abs(tau) > 1 + edge + ulp or tau.real >= -ulp
+
+
+def _assert_canonical(curve, p):
+    assert _in_closed_domain(p.tau), p.tau
+    assert p.omega.real > 0 or (p.omega.real == 0 and p.omega.imag > 0), p.omega
+    s = discriminant_scale(curve) ** (1.0 / 6.0)
+    g2, g3 = lattice_g2_g3(p.tau, p.omega)
+    assert abs(g2 - curve.g2) <= 1e-12 * s**2
+    assert abs(g3 - curve.g3) <= 1e-12 * s**3
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    parts=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+    log_scale=st.floats(-4.0, 4.0),
+)
+def test_unseeded_basis_is_canonical(parts, log_scale):
+    # tau in F with its boundary convention, omega in the right half-plane,
+    # and the basis reproduces the curve's own invariants
+    g2, g3 = complex(*parts[:2]), complex(*parts[2:])
+    assume(abs(g2) ** 3 + 27 * abs(g3) ** 2 > 1e-3)
+    s = 10.0**log_scale
+    curve = WeierstrassCurve(g2 * s**2, g3 * s**3)
+    assume(abs(discriminant(curve)) > 1e-6 * discriminant_scale(curve))
+    _assert_canonical(curve, compute_periods(curve))
+
+
+def test_canonical_basis_where_the_default_left_the_domain():
+    # nf4 at u = -2.009-0.098i: before reduction the returned tau was
+    # 0.204+0.699i, outside F
+    fam = sample_family(4)
+    u = -2.009 - 0.098j
+    p = periods_along_family(fam, u)
+    assert abs(p.tau - (-0.38475680407 + 1.31815285008j)) < 1e-9
+    _assert_canonical(fam.curve_at(u), p)
+    # toward the node u = 1 of nf0 Im tau grows without bound; before
+    # reduction it read 2.02, 0.42, 3.12
+    fam = sample_family(0)
+    ims = [periods_along_family(fam, 1.0 + d).tau.imag for d in (1e-4, 1e-5, 1e-7)]
+    assert ims == sorted(ims) and ims[0] > 2.0
+
+
+def test_rotated_lattice_passes_eta_but_is_rejected():
+    # near u = 0 of nf2 the lattice is nearly hexagonal; e^{-i pi/3} Lambda is
+    # another lattice (g2 times a cube root of unity) whose basis passes the
+    # eta^24 identity, which sees only omega^12.  The invariants check refuses it.
+    import uplane.periods as P
+
+    fam = sample_family(2)
+    curve = fam.curve_at(5e-5)
+    delta = discriminant(curve)
+    p = periods_along_family(fam, 5e-5)
+    rot = cmath.exp(-1j * math.pi / 3)
+    w, wp = rot * p.omega, rot * p.omega_prime
+    eta_err = abs(modular_discriminant(P._basis(w, wp)) - delta) / abs(delta)
+    assert eta_err <= P.ETA_IDENTITY_RTOL
+    assert P._validated(curve, delta, [(w, wp, wp / w)]) is None
+    assert P._validated(curve, delta, [(p.omega, p.omega_prime, p.tau)]) == p
