@@ -55,6 +55,9 @@ def _fmt(x: float) -> str:
 
 
 def _periods_from_tau(tau: complex, two_omega: complex) -> Periods:
+    if modular.reduce_tau(tau)[0].imag > 100.0:  # eta^24 ~ e^{-2 pi Im tau} nears underflow
+        raise ValueError(f"tau = {tau} reduces into the fundamental domain above Im tau = 100;"
+                         " determinants need 0 < Im tau <= 100 there")
     omega = two_omega / 2.0
     return Periods(
         omega=omega,

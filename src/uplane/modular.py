@@ -1,5 +1,5 @@
-"""Dedekind eta, Jacobi theta constants, Eisenstein series, and a lattice-zeta
-continuation oracle for regularized determinants of the twisted fiber Laplacian.
+"""Dedekind eta, theta constants and E4/E6 from q-series at reduce_tau's point of F, and a
+lattice-zeta continuation oracle for regularized determinants of the twisted fiber Laplacian.
 
 The oracle evaluates the eigenvalue zeta function of (-4 d dbar) on a torus
 with half-period omega and modulus tau, twisted by a spin structure
@@ -9,8 +9,10 @@ independent check of those closed forms rather than a restatement of them.
 """
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -94,54 +96,49 @@ def _eta_qproduct(tau: complex) -> complex:
     return cmath.exp(1j * math.pi * tau / 12.0) * prod
 
 
+@functools.lru_cache(maxsize=1024)
+def _eta_multiplier(a: int, c: int, d: int) -> complex:
+    """eps = e^{pi i ((a + d) / 12c - s(d, c))} for c > 0, with the Dedekind sum s(d, c)
+    from the reciprocity law s(h, k) + s(k, h) = (h^2 + k^2 + 1) / 12hk - 1/4."""
+    phase, sign, h, k = Fraction(a + d, 12 * c), -1, d % c, c
+    while h:
+        phase += sign * (Fraction(h * h + k * k + 1, 12 * h * k) - Fraction(1, 4))
+        sign, h, k = -sign, k % h, h
+    return cmath.exp(1j * math.pi * float(phase % 2))
+
+
 def dedekind_eta(tau) -> complex:
     """eta(tau) = e^{pi i tau / 12} prod (1 - q^n), q = e^{2 pi i tau}.
 
-    For Im tau < 0.5 the point is first SL(2,Z)-reduced, tracking the full
-    multiplier system: eta(tau + 1) = e^{i pi/12} eta(tau) and
-    eta(-1/tau) = sqrt(-i tau) eta(tau).
+    The product is taken at t = (a tau + b) / (c tau + d) = reduce_tau(tau)
+    and carried back by the multiplier of the matrix, signed so that c > 0,
+    or c = 0 and d = 1 (Apostol, Modular Functions, thm 3.4):
+    eta(t) = eps sqrt(-i (c tau + d)) eta(tau), and eta(tau + b) = e^{pi i b/12} eta(tau).
     """
-    t = _tau_of(tau)
-    if t.imag >= 0.5:
-        return _eta_qproduct(t)
-    f = 1.0 + 0.0j
-    for _ in range(500):
-        n = round(t.real)
-        if n != 0:
-            t -= n
-            f *= cmath.exp(1j * math.pi * n / 12.0)
-        if abs(t) < 1.0 - 1e-15:
-            # eta(t) = eta(-1/t) / sqrt(-i t)
-            f /= cmath.sqrt(-1j * t)
-            t = -1.0 / t
-        else:
-            break
-    return f * _eta_qproduct(t)
+    t, (a, b, c, d) = reduce_tau(tau)
+    if (c, d) < (0, 0):
+        a, b, c, d = -a, -b, -c, -d
+    if c == 0:
+        return cmath.exp(-1j * math.pi * b / 12.0) * _eta_qproduct(t)
+    root = cmath.sqrt(-1j * (c * complex(tau) + d))
+    return _eta_qproduct(t) / (_eta_multiplier(a, c, d) * root)
 
 
-def theta_ab(a: int, b: int, v: complex, tau) -> complex:
-    """theta_ab(v|tau) = sum_n exp[i pi (n+a/2)^2 tau + 2 pi i (n+a/2)(v+b/2)].
-
-    Symmetric truncation; stops when both tails fall below 1e-17.
-    """
-    t = _tau_of(tau)
-    v = complex(v)
-    tot = 0j
-    for n in range(0, _MAX_TERMS):
-        # the pair (n, -n-1) sweeps all integers symmetrically around -1/2
-        added = 0.0
-        for m in (n + a / 2.0, -n - 1 + a / 2.0):
-            term = cmath.exp(1j * math.pi * m * m * t + 2j * math.pi * m * (v + b / 2.0))
-            tot += term
-            added = max(added, abs(term))
-        if n >= 1 and added < _TERM_TOL * max(1.0, abs(tot)):
-            break
-    return tot
+def theta_ab(a: int, b: int, tau) -> complex:
+    """Theta constant theta_ab(0|tau) = sum_n exp[i pi (n + a/2)^2 tau + i pi (n + a/2) b],
+    a, b in {0, 1}, from the eta quotients (Koehler, Eta Products, 2011): theta_00 =
+    eta^5 / (eta(tau/2)^2 eta(2 tau)^2), theta_01 = eta(tau/2)^2 / eta,
+    theta_10 = 2 eta(2 tau)^2 / eta and theta_11 = 0."""
+    eta, half, double = (dedekind_eta(k * tau) for k in (1.0, 0.5, 2.0))
+    return {(0, 0): eta**5 / (half * double) ** 2, (0, 1): half**2 / eta,
+            (1, 0): 2.0 * double**2 / eta, (1, 1): 0j}[a, b]
 
 
 def _eisenstein(tau, power: int, coeff: float) -> complex:
-    """1 + coeff sum n^power q^n / (1 - q^n), summed until a term is below 1e-17."""
-    q = cmath.exp(2j * math.pi * _tau_of(tau))
+    """1 + coeff sum n^power q^n / (1 - q^n), summed at t = reduce_tau(tau) until a
+    term is below 1e-17, then carried back by the weight: E(tau) = E(t) / (c tau + d)^k."""
+    t, (_, _, c, d) = reduce_tau(tau)
+    q = cmath.exp(2j * math.pi * t)
     s = 0j
     qn = 1.0 + 0.0j
     for n in range(1, _MAX_TERMS):
@@ -150,7 +147,7 @@ def _eisenstein(tau, power: int, coeff: float) -> complex:
         s += term
         if abs(term) < _TERM_TOL * max(1.0, abs(s)):
             break
-    return 1.0 + coeff * s
+    return (1.0 + coeff * s) / (c * complex(tau) + d) ** (power + 1)
 
 
 def eisenstein_e4(tau) -> complex:
@@ -164,14 +161,8 @@ def eisenstein_e6(tau) -> complex:
 
 
 def j_from_tau(tau) -> complex:
-    """Klein j = E4^3 / eta^24, evaluated at the SL(2,Z)-reduced tau.
-
-    j is SL(2,Z)-invariant.  At the reduced point both q-series converge
-    fast and nothing cancels, unlike 1728 E4^3 / (E4^3 - E6^2), which loses
-    every digit as Im tau -> 0 and several as Im tau grows.
-    """
-    t, _ = reduce_tau(tau)
-    return eisenstein_e4(t) ** 3 / dedekind_eta(t) ** 24
+    """Klein j = E4^3 / eta^24: unlike 1728 E4^3 / (E4^3 - E6^2), nothing cancels."""
+    return eisenstein_e4(tau) ** 3 / dedekind_eta(tau) ** 24
 
 
 def lattice_g2_g3(tau, omega: complex) -> tuple:

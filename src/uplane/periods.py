@@ -48,10 +48,11 @@ ETA_IDENTITY_RTOL = 1e-9
 #: tolerance of the lattice-invariants check, in units of S^2 (g2) and S^3 (g3)
 INVARIANTS_RTOL = 1e-12
 
-#: |Delta| / discriminant_scale below which Delta's own rounding, ~1e-16 of the
-#: scale, exceeds ETA_IDENTITY_RTOL of |Delta|: there a failed check means a
-#: fiber too close to singular, not a wrong AGM branch
-ETA_RESOLVABLE = 1e-16 / ETA_IDENTITY_RTOL
+#: |Delta| / discriminant_scale below which Delta's rounding can exceed ETA_IDENTITY_RTOL
+#: of |Delta|, so a failed eta check means a fiber too close to singular, not a wrong
+#: AGM branch.  g2^3 is two complex products, each within sqrt(5) u of exact
+#: (u = 2^-53), and 27 g3^2 one: Delta is off by at most 2 sqrt(5) u of the scale
+ETA_RESOLVABLE = 2.0 * math.sqrt(5.0) * 2.0**-53 / ETA_IDENTITY_RTOL
 
 #: AGM stopping tolerance on |a - b| / (|a| + |b|): a few ulp of double precision
 AGM_RTOL = 4e-16

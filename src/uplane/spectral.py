@@ -8,13 +8,14 @@ a convention slip in one formula cannot pass silently.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .curves import WeierstrassCurve, discriminant
 from .errors import CrossCheckFailed, OddStructure
-from .modular import EVEN_STRUCTURES, TWO_PI, SpinStructure, dedekind_eta, theta_ab
+from .modular import EVEN_STRUCTURES, TWO_PI, SpinStructure, dedekind_eta, reduce_tau, theta_ab
 
 if TYPE_CHECKING:  # periods validates its solves here, so it imports this module
     from .periods import Periods
@@ -58,23 +59,28 @@ def det_prime_laplacian(p: Periods) -> float:
     return via_eta
 
 
-def det_twisted(nu: SpinStructure, p: Periods) -> float:
-    """Determinant for an even twist: |theta_{nu1 nu2}(0|tau) / eta(tau)|^2.
+def _theta_series(a: int, b: int, t: complex) -> complex:
+    """theta_ab(0|t) = sum_m exp[i pi m^2 t + i pi m b] over m in Z + a/2, for t in F:
+    |m| <= 8 leaves out terms below e^{-64 pi Im t} < 1e-75."""
+    return sum(cmath.exp(1j * math.pi * m / 2 * (m / 2 * t + b)) for m in range(a - 16, 17, 2))
 
-    Also evaluated through the divisor form
-    exp(-2 pi Im(xi)^2 / Im tau) |theta_00(xi|tau)/eta|^2 with
-    xi = -nu2/2 - nu1 tau/2; the two must agree to 1e-10.
+
+def det_twisted(nu: SpinStructure, p: Periods) -> float:
+    """Determinant for an even twist: |theta_{nu1 nu2}(tau) / eta(tau)|^2, from the eta quotients.
+
+    Also evaluated as the theta series over the eta product at t = reduce_tau(tau) =
+    (a tau + b) / (c tau + d), where |theta/eta|^2 is the same with the characteristic
+    moved to ((d nu1 - c nu2 + cd) mod 2, (a nu2 - b nu1 + ab) mod 2); the two must agree
+    to 1e-10 relative.
     """
     if nu.is_odd:
         raise OddStructure("(1,1) carries the zero mode; use det_prime_laplacian")
-    tau = p.tau
-    eta = dedekind_eta(tau)
-    primary = abs(theta_ab(nu.nu1, nu.nu2, 0.0, tau) / eta) ** 2
-    xi = -nu.nu2 / 2.0 - nu.nu1 * tau / 2.0
-    gauss = math.exp(-2.0 * math.pi * xi.imag**2 / tau.imag)
-    alt = gauss * abs(theta_ab(0, 0, xi, tau) / eta) ** 2
-    _cross_check("twisted determinant: theta constant vs divisor form", primary, alt, 1e-10,
-                 max(primary, 1.0))
+    primary = abs(theta_ab(nu.nu1, nu.nu2, p.tau) / dedekind_eta(p.tau)) ** 2
+    t, (a, b, c, d) = reduce_tau(p.tau)
+    moved = ((d * nu.nu1 - c * nu.nu2 + c * d) % 2, (a * nu.nu2 - b * nu.nu1 + a * b) % 2)
+    alt = abs(_theta_series(*moved, t) / dedekind_eta(t)) ** 2
+    _cross_check("twisted determinant: eta quotient vs reduced theta series", primary, alt,
+                 1e-10, primary)
     return primary
 
 
@@ -118,9 +124,8 @@ def det_dirichlet_flat(p: Periods) -> float:
     tau = p.tau
     eta = dedekind_eta(tau)
     primary = tau.imag * abs(eta) ** 2 * abs(p.q) ** (1.0 / 6.0)
-    lam = abs(p.omega) / math.pi
-    ell = 2.0 * math.pi**2 * tau.imag
-    rescaled = det_dirichlet_annulus(p) / lam / math.exp(ell / (6.0 * math.pi))
+    ann = AnnulusModel.from_periods(p)
+    rescaled = det_dirichlet_annulus(p) / ann.Lambda / math.exp(ann.conformal_L / (6.0 * math.pi))
     _cross_check("flat annulus determinant vs conformal rescaling", primary, rescaled, 1e-9,
                  max(primary, 1e-300))
     return primary

@@ -213,6 +213,24 @@ def test_invalid_tau_exit_2(capsys):
     assert "Im tau" in err
 
 
+@pytest.mark.parametrize("tau", [
+    "0,300",  # eta^24 underflowed: the det' cross-check failed against 0.0
+    "0,1e4",  # eta underflowed to 0: ZeroDivisionError traceback
+    "0.3,1e-8",  # reduces to Im tau = 1e6: ZeroDivisionError traceback
+])
+def test_tau_beyond_the_supported_range_is_refused(capsys, tau):
+    code, out, err = _run(capsys, ["determinants", "--tau", tau, "--two-omega", "1,0"])
+    assert code == 2 and out == ""
+    assert _one_error_line(err) and "Im tau <= 100" in err
+
+
+def test_tau_at_the_edge_of_the_supported_range(capsys):
+    code, out, _ = _run(capsys, ["determinants", "--tau", "0,100", "--two-omega", "1,0"])
+    assert code == 0
+    doc = json.loads(out)
+    assert all(v > 0 for v in doc["det_twisted"] + [doc["det_prime"], doc["quillen_norm"]])
+
+
 def test_missing_file_exit_2(capsys):
     code = main(["classify", "--family", "/nonexistent/family.json"])
     assert code == 2

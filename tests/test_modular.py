@@ -108,26 +108,106 @@ def test_j_from_tau_against_mpmath(x, y):
     assert abs(j_from_tau(tau) - ref) <= 1e-11 * max(abs(ref), 1.0)
 
 
+def _mp_theta(a, b, tau):
+    """theta_ab(0|tau) from its defining series in the current mpmath precision;
+    the dropped terms are below e^-200."""
+    t = mp.mpc(tau)
+    n = int(math.ceil(math.sqrt(200.0 / (math.pi * tau.imag)))) + 2
+    h = mp.mpf(a) / 2
+    return mp.fsum(mp.exp(1j * mp.pi * ((m + h) ** 2 * t + (m + h) * b)) for m in range(-n, n + 1))
+
+
+# Sweeps over Im tau in [0.01, 3], |Re tau| <= 3, against 60-digit references at
+# the unreduced tau.  Each bound is about 10x the worst relative error seen over
+# 2,100 random tau of that range (eta 1.4e-14, theta 6.4e-14, E4 7.3e-14,
+# E6 1.1e-13): the rounding of the reduced point, amplified by up to Im t / Im tau.
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=st.floats(-3.0, 3.0), y=st.floats(0.01, 3.0))
+def test_eta_against_mpmath(x, y):
+    tau = complex(x, y)
+    ref = _mp_eta(tau, dps=60)
+    assert abs(dedekind_eta(tau) - ref) <= 1e-13 * abs(ref)
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=st.floats(-3.0, 3.0), y=st.floats(0.01, 3.0))
+def test_theta_constants_against_defining_series(x, y):
+    # not mpmath's jtheta: jtheta(2) takes the principal q^{1/4} of q = e^{i pi tau},
+    # which is off by a unit when |Re tau| > 1
+    tau = complex(x, y)
+    with mp.workdps(60):
+        for a, b in ((0, 0), (0, 1), (1, 0)):
+            ref = complex(_mp_theta(a, b, tau))
+            assert abs(theta_ab(a, b, tau) - ref) <= 1e-12 * abs(ref)
+    assert theta_ab(1, 1, tau) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=st.floats(-3.0, 3.0), y=st.floats(0.01, 3.0))
+def test_eisenstein_against_theta_forms(x, y):
+    # E4 = (theta_00^8 + theta_01^8 + theta_10^8) / 2 and
+    # E6 = (theta_00^4 + theta_10^4)(theta_00^4 + theta_01^4)(theta_01^4 - theta_10^4) / 2,
+    # each relative to the size of its terms: E4 vanishes at rho and E6 at i
+    tau = complex(x, y)
+    with mp.workdps(60):
+        t00, t01, t10 = (_mp_theta(a, b, tau) ** 4 for a, b in ((0, 0), (0, 1), (1, 0)))
+        e4 = complex((t00**2 + t01**2 + t10**2) / 2)
+        e6 = complex((t00 + t10) * (t00 + t01) * (t01 - t10) / 2)
+        a00, a01, a10 = (float(abs(v)) for v in (t00, t01, t10))
+    assert abs(eisenstein_e4(tau) - e4) <= 1e-12 * (a00**2 + a01**2 + a10**2) / 2
+    assert abs(eisenstein_e6(tau) - e6) <= 1e-12 * (a00 + a10) * (a00 + a01) * (a01 + a10) / 2
+
+
+def _raw_eisenstein(tau, power, coeff):
+    """The q-series of E4 / E6 summed at tau itself, term for term as `modular` sums it."""
+    q = cmath.exp(2j * math.pi * tau)
+    s, qn = 0j, 1.0 + 0.0j
+    for n in range(1, 10**4):
+        qn *= q
+        term = n**power * qn / (1.0 - qn)
+        s += term
+        if abs(term) < 1e-17 * max(1.0, abs(s)):
+            break
+    return 1.0 + coeff * s
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.floats(-3.0, 3.0), y=st.floats(0.01, 3.0))
+def test_forms_in_the_fundamental_domain_are_the_raw_series(x, y):
+    # at a point of F reduce_tau's matrix is the identity, and eta, E4 and E6 are
+    # bit-equal to their q-series there: outputs at reduced tau keep every bit
+    from uplane.modular import _eta_qproduct
+
+    t, _ = reduce_tau(complex(x, y))
+    assert reduce_tau(t) == (t, (1, 0, 0, 1))
+    assert dedekind_eta(t) == _eta_qproduct(t)
+    assert eisenstein_e4(t) == _raw_eisenstein(t, 3, 240.0)
+    assert eisenstein_e6(t) == _raw_eisenstein(t, 5, -504.0)
+
+
 def test_theta_odd_vanishes():
     for tau in (1j, 0.3 + 1.7j, -0.8 + 0.6j):
-        assert abs(theta_ab(1, 1, 0.0, tau)) < 1e-14
+        assert abs(theta_ab(1, 1, tau)) < 1e-14
 
 
 def test_theta_00_at_i():
     # theta_00(0|i) = pi^{1/4} / Gamma(3/4)
     mp.mp.dps = 30
     target = float(mp.pi ** mp.mpf(0.25) / mp.gamma(mp.mpf(3) / 4))
-    assert abs(theta_ab(0, 0, 0.0, 1j) - target) < 1e-14
+    assert abs(theta_ab(0, 0, 1j) - target) < 1e-14
     assert abs(target - 1.0864348) < 1e-7
 
 
 def test_theta_against_mpmath():
-    # mpmath jtheta: theta_00 = jtheta(3), theta_01 = jtheta(4), theta_10 = jtheta(2)
+    # mpmath jtheta: theta_00 = jtheta(3), theta_01 = jtheta(4), theta_10 = jtheta(2),
+    # at |Re tau| < 1 where jtheta(2)'s principal q^{1/4} is the right one
     mp.mp.dps = 30
     for tau in (0.3 + 1.7j, -0.45 + 0.95j):
         q = complex(mp.e ** (1j * mp.pi * mp.mpc(tau)))
         for (a, b), n in (((0, 0), 3), ((0, 1), 4), ((1, 0), 2)):
-            ours = theta_ab(a, b, 0.0, tau)
+            ours = theta_ab(a, b, tau)
             ref = complex(mp.jtheta(n, 0, mp.mpc(q)))
             assert abs(ours - ref) < 1e-12 * (1 + abs(ref))
 
@@ -140,7 +220,7 @@ def test_jacobi_triple_identity():
     ]
     for tau in taus:
         prod = (
-            theta_ab(0, 0, 0.0, tau) * theta_ab(0, 1, 0.0, tau) * theta_ab(1, 0, 0.0, tau)
+            theta_ab(0, 0, tau) * theta_ab(0, 1, tau) * theta_ab(1, 0, tau)
         )
         target = 2.0 * dedekind_eta(tau) ** 3
         assert abs(abs(prod) - abs(target)) <= 1e-12 * abs(target)
@@ -168,7 +248,7 @@ def test_epstein_even_closed_forms():
         eta = dedekind_eta(tau)
         for nu in EVEN_STRUCTURES:
             det = math.exp(epstein_zeta_logdet(nu, tau, 0.5))
-            closed = abs(theta_ab(nu.nu1, nu.nu2, 0.0, tau) / eta) ** 2
+            closed = abs(theta_ab(nu.nu1, nu.nu2, tau) / eta) ** 2
             assert abs(det - closed) <= 1e-10 * closed
 
 

@@ -267,9 +267,32 @@ def test_unresolvable_near_node_is_a_singular_fiber(distance, theta):
 
 @pytest.mark.parametrize("theta", [0.3, 1.7, 4.0])
 def test_resolvable_near_node_still_solves(theta):
-    # at 5e-9 of the node the ratio is 1.35e-7, above ETA_RESOLVABLE, and every direction solves
+    # at 5e-9 of the node the ratio is 1.35e-7, and every direction solves
     p = periods_along_family(sample_family(0), 1.0 + 5e-9 * cmath.exp(1j * theta))
     assert p.tau.imag > 0
+
+
+def test_failures_in_the_rounding_band_name_the_fiber_singular():
+    # g3 = sqrt(g2^3 / 27)(1 + eps) puts |Delta| / scale near |eps|, here 1.0e-7 to
+    # 2.5e-7.  Delta's rounding reaches 2 sqrt(5) u of the scale, so the eta identity
+    # fails for want of digits on some of these curves; at a level of 1e-16 / 1e-9 =
+    # 1e-7, 39 of these 300 raised AgmBranchFailure
+    from uplane.periods import ETA_RESOLVABLE
+
+    rng = np.random.default_rng(11)
+    failed = 0
+    for _ in range(300):
+        s = 10.0 ** rng.uniform(-4, 4)
+        g2 = cmath.rect(s**2 * rng.uniform(0.5, 2.0), rng.uniform(-math.pi, math.pi))
+        eps = cmath.rect(10.0 ** rng.uniform(-7.0, -6.6), rng.uniform(-math.pi, math.pi))
+        curve = WeierstrassCurve(g2, cmath.sqrt(g2**3 / 27.0) * (1.0 + eps))
+        assert abs(discriminant(curve)) < ETA_RESOLVABLE * discriminant_scale(curve)
+        try:
+            compute_periods(curve)
+        except SingularCurve as exc:
+            assert "within its rounding of zero" in str(exc)
+            failed += 1
+    assert failed > 0
 
 
 def test_failed_validation_above_rounding_is_a_branch_failure(monkeypatch):

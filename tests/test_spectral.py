@@ -7,8 +7,11 @@ import sys
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uplane import (
+    EVEN_STRUCTURES,
     AnnulusModel,
     FiberSpectralData,
     OddStructure,
@@ -210,6 +213,41 @@ def test_all_determinants_positive_on_smooth_fibers():
         assert quillen_norm_sigma_hat(p) > 0
 
 
+def _mp_det_twisted(nu, tau):
+    """|theta_{nu1 nu2} / eta|^2 at 40 digits: the defining theta series over the q-product."""
+    with mp.workdps(40):
+        t = mp.mpc(tau)
+        h = mp.mpf(nu.nu1) / 2
+        n = int(math.ceil(math.sqrt(200.0 / (math.pi * tau.imag)))) + 2
+        theta = mp.fsum(mp.exp(1j * mp.pi * ((m + h) ** 2 * t + (m + h) * nu.nu2))
+                        for m in range(-n, n + 1))
+        eta = mp.e ** (1j * mp.pi * t / 12) * mp.qp(mp.e ** (2j * mp.pi * t))
+        return float(abs(theta / eta) ** 2)
+
+
+def test_twisted_determinants_where_the_raw_series_failed():
+    # at tau = 2.0009+0.0205i the theta series summed at tau itself gave
+    # det_twisted[1] = 9.1e-20 against 2.8824e-22, and both routes of the check
+    # shared it; the three even determinants multiply to |2 eta^3 / eta^3|^2 = 4
+    tau = 2.0009 + 0.0205j
+    dets = det_twisted_all_even(_periods(tau))
+    for nu, det in zip(EVEN_STRUCTURES, dets):
+        ref = _mp_det_twisted(nu, tau)
+        assert abs(det - ref) <= 1e-12 * ref
+    assert abs(dets[1] - 2.8824132e-22) < 1e-28
+    assert abs(dets[0] * dets[1] * dets[2] - 4.0) <= 1e-13
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.floats(-3.0, 3.0), y=st.floats(0.01, 3.0))
+def test_twisted_routes_agree_near_the_real_axis(x, y):
+    # both routes pass their 1e-10 relative check (over 9,000 draws of this range they
+    # agreed to 1.2e-13), and the eta-quotient values keep the Jacobi triple product
+    # theta_00 theta_01 theta_10 = 2 eta^3, so the three determinants multiply to 4
+    dets = det_twisted_all_even(_periods(complex(x, y)))
+    assert abs(dets[0] * dets[1] * dets[2] - 4.0) <= 1e-13
+
+
 @pytest.mark.parametrize(
     "patch, argv, message",
     [
@@ -220,12 +258,12 @@ def test_all_determinants_positive_on_smooth_fibers():
             ["determinants", "--tau", "0.3,1.1", "--two-omega", "1,0"],
             "det' Laplacian: eta route vs Delta route",
         ),
-        # theta with a nonzero argument is 10% off, so only the divisor form moves
+        # the theta series at the reduced point is 10% off, so only the second route moves
         (
-            "real = spectral.theta_ab\n"
-            "spectral.theta_ab = lambda a, b, z, t: real(a, b, z, t) * (1.1 if z else 1.0)\n",
+            "real = spectral._theta_series\n"
+            "spectral._theta_series = lambda a, b, t: 1.1 * real(a, b, t)\n",
             ["determinants", "--tau", "0.3,1.1", "--two-omega", "1,0"],
-            "twisted determinant: theta constant vs divisor form",
+            "twisted determinant: eta quotient vs reduced theta series",
         ),
     ],
     ids=["det_prime", "det_twisted"],
