@@ -9,10 +9,8 @@ independent check of those closed forms rather than a restatement of them.
 """
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -96,15 +94,22 @@ def _eta_qproduct(tau: complex) -> complex:
     return cmath.exp(1j * math.pi * tau / 12.0) * prod
 
 
-@functools.lru_cache(maxsize=1024)
 def _eta_multiplier(a: int, c: int, d: int) -> complex:
     """eps = e^{pi i ((a + d) / 12c - s(d, c))} for c > 0, with the Dedekind sum s(d, c)
-    from the reciprocity law s(h, k) + s(k, h) = (h^2 + k^2 + 1) / 12hk - 1/4."""
-    phase, sign, h, k = Fraction(a + d, 12 * c), -1, d % c, c
+    from the reciprocity law s(h, k) + s(k, h) = (h^2 + k^2 + 1) / 12hk - 1/4.
+
+    eps is a 24th root of unity, so the phase, summed in floats, is rounded to the
+    nearest multiple of 1/12; that is exact while its rounding error is below 1/24.
+    """
+    phase = (a + d) / (12 * c)
+    sign = -1
+    h, k = d % c, c
     while h:
-        phase += sign * (Fraction(h * h + k * k + 1, 12 * h * k) - Fraction(1, 4))
-        sign, h, k = -sign, k % h, h
-    return cmath.exp(1j * math.pi * float(phase % 2))
+        phase += sign * ((h * h + k * k + 1) / (12 * h * k) - 0.25)
+        sign = -sign
+        h, k = k % h, h
+    phase = (round(12 * phase) % 24) / 12.0
+    return cmath.exp(1j * math.pi * phase)
 
 
 def dedekind_eta(tau) -> complex:
@@ -129,9 +134,16 @@ def theta_ab(a: int, b: int, tau) -> complex:
     a, b in {0, 1}, from the eta quotients (Koehler, Eta Products, 2011): theta_00 =
     eta^5 / (eta(tau/2)^2 eta(2 tau)^2), theta_01 = eta(tau/2)^2 / eta,
     theta_10 = 2 eta(2 tau)^2 / eta and theta_11 = 0."""
-    eta, half, double = (dedekind_eta(k * tau) for k in (1.0, 0.5, 2.0))
-    return {(0, 0): eta**5 / (half * double) ** 2, (0, 1): half**2 / eta,
-            (1, 0): 2.0 * double**2 / eta, (1, 1): 0j}[a, b]
+    if (a, b) == (1, 1):
+        return 0j
+    eta = dedekind_eta(tau)
+    if a == 1:
+        return 2.0 * dedekind_eta(2.0 * tau) ** 2 / eta
+    half = dedekind_eta(0.5 * tau)
+    if b == 1:
+        return half**2 / eta
+    double = dedekind_eta(2.0 * tau)
+    return eta**5 / (half * double) ** 2
 
 
 def _eisenstein(tau, power: int, coeff: float) -> complex:

@@ -62,7 +62,10 @@ def det_prime_laplacian(p: Periods) -> float:
 def _theta_series(a: int, b: int, t: complex) -> complex:
     """theta_ab(0|t) = sum_m exp[i pi m^2 t + i pi m b] over m in Z + a/2, for t in F:
     |m| <= 8 leaves out terms below e^{-64 pi Im t} < 1e-75."""
-    return sum(cmath.exp(1j * math.pi * m / 2 * (m / 2 * t + b)) for m in range(a - 16, 17, 2))
+    total = 0j
+    for m in range(a - 16, 17, 2):
+        total += cmath.exp(1j * math.pi * m / 2 * (m / 2 * t + b))
+    return total
 
 
 def det_twisted(nu: SpinStructure, p: Periods) -> float:
@@ -75,7 +78,8 @@ def det_twisted(nu: SpinStructure, p: Periods) -> float:
     """
     if nu.is_odd:
         raise OddStructure("(1,1) carries the zero mode; use det_prime_laplacian")
-    primary = abs(theta_ab(nu.nu1, nu.nu2, p.tau) / dedekind_eta(p.tau)) ** 2
+    eta = dedekind_eta(p.tau)
+    primary = abs(theta_ab(nu.nu1, nu.nu2, p.tau) / eta) ** 2
     t, (a, b, c, d) = reduce_tau(p.tau)
     moved = ((d * nu.nu1 - c * nu.nu2 + c * d) % 2, (a * nu.nu2 - b * nu.nu1 + a * b) % 2)
     alt = abs(_theta_series(*moved, t) / dedekind_eta(t)) ** 2
@@ -124,8 +128,9 @@ def det_dirichlet_flat(p: Periods) -> float:
     tau = p.tau
     eta = dedekind_eta(tau)
     primary = tau.imag * abs(eta) ** 2 * abs(p.q) ** (1.0 / 6.0)
-    ann = AnnulusModel.from_periods(p)
-    rescaled = det_dirichlet_annulus(p) / ann.Lambda / math.exp(ann.conformal_L / (6.0 * math.pi))
+    lam = abs(p.omega) / math.pi
+    ell = 2.0 * math.pi**2 * tau.imag
+    rescaled = det_dirichlet_annulus(p) / lam / math.exp(ell / (6.0 * math.pi))
     _cross_check("flat annulus determinant vs conformal rescaling", primary, rescaled, 1e-9,
                  max(primary, 1e-300))
     return primary

@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -58,6 +59,43 @@ def test_eta_s_transformation_modulus():
         lhs = abs(dedekind_eta(-1.0 / tau))
         rhs = math.sqrt(abs(tau)) * abs(dedekind_eta(tau))
         assert abs(lhs - rhs) <= 1e-12 * rhs
+
+
+def _dedekind_sum(h, k):
+    """s(h, k) = sum_{r=1}^{k-1} ((r/k)) ((hr/k)) from its definition, in exact fractions."""
+    def saw(x):
+        return Fraction(0) if x.denominator == 1 else x - math.floor(x) - Fraction(1, 2)
+    return sum((saw(Fraction(r, k)) * saw(Fraction(h * r, k)) for r in range(1, k)), Fraction(0))
+
+
+def test_eta_multiplier_is_the_dedekind_sum_phase():
+    # the reciprocity walk, summed in floats and rounded to a 24th root of unity,
+    # against e^{pi i ((a + d) / 12c - s(d, c))} with s from its definition
+    from uplane.modular import _eta_multiplier
+
+    rng = np.random.default_rng(9)
+    for _ in range(300):
+        c, d = int(rng.integers(1, 300)), int(rng.integers(-2000, 2000))
+        if math.gcd(c, d) != 1:
+            continue
+        a = pow(d, -1, c) + c * int(rng.integers(-3, 4)) if c > 1 else int(rng.integers(-3, 4))
+        phase = Fraction(a + d, 12 * c) - _dedekind_sum(d, c)
+        assert (12 * phase).denominator == 1
+        assert abs(_eta_multiplier(a, c, d) - cmath.exp(1j * math.pi * float(phase % 2))) < 1e-15
+
+
+def test_theta_constants_evaluate_only_the_etas_they_need(monkeypatch):
+    from uplane import modular
+
+    calls = []
+    eta = modular.dedekind_eta
+    monkeypatch.setattr(modular, "dedekind_eta", lambda tau: calls.append(tau) or eta(tau))
+    tau = 0.3 + 0.2j
+    for (a, b), etas in {(1, 1): [], (0, 1): [tau, 0.5 * tau], (1, 0): [tau, 2.0 * tau],
+                         (0, 0): [tau, 0.5 * tau, 2.0 * tau]}.items():
+        calls.clear()
+        modular.theta_ab(a, b, tau)
+        assert calls == etas
 
 
 def test_reduce_tau():
