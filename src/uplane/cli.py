@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 domain errors (singular fibers, failed validation),
 2 input/schema errors.  All diagnostics go to stderr; the result goes to
 --out or stdout and is byte-deterministic for identical inputs.  JSON encodes
 complex numbers as [re, im] and exact rationals as {"num": ..., "den": ...};
-CSV uses 17-significant-digit scientific notation so doubles round-trip.
+CSV uses scientific notation with 17 digits after the point (18 significant
+digits), so doubles round-trip.
 """
 
 import argparse
@@ -58,6 +59,10 @@ def _periods_from_tau(tau: complex, two_omega: complex) -> Periods:
     if modular.reduce_tau(tau)[0].imag > 100.0:  # eta^24 ~ e^{-2 pi Im tau} nears underflow
         raise ValueError(f"tau = {tau} reduces into the fundamental domain above Im tau = 100;"
                          " determinants need 0 < Im tau <= 100 there")
+    # (2 omega)^12 and (2 pi)^12 eta^24 / (2 omega)^12 stay normal doubles on F up to Im tau 100
+    if not 1e-20 <= abs(two_omega) <= 1e3:
+        raise ValueError(f"2 omega = {two_omega} is outside the supported range"
+                         " 1e-20 <= |2 omega| <= 1e3")
     omega = two_omega / 2.0
     return Periods(
         omega=omega,

@@ -8,8 +8,8 @@ For roots e1, e2, e3 of 4x^3 - g2 x - g3 the candidate half-periods are
 with M the arithmetic-geometric mean using principal square roots and, at
 each step, the square-root branch closer to the running arithmetic mean.
 Which root permutation gives a lattice basis is not knowable a priori in the
-complex case, so the candidates are walked in the order they are built and
-validated against the modular-discriminant identity
+complex case: candidates (omega, omega' + k omega), |k| <= 3, Im tau > 0, are
+walked in build order and validated against the modular-discriminant identity
 
     (2 pi)^12 eta(tau)^24 / (2 omega)^12 = g2^3 - 27 g3^2,
 
@@ -116,7 +116,8 @@ def agm_steps(a: complex, b: complex):
 
 
 def _candidate_params(roots):
-    """All basis candidates: root permutations x sign of omega' x shear x global sign."""
+    """Basis candidates: root permutations x shear omega' + k omega, with Im tau > 0.
+    (-omega, -omega') is left out: it has the same tau and passes or fails with (omega, omega')."""
     seen = set()
     cands = []
     for e1, e2, e3 in itertools.permutations(roots):
@@ -124,22 +125,20 @@ def _candidate_params(roots):
         m2 = agm(cmath.sqrt(e1 - e3), cmath.sqrt(e2 - e3))
         if m1 == 0 or m2 == 0:
             continue
-        om = math.pi / (2.0 * m1)
+        w = math.pi / (2.0 * m1)
         omp = 1j * math.pi / (2.0 * m2)
-        for sgn in (1.0, -1.0):
-            for k in range(-3, 4):
-                for gs in (1.0, -1.0):
-                    w = gs * om
-                    wp = gs * (sgn * omp + k * om)
-                    tau = wp / w
-                    if tau.imag <= 1e-12:
-                        continue
-                    key = (round(w.real, 12), round(w.imag, 12),
-                           round(wp.real, 12), round(wp.imag, 12))
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    cands.append((w, wp, tau))
+        if (omp / w).imag < 0:
+            omp = -omp
+        for k in range(-3, 4):
+            wp = omp + k * w
+            tau = wp / w
+            if tau.imag <= 1e-12:
+                continue
+            key = (round(w.real, 12), round(w.imag, 12), round(wp.real, 12), round(wp.imag, 12))
+            if key in seen:
+                continue
+            seen.add(key)
+            cands.append((w, wp, tau))
     return cands
 
 

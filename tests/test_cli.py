@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -229,6 +230,35 @@ def test_tau_at_the_edge_of_the_supported_range(capsys):
     assert code == 0
     doc = json.loads(out)
     assert all(v > 0 for v in doc["det_twisted"] + [doc["det_prime"], doc["quillen_norm"]])
+
+
+_ZETA_ODD = ["zeta-oracle", "--nu1", "1", "--nu2", "1"]
+
+
+@pytest.mark.parametrize("command", [["determinants"], _ZETA_ODD])
+@pytest.mark.parametrize("two_omega", [
+    "1e30,0",  # (2 omega)^12 overflowed: OverflowError traceback
+    "1e-30,0",  # (2 omega)^12 underflowed to 0: ZeroDivisionError traceback
+    "1e200,0",  # |omega|^2 overflowed (determinants), math domain error (zeta-oracle)
+])
+def test_two_omega_beyond_the_supported_range_is_refused(capsys, command, two_omega):
+    code, out, err = _run(capsys, command + ["--tau", "0,1", "--two-omega", two_omega])
+    assert code == 2 and out == ""
+    assert _one_error_line(err) and "1e-20 <= |2 omega| <= 1e3" in err
+
+
+@pytest.mark.parametrize("command", [["determinants"], _ZETA_ODD])
+@pytest.mark.parametrize("tau", ["0,100", "0.5,0.8660254037844386"])
+@pytest.mark.parametrize("two_omega", ["600,800", "6e-21,8e-21"])
+def test_two_omega_at_the_edges_of_the_supported_range(capsys, command, tau, two_omega):
+    code, out, _ = _run(capsys, command + ["--tau", tau, "--two-omega", two_omega])
+    assert code == 0
+    doc = json.loads(out)
+    if command == _ZETA_ODD:
+        values = [doc["det"], doc["closed_form"]]
+    else:
+        values = doc["det_twisted"] + [doc["det_prime"], doc["quillen_norm"]]
+    assert all(0 < v < math.inf for v in values)
 
 
 def test_missing_file_exit_2(capsys):

@@ -4,7 +4,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from uplane import (
@@ -322,6 +322,15 @@ def _assert_canonical(curve, p):
     assert abs(g3 - curve.g3) <= 1e-12 * s**3
 
 
+def _curve_from(parts, log_scale):
+    g2, g3 = complex(*parts[:2]), complex(*parts[2:])
+    assume(abs(g2) ** 3 + 27 * abs(g3) ** 2 > 1e-3)
+    s = 10.0**log_scale
+    curve = WeierstrassCurve(g2 * s**2, g3 * s**3)
+    assume(abs(discriminant(curve)) > 1e-6 * discriminant_scale(curve))
+    return curve
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     parts=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
@@ -330,11 +339,7 @@ def _assert_canonical(curve, p):
 def test_unseeded_basis_is_canonical(parts, log_scale):
     # tau in F with its boundary convention, omega in the right half-plane,
     # and the basis reproduces the curve's own invariants
-    g2, g3 = complex(*parts[:2]), complex(*parts[2:])
-    assume(abs(g2) ** 3 + 27 * abs(g3) ** 2 > 1e-3)
-    s = 10.0**log_scale
-    curve = WeierstrassCurve(g2 * s**2, g3 * s**3)
-    assume(abs(discriminant(curve)) > 1e-6 * discriminant_scale(curve))
+    curve = _curve_from(parts, log_scale)
     _assert_canonical(curve, compute_periods(curve))
 
 
@@ -369,3 +374,49 @@ def test_rotated_lattice_passes_eta_but_is_rejected():
     assert eta_err <= P.ETA_IDENTITY_RTOL
     assert P._validated(curve, delta, [(w, wp, wp / w)]) is None
     assert P._validated(curve, delta, [(p.omega, p.omega_prime, p.tau)]) == p
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    parts=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+    log_scale=st.floats(-4.0, 4.0),
+)
+@example(parts=[0.0, 0.0, 1.0, 0.0], log_scale=0.0)  # g2 == 0: hexagonal rotations
+@example(parts=[1.0, 0.0, 0.0, 0.0], log_scale=0.0)  # g3 == 0: square rotations
+@example(parts=[-0.7, 0.0, 0.2, 0.0], log_scale=1.0)  # real curve, real roots
+def test_negated_candidate_validates_to_the_same_basis(parts, log_scale):
+    # (-omega, -omega') has the same tau as (omega, omega') and passes or fails
+    # with it, which is why _candidate_params leaves it out
+    import uplane.periods as P
+
+    curve = _curve_from(parts, log_scale)
+    delta = discriminant(curve)
+    for w, wp, tau in P._candidate_params(cubic_roots(curve)):
+        p = P._validated(curve, delta, [(w, wp, tau)])
+        neg = P._validated(curve, delta, [(-w, -wp, tau)])
+        assert (p is None) == (neg is None)
+        if p is None:
+            continue
+        assert abs(p.tau - neg.tau) <= 1e-12
+        # with g2 == 0 or g3 == 0 the rotations that fix the lattice can take omega
+        # and -omega to two equally canonical bases: at arg omega = +-pi/n, or by
+        # rounding in the powers of e^{-i pi/3}.  Only pass or fail steers the walk.
+        if curve.g2 != 0 and curve.g3 != 0:
+            assert p == neg
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    parts=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+    log_scale=st.floats(-4.0, 4.0),
+)
+@example(parts=[0.0, 0.0, 1.0, 0.0], log_scale=0.0)
+@example(parts=[1.0, 0.0, 0.0, 0.0], log_scale=0.0)
+def test_candidates_are_in_the_upper_half_plane_and_never_negated(parts, log_scale):
+    import uplane.periods as P
+
+    cands = P._candidate_params(cubic_roots(_curve_from(parts, log_scale)))
+    assert 0 < len(cands) <= 6 * 7
+    assert all(tau == wp / w and tau.imag > 1e-12 for w, wp, tau in cands)
+    pairs = {(w, wp) for w, wp, _ in cands}
+    assert not any((-w, -wp) in pairs for w, wp in pairs)
