@@ -81,27 +81,29 @@ from .modular import (
     ODD_STRUCTURE,
     SpinStructure,
     dedekind_eta,
-    eigenvalue_2dbar,
     eisenstein_e4,
     eisenstein_e6,
     epstein_zeta_logdet,
     epstein_zeta_prime0,
-    epstein_zeta_value,
     j_from_tau,
     lattice_g2_g3,
     reduce_tau,
     theta_ab,
 )
-from .periods import Periods, agm, compute_periods, cubic_roots, periods_along_family
+from .periods import (
+    Periods,
+    agm,
+    compute_periods,
+    cubic_roots,
+    periods_along_family,
+    reduce_periods,
+)
 from .spectral import (
     CONTINUATION_OVER_CLOSED_FORM,
-    AnnulusModel,
-    FiberSpectralData,
     det_dirichlet_annulus,
     det_dirichlet_flat,
     det_prime_laplacian,
     det_twisted,
-    det_twisted_all_even,
     fiber_volume,
     modular_discriminant,
     quillen_norm_from_periods,

@@ -26,7 +26,7 @@ from .holonomy import (
     holonomy,
     signature_from_monodromy,
 )
-from .periods import Periods, compute_periods, periods_along_family
+from .periods import Periods, compute_periods, periods_along_family, reduce_periods
 
 
 def _parse_complex(text: str, what: str) -> complex:
@@ -55,21 +55,23 @@ def _fmt(x: float) -> str:
     return f"{x:.17e}"
 
 
-def _periods_from_tau(tau: complex, two_omega: complex) -> Periods:
-    if modular.reduce_tau(tau)[0].imag > 100.0:  # eta^24 ~ e^{-2 pi Im tau} nears underflow
+def _periods_from_tau(tau: complex, two_omega: complex):
+    """The basis (omega, tau omega), the basis of its lattice with tau in F, and the matrix
+    from the first to the second (`reduce_periods`)."""
+    if not tau.imag > 0:
+        raise ValueError(f"Im tau must be positive, got {tau}")
+    omega = two_omega / 2.0
+    p = Periods(omega=omega, omega_prime=tau * omega, tau=tau, q=cmath.exp(2j * math.pi * tau))
+    reduced, matrix = reduce_periods(p)
+    if reduced.tau.imag > 100.0:  # eta^24 ~ e^{-2 pi Im tau} nears underflow
         raise ValueError(f"tau = {tau} reduces into the fundamental domain above Im tau = 100;"
                          " determinants need 0 < Im tau <= 100 there")
     # (2 omega)^12 and (2 pi)^12 eta^24 / (2 omega)^12 stay normal doubles on F up to Im tau 100
-    if not 1e-20 <= abs(two_omega) <= 1e3:
-        raise ValueError(f"2 omega = {two_omega} is outside the supported range"
-                         " 1e-20 <= |2 omega| <= 1e3")
-    omega = two_omega / 2.0
-    return Periods(
-        omega=omega,
-        omega_prime=tau * omega,
-        tau=tau,
-        q=cmath.exp(2j * math.pi * tau),
-    )
+    for basis, where in ((p, ""), (reduced, " on the reduced basis")):
+        if not 1e-20 <= abs(2.0 * basis.omega) <= 1e3:
+            raise ValueError(f"2 omega = {2.0 * basis.omega}{where} (tau = {basis.tau}) is outside"
+                             " the supported range 1e-20 <= |2 omega| <= 1e3")
+    return p, reduced, matrix
 
 
 def _cmd_periods(args) -> dict:
@@ -90,31 +92,34 @@ def _cmd_periods(args) -> dict:
 
 
 def _cmd_determinants(args) -> dict:
-    p = _periods_from_tau(args.tau, args.two_omega)
+    # det_dirichlet_flat depends on the basis and takes the given one; the rest take the reduced one
+    p, reduced, matrix = _periods_from_tau(args.tau, args.two_omega)
     return {
         "tau": _c(p.tau),
         "q": _c(p.q),
-        "det_prime": spectral.det_prime_laplacian(p),
-        "det_twisted": list(spectral.det_twisted_all_even(p)),
-        "det_dirichlet": spectral.det_dirichlet_annulus(p),
+        "det_prime": spectral.det_prime_laplacian(reduced),
+        "det_twisted": [spectral.det_twisted(nu.moved(*matrix), reduced)
+                        for nu in modular.EVEN_STRUCTURES],
+        "det_dirichlet": spectral.det_dirichlet_annulus(reduced),
         "det_dirichlet_flat": spectral.det_dirichlet_flat(p),
-        "quillen_norm": spectral.quillen_norm_from_periods(p),
+        "quillen_norm": spectral.quillen_norm_from_periods(reduced),
     }
 
 
 def _cmd_zeta_oracle(args) -> dict:
     nu = modular.SpinStructure(args.nu1, args.nu2)
-    p = _periods_from_tau(args.tau, args.two_omega)
-    logdet = modular.epstein_zeta_logdet(nu, p.tau, p.omega)
+    _, p, matrix = _periods_from_tau(args.tau, args.two_omega)
+    moved = nu.moved(*matrix)
+    logdet = modular.epstein_zeta_logdet(moved, p.tau, p.omega)
     if nu.is_odd:
         closed = spectral.CONTINUATION_OVER_CLOSED_FORM * spectral.det_prime_laplacian(p)
         kind = "det_prime_times_4pi2"
     else:
-        closed = spectral.det_twisted(nu, p)
+        closed = spectral.det_twisted(moved, p)
         kind = "theta_over_eta_squared"
     det = math.exp(logdet)
     return {
-        "tau": _c(p.tau),
+        "tau": _c(args.tau),
         "nu": [nu.nu1, nu.nu2],
         "log_det": logdet,
         "det": det,

@@ -42,6 +42,13 @@ class SpinStructure:
         """Lattice shifts ((1-nu1)/2, (1-nu2)/2) entering the eigenvalues."""
         return ((1 - self.nu1) / 2.0, (1 - self.nu2) / 2.0)
 
+    def moved(self, a: int, b: int, c: int, d: int) -> "SpinStructure":
+        """This structure carried from tau to t = (a tau + b) / (c tau + d): |theta / eta|^2
+        and `epstein_zeta_logdet` keep their values when tau moves to t, omega to
+        (c tau + d) omega and the characteristic to the one returned."""
+        return SpinStructure((d * self.nu1 - c * self.nu2 + c * d) % 2,
+                             (a * self.nu2 - b * self.nu1 + a * b) % 2)
+
 
 EVEN_STRUCTURES = (SpinStructure(0, 0), SpinStructure(0, 1), SpinStructure(1, 0))
 ODD_STRUCTURE = SpinStructure(1, 1)
@@ -185,15 +192,6 @@ def lattice_g2_g3(tau, omega: complex) -> tuple:
     return g2, g3
 
 
-def eigenvalue_2dbar(n1: int, n2: int, nu: SpinStructure, tau: complex, omega: complex) -> complex:
-    """Eigenvalue of 2 dbar on mode (n1, n2) for the given twists.
-
-    (pi / (Im tau * conj(omega))) * ((n1 + (1-nu1)/2) tau - (n2 + (1-nu2)/2)).
-    """
-    h1, h2 = nu.shifts
-    return (math.pi / (tau.imag * omega.conjugate())) * ((n1 + h1) * tau - (n2 + h2))
-
-
 # ---------------------------------------------------------------------------
 # Lattice zeta continuation.
 #
@@ -214,30 +212,6 @@ def eigenvalue_2dbar(n1: int, n2: int, nu: SpinStructure, tau: complex, omega: c
 #         + (Im tau / pi) sum_{k != 0} cos(2 pi k.h) e^{-pi |k1+k2 tau|^2 / Im tau} / |k1+k2 tau|^2
 #         - delta (ln(pi / Im tau) + gamma_Euler).
 # ---------------------------------------------------------------------------
-
-def _upper_gamma(a: float, x):
-    """Upper incomplete Gamma(a, x) for real a (array x), by downward recursion.
-
-    Gamma(a, x) = (Gamma(a+1, x) - x^a e^{-x}) / a, seeded from a positive
-    first argument where scipy's regularized form applies; Gamma(0, x) = E1(x).
-    """
-    from scipy.special import exp1, gamma as gamma_fn, gammaincc  # oracle-only dependency
-
-    x = np.asarray(x, dtype=float)
-    if a > 0:
-        return gammaincc(a, x) * gamma_fn(a)
-    steps = int(math.ceil(-a)) + 1
-    top = a + steps
-    g = gammaincc(top, x) * gamma_fn(top) if top > 0 else exp1(x)
-    aa = top
-    for _ in range(steps):
-        aa -= 1.0
-        if abs(aa) < 1e-300:
-            g = exp1(x)
-        else:
-            g = (g - x**aa * np.exp(-x)) / aa
-    return g
-
 
 def _lattice_grids(nu: SpinStructure, tau: complex):
     """The two lattice grids of the continuation, |m|, |n| <= N.
@@ -308,32 +282,3 @@ def epstein_zeta_logdet(nu: SpinStructure, tau, omega: complex) -> float:
     zp = epstein_zeta_prime0(nu, t)
     z0 = -1.0 if nu.is_odd else 0.0
     return -zp + math.log((math.pi / (t.imag * abs(omega))) ** 2) * z0
-
-
-def epstein_zeta_value(s: float, nu: SpinStructure, tau) -> float:
-    """The shifted-lattice zeta at real s != 1 via the same continuation.
-
-    Convergent everywhere except the pole at s = 1; for s > 1 it agrees with
-    the direct lattice sum, and s -> 0 recovers zeta(0) in {0, -1}.
-    """
-    from scipy.special import gamma as gamma_fn  # oracle-only dependency
-
-    t = _tau_of(tau)
-    delta = 1 if nu.is_odd else 0
-    if s == 0.0:
-        return -float(delta)
-    if s <= 0.0 or s == 1.0:
-        raise ValueError("supported range is real s > 0 with s != 1")
-    imt = t.imag
-    bigt = math.pi / imt
-    qf, mask, r, kmask, phase = _lattice_grids(nu, t)
-    direct = float(np.sum(qf ** (-s) * _upper_gamma(s, bigt * qf), where=mask))
-
-    ck = math.pi**2 * r / imt**2
-    fourier = float(
-        np.sum(phase * ck ** (s - 1.0) * _upper_gamma(1.0 - s, ck / bigt), where=kmask)
-    ) * (math.pi / imt)
-
-    middle = (math.pi / imt) * bigt ** (s - 1.0) / (s - 1.0)
-    pole = -delta * bigt**s / s
-    return (direct + fourier + middle + pole) / gamma_fn(s)

@@ -9,19 +9,20 @@ with M the arithmetic-geometric mean using principal square roots and, at
 each step, the square-root branch closer to the running arithmetic mean.
 Which root permutation gives a lattice basis is not knowable a priori in the
 complex case: candidates (omega, omega' + k omega), |k| <= 3, Im tau > 0, are
-walked in build order and validated against the modular-discriminant identity
+walked in build order.  Each is first put into the canonical basis of its
+lattice: tau in the closed fundamental domain F of `modular.reduce_tau`, and
+arg omega in (-pi/n, pi/n] by the rotations that fix the lattice (n = 2, or
+4 when g3 == 0 and 6 when g2 == 0 exactly).  There, where every modular form
+is its raw q-series, it is validated against the modular-discriminant identity
 
     (2 pi)^12 eta(tau)^24 / (2 omega)^12 = g2^3 - 27 g3^2,
 
 which holds for every basis of the period lattice and fails for any branch
-mistake.  A candidate that passes is put into the canonical basis of its
-lattice: tau in the closed fundamental domain F of `modular.reduce_tau`, and
-arg omega in (-pi/n, pi/n] by the rotations that fix the lattice (n = 2, or
-4 when g3 == 0 and 6 when g2 == 0 exactly).  The identity sees only omega^12
-and so passes rotated lattices too; the canonical basis must also reproduce
-(g2, g3) through `lattice_g2_g3`, to 1e-12 S^2 and 1e-12 S^3 with
-S = discriminant_scale^(1/6).  A seeded solve then moves to the basis nearest
-the seed's, which keeps frames continuous along loops.
+mistake.  The identity sees only omega^12 and so passes rotated lattices too;
+the canonical basis must also reproduce (g2, g3) through `lattice_g2_g3`, to
+1e-12 S^2 and 1e-12 S^3 with S = discriminant_scale^(1/6).  A seeded solve
+then moves to the basis nearest the seed's, which keeps frames continuous
+along loops.  `reduce_periods` makes the same move for a basis given by hand.
 """
 
 import cmath
@@ -39,7 +40,7 @@ from .curves import (
     is_numerically_singular,
 )
 from .errors import AgmBranchFailure, SingularCurve, SingularFiber
-from .modular import TWO_PI, lattice_g2_g3, reduce_tau
+from .modular import _EDGE, TWO_PI, lattice_g2_g3, reduce_tau
 from .spectral import modular_discriminant
 
 #: relative tolerance of the modular-discriminant post-condition
@@ -151,30 +152,41 @@ def _basis(w: complex, wp: complex) -> Periods:
 _UNIT_ROOT = {4: -1j, 6: cmath.exp(-1j * math.pi / 3.0)}
 
 
-def _canonical(w: complex, wp: complex, n: int):
-    """The basis of <w, wp> with tau in F and arg w in (-pi/n, pi/n].
+def _canonical(w: complex, wp: complex, tau: complex, n: int):
+    """The basis of <w, wp> (tau = wp / w) with tau in F and arg w in (-pi/n, pi/n].
 
-    The final half-plane test is exact: Re w > 0, or Im w > 0 when Re w = 0.
+    Returns (t, (w, wp), (a, b, c, d)): reduce_tau's point t, the basis, and the matrix
+    that gives the basis as (c wp + d w, a wp + b w) before the rotation.  The arg
+    boundary carries reduce_tau's slack; the final half-plane test is exact: Re w > 0,
+    or Im w > 0 when Re w = 0.
     """
-    _, (a, b, c, d) = reduce_tau(wp / w)
+    t, (a, b, c, d) = reduce_tau(tau)
     w, wp = c * wp + d * w, a * wp + b * w
     if n > 2:
-        unit = _UNIT_ROOT[n] ** math.ceil(cmath.phase(w) * n / TWO_PI - 0.5)
+        unit = _UNIT_ROOT[n] ** math.ceil(cmath.phase(w) * n / TWO_PI - 0.5 - _EDGE)
         w, wp = unit * w, unit * wp
     if w.real < 0 or (w.real == 0 and w.imag < 0):
-        w, wp = -w, -wp
-    return w, wp
+        w, wp, a, b, c, d = -w, -wp, -a, -b, -c, -d
+    return t, (w, wp), (a, b, c, d)
+
+
+def reduce_periods(p: Periods):
+    """The basis (t, (c tau + d) omega) of p's lattice with t = (a tau + b) / (c tau + d)
+    in F, and the matrix (a, b, c, d).  The closed forms of `spectral` are evaluated
+    there; spin structures follow by `SpinStructure.moved`."""
+    t, (w, wp), matrix = _canonical(p.omega, p.omega_prime, p.tau, 2)
+    return Periods(omega=w, omega_prime=wp, tau=t, q=cmath.exp(2j * math.pi * t)), matrix
 
 
 def _validated(curve: WeierstrassCurve, delta: complex, cands):
-    """The canonical basis of the first candidate that satisfies the eta^24
-    identity and, reduced, reproduces (g2, g3); None if none does."""
+    """The canonical basis of the first candidate that, reduced, satisfies the eta^24
+    identity and reproduces (g2, g3); None if none does."""
     n = 6 if curve.g2 == 0 else 4 if curve.g3 == 0 else 2
     s = discriminant_scale(curve) ** (1.0 / 6.0)
-    for w, wp, _ in cands:
-        if not abs(modular_discriminant(_basis(w, wp)) - delta) / abs(delta) <= ETA_IDENTITY_RTOL:
+    for w, wp, tau in cands:
+        p = _basis(*_canonical(w, wp, tau, n)[1])
+        if not abs(modular_discriminant(p) - delta) / abs(delta) <= ETA_IDENTITY_RTOL:
             continue
-        p = _basis(*_canonical(w, wp, n))
         g2, g3 = lattice_g2_g3(p.tau, p.omega)
         if (abs(g2 - curve.g2) <= INVARIANTS_RTOL * s**2
                 and abs(g3 - curve.g3) <= INVARIANTS_RTOL * s**3):

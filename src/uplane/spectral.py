@@ -4,18 +4,26 @@
 Every quantity here is computed along at least two stated routes and the
 routes are checked against each other (CrossCheckFailed on disagreement), so
 a convention slip in one formula cannot pass silently.
+
+The periods are taken with tau in the fundamental domain F, where every
+modular form is its raw q-series: `compute_periods` returns such a basis, and
+`periods.reduce_periods` moves any other one there (spin structures by
+`SpinStructure.moved`).  det', the Quillen norm of the periods and the annulus
+determinant depend only on the lattice, the twisted determinants only on the
+lattice and the spin structure.
+`det_dirichlet_flat` and `quillen_norm_sigma_hat` depend on the basis too, so
+they are evaluated on the basis they are meant for.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .curves import WeierstrassCurve, discriminant
 from .errors import CrossCheckFailed, OddStructure
-from .modular import EVEN_STRUCTURES, TWO_PI, SpinStructure, dedekind_eta, reduce_tau, theta_ab
+from .modular import TWO_PI, SpinStructure, dedekind_eta, theta_ab
 
 if TYPE_CHECKING:  # periods validates its solves here, so it imports this module
     from .periods import Periods
@@ -71,25 +79,16 @@ def _theta_series(a: int, b: int, t: complex) -> complex:
 def det_twisted(nu: SpinStructure, p: Periods) -> float:
     """Determinant for an even twist: |theta_{nu1 nu2}(tau) / eta(tau)|^2, from the eta quotients.
 
-    Also evaluated as the theta series over the eta product at t = reduce_tau(tau) =
-    (a tau + b) / (c tau + d), where |theta/eta|^2 is the same with the characteristic
-    moved to ((d nu1 - c nu2 + cd) mod 2, (a nu2 - b nu1 + ab) mod 2); the two must agree
-    to 1e-10 relative.
+    Also evaluated with the theta series at tau, which converges for tau in F; the two
+    must agree to 1e-10 relative.
     """
     if nu.is_odd:
         raise OddStructure("(1,1) carries the zero mode; use det_prime_laplacian")
     eta = dedekind_eta(p.tau)
     primary = abs(theta_ab(nu.nu1, nu.nu2, p.tau) / eta) ** 2
-    t, (a, b, c, d) = reduce_tau(p.tau)
-    moved = ((d * nu.nu1 - c * nu.nu2 + c * d) % 2, (a * nu.nu2 - b * nu.nu1 + a * b) % 2)
-    alt = abs(_theta_series(*moved, t) / dedekind_eta(t)) ** 2
-    _cross_check("twisted determinant: eta quotient vs reduced theta series", primary, alt,
-                 1e-10, primary)
+    alt = abs(_theta_series(nu.nu1, nu.nu2, p.tau) / eta) ** 2
+    _cross_check("twisted determinant: eta quotient vs theta series", primary, alt, 1e-10, primary)
     return primary
-
-
-def det_twisted_all_even(p: Periods) -> tuple:
-    return tuple(det_twisted(nu, p) for nu in EVEN_STRUCTURES)
 
 
 def quillen_norm_sigma(curve: WeierstrassCurve) -> float:
@@ -149,44 +148,3 @@ def quillen_norm_sigma_hat(p: Periods) -> float:
     _cross_check("flat-annulus Quillen norm vs factorized form", primary, factored, 1e-12,
                  max(primary, 1e-300))
     return primary
-
-
-@dataclass(frozen=True)
-class FiberSpectralData:
-    """Spectral summary of one smooth fiber."""
-
-    periods: Periods
-    volume: float
-    det_laplace_prime: float
-    quillen_norm_sigma: float
-
-    @staticmethod
-    def from_periods(p: Periods) -> "FiberSpectralData":
-        return FiberSpectralData(
-            periods=p,
-            volume=fiber_volume(p),
-            det_laplace_prime=det_prime_laplacian(p),
-            quillen_norm_sigma=quillen_norm_from_periods(p),
-        )
-
-
-@dataclass(frozen=True)
-class AnnulusModel:
-    """The fiber presented as an annulus r1 < |W| < r2 glued by Z W = q."""
-
-    periods: Periods
-    r1: float
-    r2: float
-    Lambda: float
-    conformal_L: float
-
-    @staticmethod
-    def from_periods(p: Periods) -> "AnnulusModel":
-        r1 = abs(p.q) ** 0.5
-        return AnnulusModel(
-            periods=p,
-            r1=r1,
-            r2=1.0 / r1,
-            Lambda=abs(p.omega) / math.pi,
-            conformal_L=2.0 * math.pi**2 * p.tau.imag,
-        )

@@ -248,6 +248,43 @@ def test_two_omega_beyond_the_supported_range_is_refused(capsys, command, two_om
 
 
 @pytest.mark.parametrize("command", [["determinants"], _ZETA_ODD])
+def test_two_omega_beyond_the_range_on_the_reduced_basis_is_refused(capsys, command):
+    # tau reduces to Im tau ~ 1 with c tau + d = tau, so 2 omega becomes ~1e-150 there and
+    # (2 omega)^12 underflows on any basis; determinants used to exit 1 with a NaN cross-check
+    code, out, err = _run(capsys, command + ["--tau", "1e-150,1e-300", "--two-omega", "1,0"])
+    assert code == 2 and out == ""
+    assert _one_error_line(err) and "on the reduced basis" in err
+    assert "1e-20 <= |2 omega| <= 1e3" in err
+
+
+@pytest.mark.parametrize("nu", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_zeta_oracle_off_the_fundamental_domain_prints_the_given_tau_and_nu(capsys, nu):
+    # evaluated on the reduced basis with the structure moved; printed as asked
+    argv = ["zeta-oracle", "--tau", "2.0009,0.0205", "--nu1", str(nu[0]), "--nu2", str(nu[1]),
+            "--two-omega", "0.6,0.8"]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["tau"] == [2.0009, 0.0205] and doc["nu"] == list(nu)
+    assert doc["rel_err_vs_closed"] < 1e-10
+
+
+def test_scan_and_anomaly_take_no_eta_multiplier(capsys, family_file, monkeypatch):
+    # every period basis they evaluate is already in F, where eta is its q-product
+    from uplane import modular
+
+    calls = []
+    real = modular._eta_multiplier
+    monkeypatch.setattr(modular, "_eta_multiplier", lambda *m: calls.append(m) or real(*m))
+    for nf in range(5):
+        fam = family_file(nf)
+        assert _run(capsys, ["scan", "--family", fam, "--grid", "-2,2,-2,2,9,9"])[0] == 0
+        for at in ("0.3,0.9", "-1.7,0.6", "2.1,-1.3"):
+            assert _run(capsys, ["anomaly", "--family", fam, "--at", at])[0] == 0
+    assert calls == []
+
+
+@pytest.mark.parametrize("command", [["determinants"], _ZETA_ODD])
 @pytest.mark.parametrize("tau", ["0,100", "0.5,0.8660254037844386"])
 @pytest.mark.parametrize("two_omega", ["600,800", "6e-21,8e-21"])
 def test_two_omega_at_the_edges_of_the_supported_range(capsys, command, tau, two_omega):

@@ -384,6 +384,7 @@ def test_rotated_lattice_passes_eta_but_is_rejected():
 @example(parts=[0.0, 0.0, 1.0, 0.0], log_scale=0.0)  # g2 == 0: hexagonal rotations
 @example(parts=[1.0, 0.0, 0.0, 0.0], log_scale=0.0)  # g3 == 0: square rotations
 @example(parts=[-0.7, 0.0, 0.2, 0.0], log_scale=1.0)  # real curve, real roots
+@example(parts=[-0.5, 0.0, 0.0, 0.0], log_scale=0.0)  # square, omega on arg -pi/4 or +pi/4
 def test_negated_candidate_validates_to_the_same_basis(parts, log_scale):
     # (-omega, -omega') has the same tau as (omega, omega') and passes or fails
     # with it, which is why _candidate_params leaves it out
@@ -398,11 +399,13 @@ def test_negated_candidate_validates_to_the_same_basis(parts, log_scale):
         if p is None:
             continue
         assert abs(p.tau - neg.tau) <= 1e-12
-        # with g2 == 0 or g3 == 0 the rotations that fix the lattice can take omega
-        # and -omega to two equally canonical bases: at arg omega = +-pi/n, or by
-        # rounding in the powers of e^{-i pi/3}.  Only pass or fail steers the walk.
+        # with g2 == 0 or g3 == 0 the rotation by a power of i or e^{-i pi/3} rounds
+        # differently for omega and -omega; the arg boundary's slack keeps both on
+        # the same side of +-pi/n
         if curve.g2 != 0 and curve.g3 != 0:
             assert p == neg
+        else:
+            assert abs(p.omega - neg.omega) <= 4e-15 * abs(p.omega)
 
 
 @settings(max_examples=200, deadline=None)
@@ -420,3 +423,16 @@ def test_candidates_are_in_the_upper_half_plane_and_never_negated(parts, log_sca
     assert all(tau == wp / w and tau.imag > 1e-12 for w, wp, tau in cands)
     pairs = {(w, wp) for w, wp, _ in cands}
     assert not any((-w, -wp) in pairs for w, wp in pairs)
+
+
+_SQUARE = [(g2, 0.0, 4) for g2 in (-0.3, -0.5, -1.0, -1.5, -2.0, -2.5, -3.0, -4.0, -7.0, -10.0)]
+_HEXAGONAL = [(0.0, g3, 6) for g3 in (-1.0, -0.2, -5.0)]
+
+
+@pytest.mark.parametrize("g2, g3, n", _SQUARE + _HEXAGONAL)
+def test_square_and_hexagonal_bases_take_the_upper_edge(g2, g3, n):
+    # the AGM lands these omega on arg -pi/n up to rounding; (-pi/n, pi/n] keeps +pi/n.
+    # Rounding the phase without reduce_tau's slack left g2 = -1.5 and g3 = -1 at -pi/n
+    p = compute_periods(WeierstrassCurve(g2, g3))
+    assert abs(cmath.phase(p.omega) - math.pi / n) < 1e-12
+    _assert_canonical(WeierstrassCurve(g2, g3), p)

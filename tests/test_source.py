@@ -15,3 +15,27 @@ def test_no_assert_statement_in_src():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name, node.lineno
+
+
+def test_the_basis_move_has_one_home():
+    # reduce_tau moves tau into F for the modular forms (modular) and moves a period
+    # basis there (periods); every other module takes the basis periods hands it.
+    # The package namespace only re-exports it.
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name not in ("modular.py", "periods.py", "__init__.py")
+        for name, line in _names(ast.parse(path.read_text(encoding="utf-8")))
+        if name == "reduce_tau"
+    ]
+    assert found == []

@@ -12,8 +12,6 @@ from hypothesis import strategies as st
 
 from uplane import (
     EVEN_STRUCTURES,
-    AnnulusModel,
-    FiberSpectralData,
     OddStructure,
     Periods,
     SpinStructure,
@@ -24,12 +22,12 @@ from uplane import (
     det_dirichlet_flat,
     det_prime_laplacian,
     det_twisted,
-    det_twisted_all_even,
     epstein_zeta_logdet,
     fiber_volume,
     quillen_norm_from_periods,
     quillen_norm_sigma,
     quillen_norm_sigma_hat,
+    reduce_periods,
     sample_family,
 )
 from uplane.spectral import CONTINUATION_OVER_CLOSED_FORM
@@ -71,7 +69,7 @@ def test_det_prime_scaling_in_omega():
 def test_det_twisted_values_and_errors():
     p = _periods(1j)
     assert abs(det_twisted(SpinStructure(0, 0), p) - 2.0) < 1e-12
-    prod = math.prod(det_twisted_all_even(p))
+    prod = math.prod(det_twisted(nu, p) for nu in EVEN_STRUCTURES)
     assert abs(prod - 4.0) < 1e-10
     with pytest.raises(OddStructure):
         det_twisted(SpinStructure(1, 1), p)
@@ -173,20 +171,6 @@ def test_q_twelfth_over_eta_squared_limit():
         assert abs(ours - float(ratio)) <= 1e-12
 
 
-def test_fiber_spectral_data_and_annulus_model():
-    tau = 0.3 + 1.7j
-    p = _periods(tau, 1 + 0.5j)
-    data = FiberSpectralData.from_periods(p)
-    assert abs(data.volume - 4.0 * tau.imag * abs(p.omega) ** 2) < 1e-14
-    assert data.det_laplace_prime > 0
-    assert data.quillen_norm_sigma > 0
-    ann = AnnulusModel.from_periods(p)
-    assert abs(ann.r1 - abs(p.q) ** 0.5) < 1e-15
-    assert abs(ann.r1 * ann.r2 - 1.0) < 1e-12
-    assert abs(ann.Lambda - abs(p.omega) / math.pi) < 1e-15
-    assert abs(ann.conformal_L - 2 * math.pi**2 * tau.imag) < 1e-12
-
-
 def test_quillen_asymptotics_slope():
     # ||sigma||_Q ~ c |u - u*|^{1/12} near a simple node: log-log slope 1/12
     fam = sample_family(0)
@@ -214,8 +198,10 @@ def test_all_determinants_positive_on_smooth_fibers():
 
 
 def _mp_det_twisted(nu, tau):
-    """|theta_{nu1 nu2} / eta|^2 at 40 digits: the defining theta series over the q-product."""
-    with mp.workdps(40):
+    """|theta_{nu1 nu2} / eta|^2: the defining theta series over the q-product.  Near the real
+    axis the series cancels to e^{-pi / (4 Im tau)} of its terms, so 0.5 / Im tau digits
+    are added to the 40 kept."""
+    with mp.workdps(40 + int(0.5 / tau.imag)):
         t = mp.mpc(tau)
         h = mp.mpf(nu.nu1) / 2
         n = int(math.ceil(math.sqrt(200.0 / (math.pi * tau.imag)))) + 2
@@ -225,12 +211,20 @@ def _mp_det_twisted(nu, tau):
         return float(abs(theta / eta) ** 2)
 
 
+def _reduced_twisted(tau: complex, two_omega: complex = 1.0) -> list:
+    """The three even determinants of the basis (omega, tau omega), each taken on the
+    reduced basis with its spin structure moved."""
+    red, matrix = reduce_periods(_periods(tau, two_omega))
+    return [det_twisted(nu.moved(*matrix), red) for nu in EVEN_STRUCTURES]
+
+
 def test_twisted_determinants_where_the_raw_series_failed():
     # at tau = 2.0009+0.0205i the theta series summed at tau itself gave
-    # det_twisted[1] = 9.1e-20 against 2.8824e-22, and both routes of the check
-    # shared it; the three even determinants multiply to |2 eta^3 / eta^3|^2 = 4
+    # det_twisted[1] = 9.1e-20 against 2.8824e-22; on the reduced basis, with the
+    # characteristic moved, each determinant matches the series at tau, and the three
+    # multiply to |2 eta^3 / eta^3|^2 = 4
     tau = 2.0009 + 0.0205j
-    dets = det_twisted_all_even(_periods(tau))
+    dets = _reduced_twisted(tau)
     for nu, det in zip(EVEN_STRUCTURES, dets):
         ref = _mp_det_twisted(nu, tau)
         assert abs(det - ref) <= 1e-12 * ref
@@ -238,14 +232,59 @@ def test_twisted_determinants_where_the_raw_series_failed():
     assert abs(dets[0] * dets[1] * dets[2] - 4.0) <= 1e-13
 
 
+@pytest.mark.parametrize("tau", [0.01j, 0.37 + 0.01j, -1.29 + 0.012j, 2.5 + 0.03j])
+def test_reduced_twisted_determinants_near_the_real_axis(tau):
+    for nu, det in zip(EVEN_STRUCTURES, _reduced_twisted(tau, 0.6 + 0.8j)):
+        ref = _mp_det_twisted(nu, tau)
+        assert abs(det - ref) <= 1e-12 * ref
+
+
 @settings(max_examples=300, deadline=None)
 @given(x=st.floats(-3.0, 3.0), y=st.floats(0.01, 3.0))
 def test_twisted_routes_agree_near_the_real_axis(x, y):
-    # both routes pass their 1e-10 relative check (over 9,000 draws of this range they
-    # agreed to 1.2e-13), and the eta-quotient values keep the Jacobi triple product
+    # on the reduced basis both routes pass their 1e-10 relative check, and the
+    # eta-quotient values keep the Jacobi triple product
     # theta_00 theta_01 theta_10 = 2 eta^3, so the three determinants multiply to 4
-    dets = det_twisted_all_even(_periods(complex(x, y)))
+    dets = _reduced_twisted(complex(x, y))
     assert abs(dets[0] * dets[1] * dets[2] - 4.0) <= 1e-13
+
+
+def test_moved_structures_permute_the_even_ones():
+    # ad - bc = 1 makes the move a bijection of characteristics that fixes (1, 1)
+    from uplane import ODD_STRUCTURE
+
+    for matrix in ((0, -1, 1, 0), (1, 1, 0, 1), (1, 0, 1, 1), (2, 1, 1, 1), (-1, -3, 0, -1)):
+        assert {nu.moved(*matrix) for nu in EVEN_STRUCTURES} == set(EVEN_STRUCTURES)
+        assert ODD_STRUCTURE.moved(*matrix) == ODD_STRUCTURE
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    x=st.floats(-3.0, 3.0),
+    y=st.floats(0.05, 3.0),
+    r=st.floats(0.3, 3.0),
+    arg=st.floats(-math.pi, math.pi),
+)
+def test_lattice_values_agree_between_a_basis_and_its_reduced_one(x, y, r, arg):
+    # det', the annulus determinant, the Quillen norm, the even determinants and the
+    # continuation oracle depend only on the lattice and the spin structure: the
+    # basis (omega, tau omega) and reduce_periods' basis with the moved structure give
+    # the same values.  The even determinants on the given basis are the eta
+    # quotients, which modular carries back from F itself.
+    from uplane import ODD_STRUCTURE, theta_ab
+
+    tau, two_omega = complex(x, y), cmath.rect(r, arg)
+    p = _periods(tau, two_omega)
+    red, matrix = reduce_periods(p)
+    for f in (det_prime_laplacian, det_dirichlet_annulus, quillen_norm_from_periods):
+        assert abs(f(red) - f(p)) <= 1e-13 * f(p)
+    for nu in EVEN_STRUCTURES:
+        given_basis = abs(theta_ab(nu.nu1, nu.nu2, tau) / dedekind_eta(tau)) ** 2
+        assert abs(det_twisted(nu.moved(*matrix), red) - given_basis) <= 1e-13 * given_basis
+    for nu in EVEN_STRUCTURES + (ODD_STRUCTURE,):
+        on_p = epstein_zeta_logdet(nu, p.tau, p.omega)
+        on_red = epstein_zeta_logdet(nu.moved(*matrix), red.tau, red.omega)
+        assert abs(on_red - on_p) <= 1e-12 * max(1.0, abs(on_p))
 
 
 @pytest.mark.parametrize(
@@ -258,12 +297,12 @@ def test_twisted_routes_agree_near_the_real_axis(x, y):
             ["determinants", "--tau", "0.3,1.1", "--two-omega", "1,0"],
             "det' Laplacian: eta route vs Delta route",
         ),
-        # the theta series at the reduced point is 10% off, so only the second route moves
+        # the theta series is 10% off, so only the second route moves
         (
             "real = spectral._theta_series\n"
             "spectral._theta_series = lambda a, b, t: 1.1 * real(a, b, t)\n",
             ["determinants", "--tau", "0.3,1.1", "--two-omega", "1,0"],
-            "twisted determinant: eta quotient vs reduced theta series",
+            "twisted determinant: eta quotient vs theta series",
         ),
     ],
     ids=["det_prime", "det_twisted"],
