@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 
 from .curves import WeierstrassCurve, discriminant
 from .errors import CrossCheckFailed, OddStructure
-from .modular import TWO_PI, SpinStructure, dedekind_eta, theta_ab
+from .modular import _EDGE, TWO_PI, SpinStructure, dedekind_eta, theta_ab
 
 if TYPE_CHECKING:  # periods validates its solves here, so it imports this module
     from .periods import Periods
@@ -35,6 +35,9 @@ if TYPE_CHECKING:  # periods validates its solves here, so it imports this modul
 #: L-factorization 4 zeta(s) beta(s) of the square lattice), while the chain
 #: that produces ||sigma||_Q = |Delta|^{1/12} carries the extra (2 pi)^-2.
 CONTINUATION_OVER_CLOSED_FORM = TWO_PI**2
+
+#: lowest Im tau on F, less reduce_tau's boundary slack
+_F_FLOOR = math.sqrt(3.0) / 2.0 - _EDGE
 
 
 def _cross_check(quantity: str, value: float, reference: float, tol: float, scale: float):
@@ -80,10 +83,14 @@ def det_twisted(nu: SpinStructure, p: Periods) -> float:
     """Determinant for an even twist: |theta_{nu1 nu2}(tau) / eta(tau)|^2, from the eta quotients.
 
     Also evaluated with the theta series at tau, which converges for tau in F; the two
-    must agree to 1e-10 relative.
+    must agree to 1e-10 relative.  Raises ValueError below Im tau = sqrt(3)/2, the floor
+    of F, where the series is cut short.
     """
     if nu.is_odd:
         raise OddStructure("(1,1) carries the zero mode; use det_prime_laplacian")
+    if p.tau.imag < _F_FLOOR:
+        raise ValueError(f"det_twisted takes tau in the fundamental domain, got {p.tau};"
+                         " move the basis there with periods.reduce_periods")
     eta = dedekind_eta(p.tau)
     primary = abs(theta_ab(nu.nu1, nu.nu2, p.tau) / eta) ** 2
     alt = abs(_theta_series(nu.nu1, nu.nu2, p.tau) / eta) ** 2

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from uplane import (
     EVEN_STRUCTURES,
     ODD_STRUCTURE,
+    ConvergenceFailure,
     SpinStructure,
     dedekind_eta,
     eisenstein_e4,
@@ -20,6 +21,7 @@ from uplane import (
     reduce_tau,
     theta_ab,
 )
+from uplane import modular
 from uplane.spectral import CONTINUATION_OVER_CLOSED_FORM
 
 
@@ -317,27 +319,10 @@ def test_epstein_omega_independence_for_even():
 
 
 def _upper_gamma(a: float, x):
-    """Upper incomplete Gamma(a, x) for real a (array x), by downward recursion.
-
-    Gamma(a, x) = (Gamma(a+1, x) - x^a e^{-x}) / a, seeded from a positive
-    first argument where scipy's regularized form applies; Gamma(0, x) = E1(x).
-    """
-    from scipy.special import exp1, gamma as gamma_fn, gammaincc
-
+    """Upper incomplete Gamma(a, x) for real a, elementwise over the array x, by mpmath."""
     x = np.asarray(x, dtype=float)
-    if a > 0:
-        return gammaincc(a, x) * gamma_fn(a)
-    steps = int(math.ceil(-a)) + 1
-    top = a + steps
-    g = gammaincc(top, x) * gamma_fn(top) if top > 0 else exp1(x)
-    aa = top
-    for _ in range(steps):
-        aa -= 1.0
-        if abs(aa) < 1e-300:
-            g = exp1(x)
-        else:
-            g = (g - x**aa * np.exp(-x)) / aa
-    return g
+    with mp.workdps(20):
+        return np.array([float(mp.gammainc(a, v)) for v in x.flat]).reshape(x.shape)
 
 
 def _epstein_zeta_value(s: float, nu: SpinStructure, tau: complex) -> float:
@@ -345,8 +330,6 @@ def _epstein_zeta_value(s: float, nu: SpinStructure, tau: complex) -> float:
     `modular.epstein_zeta_logdet` takes at s = 0, on the same lattice grids: for
     s > 1 it must agree with the direct lattice sum, and s -> 0 recovers zeta(0).
     """
-    from scipy.special import gamma as gamma_fn
-
     from uplane.modular import _lattice_grids
 
     delta = 1 if nu.is_odd else 0
@@ -362,7 +345,7 @@ def _epstein_zeta_value(s: float, nu: SpinStructure, tau: complex) -> float:
     ) * (math.pi / imt)
     middle = (math.pi / imt) * bigt ** (s - 1.0) / (s - 1.0)
     pole = -delta * bigt**s / s
-    return (direct + fourier + middle + pole) / gamma_fn(s)
+    return (direct + fourier + middle + pole) / float(mp.gamma(s))
 
 
 def test_epstein_zeta_convergent_region():
@@ -395,8 +378,6 @@ def test_epstein_zeta_at_zero():
 
 def test_epstein_tail_bound_guard():
     # extreme Im tau needs a lattice half-width beyond the cap
-    from uplane import ConvergenceFailure
-
     with pytest.raises(ConvergenceFailure):
         epstein_zeta_logdet(SpinStructure(0, 0), 40000j, 0.5)
 
@@ -417,7 +398,46 @@ def test_j_from_tau_special_points():
     assert abs(j_from_tau(cmath.exp(1j * math.pi / 3))) < 1e-8
 
 
-def test_scipy_loaded_only_by_the_zeta_oracle():
+@settings(max_examples=200, deadline=None)
+@given(logs=st.lists(st.floats(math.log(1e-3), math.log(60.0)), min_size=1, max_size=8))
+def test_exp1_against_mpmath(logs):
+    # log-uniform over [1e-3, 60], mixing the series and the Gauss-Laguerre ranges in one array
+    xs = np.minimum(np.exp(logs), 60.0)
+    got = modular._exp1(xs)
+    with mp.workdps(30):
+        ref = np.array([float(mp.e1(x)) for x in xs])
+    err = np.abs(got - ref)
+    assert np.all(err <= 2e-15)
+    assert np.all(err <= 5e-14 * ref)
+
+
+def test_exp1_is_zero_above_the_cut():
+    assert np.all(modular._exp1(np.array([60.0 + 1e-9, 61.0, 700.0, 1e300])) == 0.0)
+    assert float(mp.e1(60)) < 1.5e-28
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_exp1_refuses_non_finite_or_non_positive(bad):
+    with pytest.raises(ConvergenceFailure, match="E1 needs finite arguments > 0"):
+        modular._exp1(np.array([1.0, bad, 3.0]))
+
+
+def test_zero_distance_lattice_point_is_refused(monkeypatch):
+    # an unmasked point of the direct grid at distance 0 has no E1; it must not be
+    # clipped to a tiny positive distance and summed as E1(1e-300) ~ 690
+    real = modular._lattice_grids
+
+    def grids_with_a_zero(nu, tau):
+        qf, mask, r, kmask, phase = real(nu, tau)
+        qf[0, 0] = 0.0
+        return qf, mask, r, kmask, phase
+
+    monkeypatch.setattr(modular, "_lattice_grids", grids_with_a_zero)
+    with pytest.raises(ConvergenceFailure, match="got 0.0"):
+        modular._zeta_sums_at_zero(SpinStructure(0, 0), 0.3 + 1.1j)
+
+
+def test_cli_and_zeta_oracle_load_no_scipy():
     import os
     import subprocess
     import sys
@@ -425,13 +445,13 @@ def test_scipy_loaded_only_by_the_zeta_oracle():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     script = (
         "import sys, uplane.cli\n"
-        "before = 'scipy' in sys.modules\n"
+        "polynomial = 'numpy.polynomial' in sys.modules\n"
         "from uplane import SpinStructure, epstein_zeta_logdet\n"
         "epstein_zeta_logdet(SpinStructure(0, 1), 1j, 1.0)\n"
-        "print(before, 'scipy' in sys.modules)\n"
+        "print(polynomial, 'scipy' in sys.modules)\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
         capture_output=True, text=True, timeout=60, check=True,
     ).stdout
-    assert out.split() == ["False", "True"]
+    assert out.split() == ["False", "False"]

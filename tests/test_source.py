@@ -39,3 +39,15 @@ def test_the_basis_move_has_one_home():
         if name == "reduce_tau"
     ]
     assert found == []
+
+
+def test_no_module_imports_scipy():
+    # numpy is the only run-time dependency; the lattice-zeta oracle's E1 is modular._exp1
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "scipy" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy")
+    ]
+    assert found == []

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from uplane import (
     EVEN_STRUCTURES,
+    ODD_STRUCTURE,
     OddStructure,
     Periods,
     SpinStructure,
@@ -73,6 +74,33 @@ def test_det_twisted_values_and_errors():
     assert abs(prod - 4.0) < 1e-10
     with pytest.raises(OddStructure):
         det_twisted(SpinStructure(1, 1), p)
+
+
+@pytest.mark.parametrize("tau", [0.3 + 0.05j, 0.3 + 0.01j])
+def test_det_twisted_takes_tau_in_the_fundamental_domain(tau):
+    # below F the theta-series route is cut short, so the basis is refused; on the
+    # reduced basis both routes hold
+    for nu in EVEN_STRUCTURES:
+        with pytest.raises(ValueError, match="periods.reduce_periods"):
+            det_twisted(nu, _periods(tau))
+    for nu, det in zip(EVEN_STRUCTURES, _reduced_twisted(tau)):
+        ref = _mp_det_twisted(nu, tau)
+        assert abs(det - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("tau", [cmath.exp(1j * math.pi / 3), 0.3 + 1j, -0.2 + 10j, 0.4 + 100j],
+                         ids=["rho", "im1", "im10", "im100"])
+def test_continuation_oracle_vs_closed_forms_up_the_fundamental_domain(tau):
+    # every spin structure from rho up to Im tau = 100, the CLI's cap on the reduced Im tau;
+    # there |ln det| reaches ~100, so 1e-13 relative in det is 1e-15 of ln det
+    p = _periods(tau, 1.2 - 0.6j)
+    for nu in EVEN_STRUCTURES + (ODD_STRUCTURE,):
+        oracle = math.exp(epstein_zeta_logdet(nu, tau, p.omega))
+        if nu.is_odd:
+            closed = CONTINUATION_OVER_CLOSED_FORM * det_prime_laplacian(p)
+        else:
+            closed = det_twisted(nu, p)
+        assert abs(oracle - closed) <= 1e-13 * closed
 
 
 def test_quillen_norm_examples():
