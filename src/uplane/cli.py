@@ -240,7 +240,7 @@ def _cmd_scan(args) -> str:
             except UPlaneError as exc:
                 print(f"scan: skipping u={u} ({exc})", file=sys.stderr)
                 continue
-            f1_val = -0.5 * math.log(spectral.det_prime_laplacian(p))
+            f1_val = geometry.f1_from_periods(p)
             qn = abs(d(u)) ** (1.0 / 12.0)
             lines.append(
                 ",".join(

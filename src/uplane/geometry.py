@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from .curves import CurveFamily, near_singular_fiber
 from .errors import DivisionByZero, StencilCrossesSingularity
 from .periods import Periods, periods_along_family
-from .spectral import det_prime_laplacian
+from .spectral import det_prime_laplacian, fiber_volume
 
 #: (Laplace-Beltrami of F1) / (scalar curvature), pinned pre-build (see above).
 ANOMALY_RATIO = 2.0
@@ -96,8 +96,7 @@ def is_isotrivial(family: CurveFamily, tol: float = 1e-10) -> bool:
 
 def kaehler_coefficient(family: CurveFamily, u: complex) -> float:
     """Coefficient of i du ^ dubar in the Kaehler form: 8 Im(tau) |omega|^2."""
-    p = periods_along_family(family, u)
-    return 8.0 * p.tau.imag * abs(p.omega) ** 2
+    return 2.0 * fiber_volume(periods_along_family(family, u))
 
 
 def uplane_point(family: CurveFamily, u: complex, h: float = None) -> UPlanePoint:
@@ -142,10 +141,14 @@ def scalar_curvature(family: CurveFamily, u: complex, p: Periods) -> float:
     return abs(dtau_da) ** 2 / (8.0 * p.tau.imag**3)
 
 
-def f1(family: CurveFamily, u: complex) -> float:
-    """One-loop free energy: -1/2 ln det' of the fiber Laplacian at u."""
-    p = periods_along_family(family, u)
+def f1_from_periods(p: Periods) -> float:
+    """One-loop free energy: -1/2 ln det' of the fiber Laplacian with periods p."""
     return -0.5 * math.log(det_prime_laplacian(p))
+
+
+def f1(family: CurveFamily, u: complex) -> float:
+    """One-loop free energy at u: `f1_from_periods` of the fiber there."""
+    return f1_from_periods(periods_along_family(family, u))
 
 
 def anomaly_check(family: CurveFamily, u: complex, h: float = None) -> AnomalyRecord:
@@ -166,7 +169,7 @@ def anomaly_check(family: CurveFamily, u: complex, h: float = None) -> AnomalyRe
     _check_stencil(family, stencil)
 
     center = periods_along_family(family, u)
-    f0 = -0.5 * math.log(det_prime_laplacian(center))
+    f0 = f1_from_periods(center)
 
     def lap(hh: float) -> float:
         ring = (u + hh, u - hh, u + 1j * hh, u - 1j * hh)

@@ -216,21 +216,15 @@ def compute_periods(curve: WeierstrassCurve, seed: Periods = None) -> Periods:
     """Half-periods of a smooth curve in their canonical basis, or with a seed
     in the basis of their lattice nearest the seed's (module docstring).
 
-    Raises SingularCurve when the cubic has (nearly) repeated roots, or when no
-    candidate passes the eta and invariants checks with |Delta| below
-    ETA_RESOLVABLE of its terms; AgmBranchFailure when none passes above that level.
+    Raises SingularCurve when the cubic has (nearly) repeated roots, by the relative
+    screen `is_numerically_singular`, or when no candidate passes the eta and invariants
+    checks with |Delta| below ETA_RESOLVABLE of its terms; AgmBranchFailure when none
+    passes above that level.
     """
     delta = discriminant(curve)
     if is_numerically_singular(curve, delta):
         raise SingularCurve(f"discriminant vanishes for g2={curve.g2}, g3={curve.g3}")
-    roots = cubic_roots(curve)
-    scale = 1.0 + max(abs(e) for e in roots)
-    for a, b in itertools.combinations(roots, 2):
-        if abs(a - b) < 1e-10 * scale:
-            raise SingularCurve(
-                f"repeated root pair {a}, {b} (g2={curve.g2}, g3={curve.g3})"
-            )
-    p = _validated(curve, delta, _candidate_params(roots))
+    p = _validated(curve, delta, _candidate_params(cubic_roots(curve)))
     if p is None:
         failure = ("no AGM basis candidate satisfied the eta^24 identity and the"
                    f" lattice invariants for g2={curve.g2}, g3={curve.g3}")

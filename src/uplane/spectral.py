@@ -1,9 +1,11 @@
-"""Closed-form regularized determinants, Quillen norms, and the annulus
-(Dirichlet) determinants with their conformal-rescaling cross-check.
+"""Closed-form regularized determinants, Quillen norms and the annulus (Dirichlet)
+determinants, each one expression on one `dedekind_eta` value.
 
-Every quantity here is computed along at least two stated routes and the
-routes are checked against each other (CrossCheckFailed on disagreement), so
-a convention slip in one formula cannot pass silently.
+eta's q-product is checked where it is computed, against Euler's pentagonal series
+(`modular.dedekind_eta`), so the closed forms here carry no second route of their own.
+The twisted determinants also check their eta quotients against the theta series.
+The lattice-zeta continuation (`modular.epstein_zeta_logdet`) checks the closed forms
+through neither eta nor theta: `uplane zeta-oracle` and the tests compare the two.
 
 The periods are taken with tau in the fundamental domain F, where every
 modular form is its raw q-series: `compute_periods` returns such a basis, and
@@ -40,12 +42,6 @@ CONTINUATION_OVER_CLOSED_FORM = TWO_PI**2
 _F_FLOOR = math.sqrt(3.0) / 2.0 - _EDGE
 
 
-def _cross_check(quantity: str, value: float, reference: float, tol: float, scale: float):
-    """Raise CrossCheckFailed unless |value - reference| <= tol * scale (NaN fails)."""
-    if not abs(value - reference) <= tol * scale:
-        raise CrossCheckFailed(quantity, value, reference, tol)
-
-
 def fiber_volume(p: Periods) -> float:
     """vol(E) = 4 Im(tau) |omega|^2 in the metric dz.dzbar."""
     return 4.0 * p.tau.imag * abs(p.omega) ** 2
@@ -59,15 +55,10 @@ def modular_discriminant(p: Periods) -> complex:
 def det_prime_laplacian(p: Periods) -> float:
     """Regularized determinant of the fiber Laplacian (zero mode omitted).
 
-    vol^2/(2 pi)^4 |Delta_modular|^{1/6}, equal to
-    4 Im^2(tau) |omega|^2 |eta(tau)|^4 / (2 pi)^2; both forms are evaluated
-    and must agree to 1e-12.
+    4 Im^2(tau) |omega|^2 |eta(tau)|^4 / (2 pi)^2, which is
+    vol^2/(2 pi)^4 |Delta_modular|^{1/6}.
     """
-    eta = dedekind_eta(p.tau)
-    via_eta = 4.0 * p.tau.imag**2 * abs(p.omega) ** 2 * abs(eta) ** 4 / TWO_PI**2
-    via_delta = fiber_volume(p) ** 2 / TWO_PI**4 * abs(modular_discriminant(p)) ** (1.0 / 6.0)
-    _cross_check("det' Laplacian: eta route vs Delta route", via_eta, via_delta, 1e-12, via_eta)
-    return via_eta
+    return 4.0 * p.tau.imag**2 * abs(p.omega) ** 2 * abs(dedekind_eta(p.tau)) ** 4 / TWO_PI**2
 
 
 def _theta_series(a: int, b: int, t: complex) -> complex:
@@ -94,7 +85,9 @@ def det_twisted(nu: SpinStructure, p: Periods) -> float:
     eta = dedekind_eta(p.tau)
     primary = abs(theta_ab(nu.nu1, nu.nu2, p.tau) / eta) ** 2
     alt = abs(_theta_series(nu.nu1, nu.nu2, p.tau) / eta) ** 2
-    _cross_check("twisted determinant: eta quotient vs theta series", primary, alt, 1e-10, primary)
+    if not abs(primary - alt) <= 1e-10 * primary:  # NaN fails
+        raise CrossCheckFailed("twisted determinant: eta quotient vs theta series",
+                               primary, alt, 1e-10)
     return primary
 
 
@@ -113,45 +106,21 @@ def quillen_norm_from_periods(p: Periods) -> float:
 
 
 def det_dirichlet_annulus(p: Periods) -> float:
-    """Dirichlet determinant on the period annulus: sqrt(det' Laplacian).
-
-    Cross-checked against (vol/2 pi) |eta^2/(2 omega)|.
-    """
-    primary = math.sqrt(det_prime_laplacian(p))
-    alt = fiber_volume(p) / TWO_PI * abs(dedekind_eta(p.tau) ** 2 / (2.0 * p.omega))
-    _cross_check("annulus determinant: sqrt(det') vs eta form", primary, alt, 1e-12, primary)
-    return primary
+    """Dirichlet determinant on the period annulus: sqrt(det' Laplacian),
+    which is (vol/2 pi) |eta^2/(2 omega)|."""
+    return math.sqrt(det_prime_laplacian(p))
 
 
 def det_dirichlet_flat(p: Periods) -> float:
     """Dirichlet determinant for the flat annulus metric: Im(tau) |eta|^2 |q|^{1/6}.
 
-    Recomputed along the conformal-rescaling route
-    det_D(Lambda^2 Delta) = det_D(flat) * exp(L / 6 pi) with L = 2 pi^2 Im tau
-    and Lambda^{2 zeta_D(0)} = 1/Lambda (zeta_D(0) = -1/2); the two routes
-    must agree to 1e-9.
+    It is the annulus determinant after the conformal rescaling
+    det_D(Lambda^2 Delta) = det_D(flat) * exp(L / 6 pi) with Lambda = |omega| / pi,
+    L = 2 pi^2 Im tau and Lambda^{2 zeta_D(0)} = 1/Lambda (zeta_D(0) = -1/2).
     """
-    tau = p.tau
-    eta = dedekind_eta(tau)
-    primary = tau.imag * abs(eta) ** 2 * abs(p.q) ** (1.0 / 6.0)
-    lam = abs(p.omega) / math.pi
-    ell = 2.0 * math.pi**2 * tau.imag
-    rescaled = det_dirichlet_annulus(p) / lam / math.exp(ell / (6.0 * math.pi))
-    _cross_check("flat annulus determinant vs conformal rescaling", primary, rescaled, 1e-9,
-                 max(primary, 1e-300))
-    return primary
+    return p.tau.imag * abs(dedekind_eta(p.tau)) ** 2 * abs(p.q) ** (1.0 / 6.0)
 
 
 def quillen_norm_sigma_hat(p: Periods) -> float:
-    """||sigma|| in the flat-annulus metric: |q^{1/6}/eta^2| / (2 pi)^2.
-
-    The factorized form |q|^{1/12} * |q^{1/12} / ((2 pi)^2 eta^2)| is also
-    evaluated; its second factor tends to (2 pi)^-2 as q -> 0.
-    """
-    eta = dedekind_eta(p.tau)
-    q112 = abs(p.q) ** (1.0 / 12.0)
-    primary = abs(p.q) ** (1.0 / 6.0) / abs(eta) ** 2 / TWO_PI**2
-    factored = q112 * (q112 / (TWO_PI**2 * abs(eta) ** 2))
-    _cross_check("flat-annulus Quillen norm vs factorized form", primary, factored, 1e-12,
-                 max(primary, 1e-300))
-    return primary
+    """||sigma|| in the flat-annulus metric: |q^{1/6}/eta^2| / (2 pi)^2."""
+    return abs(p.q) ** (1.0 / 6.0) / abs(dedekind_eta(p.tau)) ** 2 / TWO_PI**2

@@ -156,7 +156,7 @@ def test_criterion_05_dirichlet_annulus_identities():
         p = _periods(tau, complex(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0)))
         d = det_dirichlet_annulus(p)
         worst_sq = max(worst_sq, abs(d * d - det_prime_laplacian(p)) / (d * d))
-        flat = det_dirichlet_flat(p)  # internally asserts both routes at 1e-9
+        flat = det_dirichlet_flat(p)
         lam = abs(p.omega) / math.pi
         rescaled = d / lam / math.exp(2.0 * math.pi**2 * tau.imag / (6.0 * math.pi))
         worst_ratio = max(worst_ratio, abs(flat - rescaled) / flat)

@@ -407,6 +407,24 @@ def test_overflowing_input_is_one_error_line(capsys, family_file, argv, expected
     assert _one_error_line(err)
 
 
+def test_eta_products_per_determinants_request_and_scan_point(capsys, family_file, monkeypatch):
+    # determinants: 1 each for det', the annulus, the flat annulus and the Quillen norm, and
+    # 10 for the twisted determinants (eta and its theta quotients); a scan point: 1 for
+    # the solve's eta identity and 1 for F1
+    from uplane import modular
+
+    calls = []
+    product = modular._eta_qproduct
+    monkeypatch.setattr(modular, "_eta_qproduct", lambda t: calls.append(t) or product(t))
+    argv = ["determinants", "--tau", "1.3,0.2", "--two-omega", "1,0.5"]
+    assert _run(capsys, argv)[0] == 0
+    assert len(calls) == 14
+    calls.clear()
+    code, out, _ = _run(capsys, ["scan", "--family", family_file(0), "--grid", "2,3,2,3,3,3"])
+    assert code == 0 and len(out.strip().split("\n")) == 1 + 9
+    assert len(calls) == 2 * 9
+
+
 def test_scan_solves_each_point_once(capsys, family_file, monkeypatch):
     import uplane.periods as P
 

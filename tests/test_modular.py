@@ -12,6 +12,7 @@ from uplane import (
     EVEN_STRUCTURES,
     ODD_STRUCTURE,
     ConvergenceFailure,
+    CrossCheckFailed,
     SpinStructure,
     dedekind_eta,
     eisenstein_e4,
@@ -223,6 +224,38 @@ def test_forms_in_the_fundamental_domain_are_the_raw_series(x, y):
     assert dedekind_eta(t) == _eta_qproduct(t)
     assert eisenstein_e4(t) == _raw_eisenstein(t, 3, 240.0)
     assert eisenstein_e6(t) == _raw_eisenstein(t, 5, -504.0)
+
+
+def _points_of_f() -> list:
+    """2,502 points of F: the arc |t| = 1, both edges Re t = +-1/2 up to Im t = 100 (log
+    spaced), random interior points up to Im t = 100, and two points inside reduce_tau's
+    slack just outside F."""
+    pts = [cmath.rect(1.0, math.pi / 3 * (1 + i / 499)) for i in range(500)]
+    for i in range(500):
+        y = math.sqrt(3) / 2 * (200 / math.sqrt(3)) ** (i / 499)
+        pts += [complex(0.5, y), complex(-0.5 + 1e-12, y)]
+    rng = np.random.default_rng(53)
+    while len(pts) < 2500:
+        t = complex(rng.uniform(-0.5, 0.5), math.exp(rng.uniform(math.log(0.86), math.log(100))))
+        if abs(t) >= 1.0:
+            pts.append(t)
+    return pts + [complex(-0.5 - 1e-9, 0.9), cmath.rect(1.0 - 1e-9, 2 * math.pi / 3)]
+
+
+def test_eta_product_agrees_with_the_pentagonal_series_on_f():
+    # 8.4e-16 at worst, the figure stated beside ETA_SERIES_RTOL = 1e-13
+    worst = max(abs(modular._eta_qproduct(t) - modular._eta_pentagonal(t))
+                / abs(modular._eta_pentagonal(t)) for t in _points_of_f())
+    assert worst <= 1e-15
+
+
+@pytest.mark.parametrize("factor", [1.0 + 1e-12, float("nan")])
+@pytest.mark.parametrize("tau", [0.3 + 1.1j, 1.3 + 0.02j])
+def test_eta_refuses_a_product_the_series_disagrees_with(monkeypatch, factor, tau):
+    series = modular._eta_pentagonal
+    monkeypatch.setattr(modular, "_eta_pentagonal", lambda t: factor * series(t))
+    with pytest.raises(CrossCheckFailed, match="eta: q-product vs pentagonal series"):
+        dedekind_eta(tau)
 
 
 def test_theta_odd_vanishes():

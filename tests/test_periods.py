@@ -436,3 +436,27 @@ def test_square_and_hexagonal_bases_take_the_upper_edge(g2, g3, n):
     p = compute_periods(WeierstrassCurve(g2, g3))
     assert abs(cmath.phase(p.omega) - math.pi / n) < 1e-12
     _assert_canonical(WeierstrassCurve(g2, g3), p)
+
+
+_SCALE_PROBES = [((1.3 + 0.2j), (0.4 - 0.7j), 50), (1.5, 0.0, 40), (0.0, 1.0, 40)]
+
+
+@pytest.mark.parametrize("g2, g3, decades", _SCALE_PROBES, ids=["generic", "square", "hexagonal"])
+def test_periods_scale_with_the_curve(g2, g3, decades):
+    # (s^2 g2, s^3 g3) is the lattice of (g2, g3) scaled by s^(-1/2): tau stays, and so
+    # does omega s^(1/2).  The roots scale by s, so a screen on their absolute gap would
+    # refuse the small scales as repeated roots
+    base = compute_periods(WeierstrassCurve(g2, g3))
+    for e in range(-decades, decades + 1):
+        s = 10.0**e
+        p = compute_periods(WeierstrassCurve(g2 * s**2, g3 * s**3))
+        assert abs(p.tau - base.tau) <= 1e-14
+        assert abs(p.omega * math.sqrt(s) - base.omega) <= 1e-14 * abs(base.omega)
+
+
+@pytest.mark.parametrize("e", range(-40, 41, 10))
+def test_nearly_repeated_roots_are_singular_at_every_scale(e):
+    # (x - 1)(2x + 1)^2 with g3 moved by 1e-14: Delta is 1e-14 of its terms
+    s = 10.0**e
+    with pytest.raises(SingularCurve):
+        compute_periods(WeierstrassCurve(3.0 * s**2, (1.0 + 1e-14) * s**3))

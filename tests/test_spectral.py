@@ -146,8 +146,9 @@ def test_dirichlet_example_value():
 
 
 def test_dirichlet_flat_both_routes():
-    # the assertion inside det_dirichlet_flat enforces the rescaling route at
-    # 1e-9; sweep 50 random fibers so both routes are exercised broadly
+    # the conformal rescaling det_flat(p) = det_annulus / (|omega| / pi) / e^{pi Im tau / 3}
+    # over 50 random fibers.  The annulus side is taken on reduce_periods' basis, so the
+    # two sides reach |eta| by different SL(2,Z) moves
     rng = np.random.default_rng(41)
     for _ in range(50):
         tau = complex(rng.uniform(-2, 2), rng.uniform(0.2, 3.0))
@@ -155,6 +156,9 @@ def test_dirichlet_flat_both_routes():
         val = det_dirichlet_flat(p)
         target = tau.imag * abs(dedekind_eta(tau)) ** 2 * abs(p.q) ** (1.0 / 6.0)
         assert abs(val - target) <= 1e-12 * max(val, 1e-300)
+        annulus = det_dirichlet_annulus(reduce_periods(p)[0])
+        rescaled = annulus / (abs(p.omega) / math.pi) / math.exp(math.pi * tau.imag / 3.0)
+        assert abs(val - rescaled) <= 1e-12 * val
 
 
 def test_dirichlet_flat_example_2i():
@@ -179,6 +183,22 @@ def test_sigma_hat_value_and_omega_independence():
     assert abs(val - approx) <= 1e-8 * approx
     p2 = _periods(10j, 3.0 - 1.0j)
     assert abs(quillen_norm_sigma_hat(p2) - val) <= 1e-14 * val
+
+
+@pytest.mark.parametrize(
+    "closed_form",
+    [det_prime_laplacian, det_dirichlet_annulus, det_dirichlet_flat, quillen_norm_from_periods,
+     quillen_norm_sigma_hat],
+)
+@pytest.mark.parametrize("tau", [0.3 + 1.1j, 1.3 + 0.2j])
+def test_each_closed_form_takes_one_eta_product(monkeypatch, closed_form, tau):
+    from uplane import modular
+
+    calls = []
+    product = modular._eta_qproduct
+    monkeypatch.setattr(modular, "_eta_qproduct", lambda t: calls.append(t) or product(t))
+    closed_form(_periods(tau, 1 + 0.5j))
+    assert len(calls) == 1
 
 
 def test_q_twelfth_over_eta_squared_limit():
@@ -318,12 +338,13 @@ def test_lattice_values_agree_between_a_basis_and_its_reduced_one(x, y, r, arg):
 @pytest.mark.parametrize(
     "patch, argv, message",
     [
-        # the Delta route of det' is off by a factor 2^(1/6)
+        # eta's pentagonal series is off by 1e-12, so det', the first value, fails its eta check
         (
-            "real = spectral.modular_discriminant\n"
-            "spectral.modular_discriminant = lambda p: 2.0 * real(p)\n",
+            "from uplane import modular\n"
+            "real = modular._eta_pentagonal\n"
+            "modular._eta_pentagonal = lambda t: (1.0 + 1e-12) * real(t)\n",
             ["determinants", "--tau", "0.3,1.1", "--two-omega", "1,0"],
-            "det' Laplacian: eta route vs Delta route",
+            "eta: q-product vs pentagonal series",
         ),
         # the theta series is 10% off, so only the second route moves
         (
