@@ -44,7 +44,7 @@ print("curvature residues:")
 for loc, res in led.residues:
     where = "infinity" if loc is AT_INFINITY else f"{loc:.3f}"
     print(f"  {where:>16}: {res}")
-print(f"  total = {led.total} (numeric residue error {led.max_numeric_error:.1e})")
+print(f"  total = {led.total} (each contour winding checked against its order)")
 
 print()
 for nf in range(5):

@@ -236,21 +236,19 @@ def expand_discriminant(family: CurveFamily) -> ComplexPoly:
 
     Valid families rely on the top coefficients of g2^3 and 27 g3^2
     cancelling; in floating point that cancellation leaves residue of order
-    eps * scale, so leading coefficients below 1e-12 of the coefficient scale
-    are trimmed.  If every coefficient is below that threshold relative to
-    the inputs, the discriminant is identically zero and the zero polynomial
-    is returned.
+    eps times the coefficient of the same degree in |g2|^3 + 27 |g3|^2 (built
+    from the absolute values of the coefficients).  Leading coefficients at
+    or below 1e-12 of it are trimmed, so the test is unchanged by a rescaling
+    of u; if every coefficient is trimmed the discriminant is identically
+    zero and the zero polynomial is returned.
     """
     g2, g3 = family.g2_poly, family.g3_poly
-    d = g2 * g2 * g2 - 27.0 * (g3 * g3)
-    in_scale = sum(abs(c) for c in g2.coeffs) ** 3 + 27.0 * sum(abs(c) for c in g3.coeffs) ** 2
-    coeffs = list(d.coeffs)
-    if max(abs(c) for c in coeffs) <= 1e-12 * in_scale:
-        return ComplexPoly.of([0.0])
-    scale = max(abs(c) for c in coeffs)
-    while len(coeffs) > 1 and abs(coeffs[-1]) <= 1e-12 * scale:
+    coeffs = list((g2 * g2 * g2 - 27.0 * (g3 * g3)).coeffs)
+    a2, a3 = (ComplexPoly.of([abs(c) for c in p.coeffs]) for p in (g2, g3))
+    scale = (a2 * a2 * a2 + 27.0 * (a3 * a3)).coeffs
+    while coeffs and abs(coeffs[-1]) <= 1e-12 * abs(scale[len(coeffs) - 1]):
         coeffs.pop()
-    return ComplexPoly.of(coeffs)
+    return ComplexPoly.of(coeffs or [0.0])
 
 
 def discriminant_poly(family: CurveFamily) -> ComplexPoly:

@@ -3,8 +3,9 @@ residues, and the monodromy route to the surface signature.
 
 Everything is driven by the logarithmic derivative Delta'/Delta of the chart
 discriminant, never by a fractional power of Delta, so there are no branch
-cuts: the numeric side produces an integer winding, and all fractional data
-are exact rationals attached to that integer.
+cuts: the numeric side produces an integer winding, checked once where the
+contour is integrated, and all fractional data are exact rationals attached
+to that integer.
 
 Orientation conventions.  Internal contour integrals always run
 counterclockwise in the active chart; a CLOCKWISE loop spec is applied as a
@@ -35,10 +36,8 @@ from .kodaira import AT_INFINITY, find_singular_fibers
 
 #: sample counts a loop may be integrated at; a loop that needs more is refused
 _MIN_SAMPLES, _MAX_SAMPLES = 64, 1 << 20
-#: agreement required between the numeric phase and the exact log-monodromy
-_PHASE_TOL = 1e-9
-#: distance of integral / (2 pi i) from the winding that the check accepts;
-#: a phase error of 1e-9 for the 1/6 operator is a distance of 9.5e-10
+#: distance of integral / (2 pi i) from the winding that the check accepts; it keeps
+#: the numeric phase within 2 pi c _INTEGRAL_TOL <= 1.05e-10 of the exact one
 _INTEGRAL_TOL = 1e-10
 
 
@@ -47,10 +46,8 @@ class Operator(enum.Enum):
     SIGNATURE = "signature"
 
 
-#: connection coefficient multiplying Delta'/Delta
+#: connection coefficient c multiplying Delta'/Delta; the log-monodromy is 4 c per winding
 _COEFF = {Operator.DBAR: Fraction(1, 12), Operator.SIGNATURE: Fraction(1, 6)}
-#: log-monodromy per unit winding
-_ETA_PER_WINDING = {Operator.DBAR: Fraction(1, 3), Operator.SIGNATURE: Fraction(2, 3)}
 
 
 class Orientation(enum.Enum):
@@ -95,7 +92,6 @@ class HolonomyResult:
 class CurvatureLedger:
     residues: tuple  # ((location, Fraction), ...)
     total: Fraction
-    max_numeric_error: float = 0.0
 
 
 def _chart_delta(family: CurveFamily, chart: Chart) -> ComplexPoly:
@@ -110,18 +106,18 @@ def connection_form(operator: Operator, family: CurveFamily, u: complex) -> comp
     return float(_COEFF[operator]) * d.derivative()(u) / d(u)
 
 
-def _zeros(delta: ComplexPoly) -> list:
-    """Zeros of a chart discriminant as (location, 1) pairs, repeated zeros listed apart."""
-    return [(z, 1) for z in np.roots(list(reversed(delta.coeffs)))] if delta.degree > 0 else []
+def _chart_zeros(family: CurveFamily, chart: Chart) -> tuple:
+    """Zeros of the chart discriminant as (location, multiplicity) pairs.
 
-
-def _loop_clearance(zeros, loop: LoopSpec):
-    for z, _ in zeros:
-        gap = abs(abs(complex(z) - loop.center) - loop.radius)
-        if gap < 1e-6:
-            raise LoopTooCloseToSingularity(
-                f"contour passes within {gap:.2e} of discriminant zero at {complex(z)}"
-            )
+    In the u-chart they are the family's singular fibers.  In the v-chart
+    (u = -1/v) each nonzero fiber z sits at -1/z, and Delta_v vanishes at
+    v = 0 to the order ord_inf = 12 - deg Delta.
+    """
+    nodes = family.cached("nodes", find_singular_fibers)
+    if chart is Chart.U:
+        return nodes
+    at_zero = (0j, to_v_chart(family).ord_delta_at_zero)
+    return tuple((-1.0 / z, m) for z, m in nodes if z != 0) + (at_zero,)
 
 
 def _sample_count(zeros, loop: LoopSpec) -> int:
@@ -131,8 +127,8 @@ def _sample_count(zeros, loop: LoopSpec) -> int:
     over the zeros (location, multiplicity m), rho = s/r for a zero at distance s < r from
     the center and r/s outside (Trefethen & Weideman, SIAM Review 2014); n <= _MAX_SAMPLES.
     """
-    dist = [(m, abs(complex(z) - loop.center)) for z, m in zeros]
-    rhos = [(m, min(s, loop.radius) / max(s, loop.radius)) for m, s in dist]
+    dist = [(z, m, abs(complex(z) - loop.center)) for z, m in zeros]
+    rhos = [(m, min(s, loop.radius) / max(s, loop.radius)) for _, m, s in dist]
 
     def bound(n: int) -> float:
         return sum(m * rho**n / (1.0 - rho**n) if rho < 1.0 else math.inf for m, rho in rhos)
@@ -141,24 +137,26 @@ def _sample_count(zeros, loop: LoopSpec) -> int:
     if bound(lo) <= tol:
         return lo
     if bound(hi) > tol:
-        raise LoopTooCloseToSingularity(f"contour needs over {hi} samples near a zero")
+        z, _, s = min(dist, key=lambda d: abs(d[2] - loop.radius))
+        raise LoopTooCloseToSingularity(f"contour passes {abs(s - loop.radius):.2e} from the "
+                                        f"zero at {complex(z)}: needs over {hi} samples")
     while hi - lo > 1:  # bound(lo) > tol >= bound(hi)
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if bound(mid) <= tol else (mid, hi)
     return hi
 
 
-def _ccw_winding_and_transport(delta: ComplexPoly, loop: LoopSpec, zeros):
+def _ccw_winding_and_transport(family: CurveFamily, loop: LoopSpec):
     """(loop at the sample count used, ccw winding of Delta, integral of Delta'/Delta dz).
 
-    One trapezoid rule at `_sample_count` of the chart discriminant's `zeros`,
-    (location, multiplicity) pairs, over one array of Delta and Delta' values.
-    The winding is read from the unwrapped argument of Delta (within 1e-8 of
-    an integer) and as integral / (2 pi i) (within _INTEGRAL_TOL of it); else
-    NonIntegerWinding.  An operator's transport is its coefficient times the integral.
+    One trapezoid rule in the loop's chart, at the `_sample_count` of its `_chart_zeros`,
+    over one array of Delta and Delta' values.  The one winding check: the winding is
+    read from the unwrapped argument of Delta (within 1e-8 of an integer) and as
+    integral / (2 pi i) (within _INTEGRAL_TOL of it); else NonIntegerWinding.  An
+    operator's transport is its coefficient times the integral.
     """
-    _loop_clearance(zeros, loop)
-    n = _sample_count(zeros, loop)
+    delta = _chart_delta(family, loop.chart)
+    n = _sample_count(_chart_zeros(family, loop.chart), loop)
     theta = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
     rim = np.exp(1j * theta)
     z = loop.center + loop.radius * rim
@@ -185,27 +183,20 @@ def _ccw_winding_and_transport(delta: ComplexPoly, loop: LoopSpec, zeros):
 def _holonomy_result(
     operator: Operator, loop: LoopSpec, w_ccw: int, integral: complex
 ) -> HolonomyResult:
-    """Exact log-monodromy and checked numeric phase from one ccw integration."""
+    """Exact log-monodromy 4 c w and numeric phase exp(-c integral) of one ccw integration."""
     transport = float(_COEFF[operator]) * integral
     if loop.orientation is Orientation.CLOCKWISE:
         w = -w_ccw
         transport = -transport
     else:
         w = w_ccw
-    phase = cmath.exp(-transport)
-    eta = _ETA_PER_WINDING[operator] * w
+    eta = 4 * _COEFF[operator] * w
     if operator is Operator.DBAR:
         eta = eta % 4
         if eta > 0:
             eta -= 4
-    expected = cmath.exp(-0.5j * math.pi * float(eta))
-    if not abs(phase - expected) <= _PHASE_TOL:
-        raise CrossCheckFailed(
-            f"{operator.value} holonomy phase vs exact log-monodromy {eta}",
-            phase, expected, _PHASE_TOL,
-        )
     return HolonomyResult(
-        loop=loop, operator=operator, winding=w, log_monodromy=eta, phase=phase
+        loop=loop, operator=operator, winding=w, log_monodromy=eta, phase=cmath.exp(-transport)
     )
 
 
@@ -215,11 +206,10 @@ def holonomy(operator: Operator, family: CurveFamily, loop: LoopSpec) -> Holonom
     The winding is the signed winding of the chart discriminant along the
     loop as traversed; log monodromies are (1/3) * winding for the dbar
     operator (reduced mod 4 into (-4, 0]) and (2/3) * winding, exact, for the
-    signature operator.  The numeric phase exp(-contour integral) must agree
-    with exp(-i pi/2 * log_monodromy) to 1e-9, else CrossCheckFailed.
+    signature operator.  The numeric phase exp(-c contour integral), c = 1/12
+    or 1/6, is within 2 pi c _INTEGRAL_TOL of exp(-i pi/2 * log_monodromy).
     """
-    delta = _chart_delta(family, loop.chart)
-    return _holonomy_result(operator, *_ccw_winding_and_transport(delta, loop, _zeros(delta)))
+    return _holonomy_result(operator, *_ccw_winding_and_transport(family, loop))
 
 
 def canonical_trivialization_check(family: CurveFamily, loop: LoopSpec) -> bool:
@@ -265,17 +255,14 @@ class _ContourPass:
 
 
 def _integrate_loops(family: CurveFamily) -> _ContourPass:
-    roots = family.cached("nodes", find_singular_fibers)
-    delta, vchart = _chart_delta(family, Chart.U), to_v_chart(family)
+    roots = _chart_zeros(family, Chart.U)
     # every other zero is >= 2.5 radii from a loop's center (rho <= 0.4): 64 samples do
     return _ContourPass(
         roots=roots,
-        nodes=tuple(_ccw_winding_and_transport(delta, _node_loop(roots, i), roots)
+        nodes=tuple(_ccw_winding_and_transport(family, _node_loop(roots, i))
                     for i in range(len(roots))),
-        infinity=_ccw_winding_and_transport(
-            vchart.delta_v, _infinity_loop(roots), _zeros(vchart.delta_v)
-        ),
-        ord_inf=vchart.ord_delta_at_zero,
+        infinity=_ccw_winding_and_transport(family, _infinity_loop(roots)),
+        ord_inf=to_v_chart(family).ord_delta_at_zero,
     )
 
 
@@ -291,30 +278,28 @@ def curvature_ledger(
 
     Exact residues k_n / 6 at each finite singular fiber (k_n = ord Delta)
     and (10 - nf)/6 at infinity for the signature operator; denominators 12
-    for dbar.  Each residue is also verified against the counterclockwise
-    contour integral of the connection form, per chart, to 1e-8.
+    for dbar.  The counterclockwise winding of the contour pass around each
+    fiber must equal its order (the multiplicity from find_singular_fibers,
+    ord_inf at infinity), else CrossCheckFailed.
     """
     den = 6 if operator is Operator.SIGNATURE else 12
     cp = _contour_pass(family)
-    located = [(z, Fraction(mult, den), integral)
-               for (z, mult), (_, _, integral) in zip(cp.roots, cp.nodes)]
-    located.append((AT_INFINITY, Fraction(cp.ord_inf, den), cp.infinity[2]))
-    worst = 0.0
-    for _, exact, integral in located:
-        numeric = (integral / (2j * math.pi * den)).real
-        worst = max(worst, abs(numeric - float(exact)))
-    if worst > 1e-8:
-        raise NonIntegerWinding(f"contour residue off by {worst:.2e}")
-    residues = tuple((loc, exact) for loc, exact, _ in located)
+    windings = [w for _, w, _ in cp.nodes + (cp.infinity,)]
+    orders = [m for _, m in cp.roots] + [cp.ord_inf]
+    if windings != orders:
+        raise CrossCheckFailed("contour windings vs discriminant orders", windings, orders, 0.0)
+    locations = [z for z, _ in cp.roots] + [AT_INFINITY]
+    residues = tuple((loc, Fraction(k, den)) for loc, k in zip(locations, orders))
     total = sum((r for _, r in residues), Fraction(0))
-    return CurvatureLedger(residues=residues, total=total, max_numeric_error=worst)
+    return CurvatureLedger(residues=residues, total=total)
 
 
 def signature_from_monodromy(family: CurveFamily, report=None) -> int:
     """Signature of the fibered surface from exact signature log-monodromies.
 
     sum_n eta0[gamma_n] - (1/2) eta0[gamma_inf] - 2, with gamma_n clockwise
-    around each node in the u-chart and gamma_inf clockwise around v = 0.
+    around each node in the u-chart and gamma_inf clockwise around v = 0; a
+    clockwise loop of ccw winding k has eta0 = -(2/3) k.
     Cross-checked against the Euler-number route of the surface report
     (`report`, when the caller already has the family's surface_report);
     a disagreement raises CrossCheckFailed.
@@ -322,13 +307,8 @@ def signature_from_monodromy(family: CurveFamily, report=None) -> int:
     from .kodaira import surface_report  # local import avoids a cycle at import time
 
     cp = _contour_pass(family)
-
-    def eta_cw(loop, w_ccw, integral):
-        cw = replace(loop, orientation=Orientation.CLOCKWISE)
-        return _holonomy_result(Operator.SIGNATURE, cw, w_ccw, integral).log_monodromy
-
-    eta_sum = sum((eta_cw(*node) for node in cp.nodes), Fraction(0))
-    eta_inf = eta_cw(*cp.infinity)
+    eta_sum = Fraction(-2, 3) * sum(w for _, w, _ in cp.nodes)
+    eta_inf = Fraction(-2, 3) * cp.infinity[1]
     sig = eta_sum - Fraction(1, 2) * eta_inf - 2
     if sig.denominator != 1:
         raise CrossCheckFailed("signature from monodromy is an integer", sig, round(sig), 0.0)

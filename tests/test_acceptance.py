@@ -6,6 +6,7 @@ Every tolerance is pinned here, not configured elsewhere.
 
 import cmath
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -20,12 +21,10 @@ from uplane import (
     Operator,
     Orientation,
     Periods,
-    SpinStructure,
     WeierstrassCurve,
     anomaly_check,
     compute_periods,
     curvature_ledger,
-    dedekind_eta,
     det_dirichlet_annulus,
     det_dirichlet_flat,
     det_prime_laplacian,
@@ -40,7 +39,6 @@ from uplane import (
     signature_from_monodromy,
     surface_report,
     table1_expected,
-    theta_ab,
 )
 from uplane.holonomy import holonomy
 from uplane.spectral import CONTINUATION_OVER_CLOSED_FORM
@@ -206,8 +204,6 @@ def test_criterion_07_kodaira_table():
 
 
 def test_criterion_08_holonomy_values():
-    from fractions import Fraction
-
     ok = True
     worst_phase = 0.0
     for nf in range(5):
@@ -250,12 +246,11 @@ def test_criterion_09_signature():
 
 
 def test_criterion_10_curvature_total():
+    # curvature_ledger raises unless each contour winding equals its discriminant order
     ok = True
-    worst = 0.0
     for nf in range(5):
         led = curvature_ledger(sample_family(nf))
         ok = ok and led.total == 2
-        worst = max(worst, led.max_numeric_error)
-    ok = ok and worst <= 1e-8
+        ok = ok and [r for _, r in led.residues] == [Fraction(1, 6)] * (nf + 2) + [Fraction(10 - nf, 6)]
     _report(10, "curvature-current total = 2 with verified residues", ok,
-            f"worst numeric residue err {worst:.2e}")
+            "residues 1/6 per node and (10 - nf)/6 at infinity")

@@ -14,6 +14,7 @@ from uplane import (
     family_to_dict,
     j_invariant,
     sample_family,
+    signature_from_monodromy,
     to_v_chart,
 )
 from uplane.curves import poly_to_v_chart
@@ -128,6 +129,20 @@ def test_expansions_built_once_per_family(monkeypatch):
     assert fresh == fam and hash(fresh) == hash(fam)
     assert discriminant_poly(fresh) == discriminant_poly(fam)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("nf, lam", [(nf, 10.0**e) for nf in range(5) for e in range(-1, 5)]
+                         + [(nf, 10.0**e) for nf in (0, 1) for e in (-3, -2)])
+def test_family_rescaled_in_u_loads_and_signs(nf, lam):
+    # u -> u / lam scales coefficient k of g2, g3 and Delta by lam^-k; each coefficient
+    # of Delta is judged against the same degree of |g2|^3 + 27 |g3|^2, so no top
+    # coefficient turns into dust and no cancellation dust survives
+    d = family_to_dict(sample_family(nf))
+    for key in ("g2", "g3"):
+        d[key] = [[re / lam**k, im / lam**k] for k, (re, im) in enumerate(d[key])]
+    fam = family_from_dict(d)
+    assert discriminant_poly(fam).degree == nf + 2
+    assert signature_from_monodromy(fam) == -nf
 
 
 def test_family_json_round_trip():

@@ -190,6 +190,21 @@ def test_loop_too_close():
         holonomy(Operator.DBAR, fam, _node_loop(0.0, 1.0))  # passes through u = +-1
 
 
+@pytest.mark.parametrize("radius", [1e-7, 3e-7, 1e-6])
+def test_small_loop_on_a_node_resolves(radius):
+    # the zero sits at the center (rho = 0), so the sample bound is met at the floor
+    for op in Operator:
+        res = holonomy(op, sample_family(0), _node_loop(1.0, radius, Orientation.COUNTERCLOCKWISE))
+        assert res.winding == 1
+        assert abs(res.phase - res.phase_exact) <= 1e-9
+
+
+def test_loop_below_the_rounding_of_delta_fails_the_winding_check():
+    # at radius 1e-8 Delta's rounding moves integral / (2 pi i) by ~1e-9, past _INTEGRAL_TOL
+    with pytest.raises(NonIntegerWinding, match="not integral"):
+        holonomy(Operator.SIGNATURE, sample_family(0), _node_loop(1.0, 1e-8))
+
+
 def test_overflowing_loop_is_a_domain_error():
     # Delta overflows on a circle of radius 1e200: a typed error, not a NaN winding
     with warnings.catch_warnings():
@@ -236,7 +251,8 @@ def test_curvature_ledger_exact_totals():
     for nf in range(5):
         led = curvature_ledger(sample_family(nf))
         assert led.total == 2
-        assert led.max_numeric_error <= 1e-8
+        cp = H._contour_pass(sample_family(nf))
+        assert [w for _, w, _ in cp.nodes] == [1] * (nf + 2) and cp.infinity[1] == 10 - nf
         finite = [r for loc, r in led.residues if loc is not AT_INFINITY]
         assert finite == [Fraction(1, 6)] * (nf + 2)
         inf = [r for loc, r in led.residues if loc is AT_INFINITY][0]
@@ -330,7 +346,6 @@ def test_one_pass_engine_exact_outputs(fam, sig):
         assert [r for _, r in led.residues] == (
             [Fraction(m, den) for _, m in cp.roots] + [Fraction(cp.ord_inf, den)]
         )
-        assert led.max_numeric_error <= 1e-8
     assert signature_from_monodromy(fam) == sig
 
 
@@ -409,21 +424,22 @@ def test_unresolvable_loop_is_refused_before_sampling(monkeypatch):
     # radius 1.00001 around the nodes at +-1 of nf0: rho = 1/1.00001 needs
     # ~2.6 million samples, more than _MAX_SAMPLES
     sizes = _spy_sample_sizes(monkeypatch)
-    with pytest.raises(LoopTooCloseToSingularity, match="samples"):
+    with pytest.raises(LoopTooCloseToSingularity, match=r"passes 1.00e-05 from the zero at .*samples"):
         holonomy(Operator.SIGNATURE, sample_family(0), _node_loop(0.0, 1.00001))
     assert sizes == []
 
 
+@pytest.mark.parametrize("fam", _PASS_FAMILIES, ids=[f.name for f in _PASS_FAMILIES])
+def test_chart_zeros_are_the_zeros_of_the_chart_discriminant(fam):
+    # with multiplicity, in both charts; the isotrivial family's node sits at u = 0
+    for chart in Chart:
+        delta = ComplexPoly.of(H._chart_delta(fam, chart).coeffs)  # Delta_v is stored untrimmed
+        zeros = H._chart_zeros(fam, chart)
+        assert sum(m for _, m in zeros) == delta.degree
+        assert all(delta.order_at(z) == m for z, m in zeros)
+
+
 _SWEEP_FAMILIES = [sample_family(nf) for nf in range(5)]
-
-
-def _chart_zeros(fam, chart):
-    """Zeros of the chart discriminant with multiplicity, as the benchmark's checker counts
-    them: the nodes, or in the v-chart (v = -1/u) their images plus v = 0 of order 12 - deg."""
-    nodes = find_singular_fibers(fam)
-    if chart is Chart.U:
-        return list(nodes)
-    return [(-1.0 / z, m) for z, m in nodes] + [(0j, 12 - discriminant_poly(fam).degree)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -439,9 +455,9 @@ def _chart_zeros(fam, chart):
 def test_sample_count_rule_resolves_random_loops(nf, chart, x, y, radius, op, orientation):
     fam = _SWEEP_FAMILIES[nf]
     loop = LoopSpec(complex(x, y), radius, samples=64, orientation=orientation, chart=chart)
-    zeros = _chart_zeros(fam, chart)
+    zeros = H._chart_zeros(fam, chart)
     assume(min(abs(abs(z - loop.center) - radius) for z, _ in zeros) >= 1e-3)
-    n = H._sample_count(H._zeros(H._chart_delta(fam, chart)), loop)
+    n = H._sample_count(zeros, loop)
     assume(n <= 1 << 14)
     res = holonomy(op, fam, loop)
     assert res.loop.samples == n
@@ -474,14 +490,22 @@ _FORCED_FAILURES = {
         ["signature"],
         "monodromy route vs Euler-number route",
     ),
-    # the exact log-monodromy per winding is wrong, so the numeric phase disagrees
-    "phase": (
-        "from fractions import Fraction\n"
+    # the contour pass reports an order at infinity one above the infinity loop's winding
+    "windings_vs_orders": (
+        "import dataclasses\n"
         "import uplane.holonomy as h\n"
-        "h._ETA_PER_WINDING[h.Operator.SIGNATURE] = Fraction(1, 3)\n",
-        ["holonomy", "--center", "1,0", "--radius", "0.5", "--operator", "signature",
-         "--orientation", "cw"],
-        "holonomy phase vs exact log-monodromy",
+        "real = h._integrate_loops\n"
+        "h._integrate_loops = lambda fam: dataclasses.replace(real(fam), ord_inf=real(fam).ord_inf + 1)\n",
+        ["signature"],
+        "contour windings vs discriminant orders",
+    ),
+    # with the sample bound bypassed, 64 samples leave integral / (2 pi i) off the winding
+    "winding_vs_integral": (
+        "import uplane.holonomy as h\n"
+        "h._sample_count = lambda zeros, loop: loop.samples\n",
+        ["holonomy", "--center", "0.5,0", "--radius", "0.52", "--samples", "64",
+         "--operator", "signature", "--orientation", "ccw"],
+        "not integral at 64 samples",
     ),
 }
 

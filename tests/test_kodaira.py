@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from uplane import (
@@ -7,7 +6,6 @@ from uplane import (
     BadNf,
     ComplexPoly,
     CurveFamily,
-    EulerMismatch,
     IdenticallySingular,
     KodairaType,
     NonMinimal,

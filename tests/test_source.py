@@ -1,7 +1,8 @@
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "uplane"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "uplane"
 
 
 def test_no_assert_statement_in_src():
@@ -49,5 +50,42 @@ def test_no_module_imports_scipy():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "scipy" for a in node.names))
         or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy")
+    ]
+    assert found == []
+
+
+def _unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.relative_to(ROOT)}:{line} {name}"
+            for name, line in bound.items() if name not in used]
+
+
+def test_every_import_is_used():
+    # __init__.py imports to re-export
+    paths = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+    assert len(paths) > 20
+    assert [name for path in paths for name in _unused_imports(path)] == []
+
+
+def test_np_roots_only_in_the_root_finders():
+    # kodaira finds a family's singular fibers once and periods a fiber's cubic roots;
+    # holonomy reads the zeros of either chart from the singular fibers
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name not in ("kodaira.py", "periods.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "roots"
+        and isinstance(node.value, ast.Name) and node.value.id == "np"
     ]
     assert found == []
