@@ -105,21 +105,21 @@ class ComplexPoly:
                 break
         return tuple(out)
 
-    def order_at(self, u0: complex, rel_tol: float = 1e-8) -> int:
-        """Vanishing order at u0: leading Taylor coefficients below tolerance.
+    def order_at(self, u0: complex, rho: float = 1.0, rel_tol: float = 1e-8) -> int:
+        """Vanishing order at u0: the first k with |t_k| rho^k above rel_tol times the
+        largest such term, t_k the Taylor coefficients of p(u0 + t).
 
-        The tolerance is relative to the largest Taylor coefficient, so the
-        answer is scale-invariant.  Returns len(coeffs) for the zero
-        polynomial (an effectively infinite order).
-        """
+        rho is the unit of length the tolerance is read in.  The t_k depend only on
+        where the roots lie relative to u0, and t_k rho^k is unchanged by u -> u / lam
+        when rho scales with u, so a rho taken from the roots (the distance to the
+        nearest other one) makes the answer free of both the shift and the scale of u.
+        ORDER_INFINITE for the zero polynomial."""
         if self.is_zero:
             return ORDER_INFINITE
-        tay = self.taylor_at(u0)
-        scale = max(abs(c) for c in tay)
-        if scale == 0.0:
-            return ORDER_INFINITE
-        for k, c in enumerate(tay):
-            if abs(c) > rel_tol * scale:
+        weighed = [abs(t) * rho**k for k, t in enumerate(self.taylor_at(u0))]
+        scale = max(weighed)
+        for k, w in enumerate(weighed):
+            if w > rel_tol * scale:
                 return k
         return ORDER_INFINITE
 
@@ -290,8 +290,9 @@ def poly_to_v_chart(p: ComplexPoly, weight: int) -> ComplexPoly:
     out = [0j] * (weight + 1)
     for k, c in enumerate(p.coeffs):
         out[weight - k] = c if k % 2 == 0 else -c
-    # do not trim: exact zero structure at low degrees carries the order at v=0
-    return ComplexPoly(tuple(out))
+    # trimming drops only top-degree zeros (a zero c_0 of p); the exact low-degree
+    # zeros, which carry the order at v = 0, stay
+    return ComplexPoly.of(out)
 
 
 @dataclass(frozen=True)

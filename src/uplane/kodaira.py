@@ -3,8 +3,9 @@ configuration table for nf = 0..4, and topological signatures.
 
 Classification uses the standard vanishing-order table on (ord g2, ord g3,
 ord Delta).  At finite points the orders come from Taylor coefficients with a
-scale-relative tolerance; at infinity they are read off exactly from the
-v-chart coefficient structure, where zeros are exact by construction.
+relative tolerance, read in units of the gap to the nearest other node; at
+infinity they are read off exactly from the v-chart coefficient structure,
+where zeros are exact by construction.
 """
 
 from dataclasses import dataclass
@@ -166,6 +167,15 @@ def _classify_orders(a: int, b: int, d: int) -> KodairaType:
     raise NonMinimal(f"unclassifiable vanishing orders (g2, g3, Delta) = ({a}, {b}, {d})")
 
 
+def _node_gap(family: CurveFamily, location: complex) -> float:
+    """Distance from location to the second-nearest finite node: the nearest is the
+    fiber's own, so this is the gap to the nearest other singular fiber, and orders
+    read in it do not depend on where the family sits in the u-plane or on its scale.
+    |location| (1 at u = 0) when the family has one finite node."""
+    gaps = sorted(abs(z - location) for z, _ in family.cached("nodes", find_singular_fibers))
+    return gaps[1] if len(gaps) > 1 else abs(location) or 1.0
+
+
 def classify_fiber(family: CurveFamily, location) -> FiberReport:
     """Kodaira type, vanishing orders and Euler number of one singular fiber."""
     if location is AT_INFINITY:
@@ -175,9 +185,10 @@ def classify_fiber(family: CurveFamily, location) -> FiberReport:
         d = v.delta_v.order_at_zero_exact()
     else:
         location = complex(location)
-        a = family.g2_poly.order_at(location)
-        b = family.g3_poly.order_at(location)
-        d = discriminant_poly(family).order_at(location)
+        rho = _node_gap(family, location)
+        a = family.g2_poly.order_at(location, rho)
+        b = family.g3_poly.order_at(location, rho)
+        d = discriminant_poly(family).order_at(location, rho)
     kt = _classify_orders(a, b, d)
     return FiberReport(
         location=location,

@@ -8,8 +8,9 @@ For roots e1, e2, e3 of 4x^3 - g2 x - g3 the candidate half-periods are
 with M the arithmetic-geometric mean using principal square roots and, at
 each step, the square-root branch closer to the running arithmetic mean.
 Which root permutation gives a lattice basis is not knowable a priori in the
-complex case: candidates (omega, omega' + k omega), |k| <= 3, Im tau > 0, are
-walked in build order.  Each is first put into the canonical basis of its
+complex case: candidates (omega, omega' + k omega), |k| <= 3, Im tau > 0, over
+the 6 root orderings (at most 42, repeats kept) are walked in build order until
+one passes.  Each is first put into the canonical basis of its
 lattice: tau in the closed fundamental domain F of `modular.reduce_tau`, and
 arg omega in (-pi/n, pi/n] by the rotations that fix the lattice (n = 2, or
 4 when g3 == 0 and 6 when g2 == 0 exactly).  There, where every modular form
@@ -118,8 +119,9 @@ def agm_steps(a: complex, b: complex):
 
 def _candidate_params(roots):
     """Basis candidates: root permutations x shear omega' + k omega, with Im tau > 0.
+    At most 6 x 7 = 42 in build order, repeats kept: one is reached only after its first
+    copy failed.
     (-omega, -omega') is left out: it has the same tau and passes or fails with (omega, omega')."""
-    seen = set()
     cands = []
     for e1, e2, e3 in itertools.permutations(roots):
         m1 = agm(cmath.sqrt(e1 - e3), cmath.sqrt(e1 - e2))
@@ -135,10 +137,6 @@ def _candidate_params(roots):
             tau = wp / w
             if tau.imag <= 1e-12:
                 continue
-            key = (round(w.real, 12), round(w.imag, 12), round(wp.real, 12), round(wp.imag, 12))
-            if key in seen:
-                continue
-            seen.add(key)
             cands.append((w, wp, tau))
     return cands
 

@@ -5,16 +5,20 @@ from uplane import (
     ComplexPoly,
     CurveFamily,
     DegreeMismatch,
+    KodairaType,
     SchemaError,
     SingularCurve,
     WeierstrassCurve,
+    coalesced_family,
     discriminant,
     discriminant_poly,
     family_from_dict,
     family_to_dict,
+    isotrivial_family,
     j_invariant,
     sample_family,
     signature_from_monodromy,
+    surface_report,
     to_v_chart,
 )
 from uplane.curves import poly_to_v_chart
@@ -61,6 +65,16 @@ def test_v_chart_examples():
     # constant delta c -> c v^12
     pv = poly_to_v_chart(ComplexPoly.of([3.5]), 12)
     assert pv.order_at_zero_exact() == 12
+
+
+@pytest.mark.parametrize("fam, degree", [(sample_family(nf), 12) for nf in range(5)]
+                         + [(coalesced_family(), 12), (isotrivial_family(), 6)])
+def test_v_chart_discriminant_degree_is_true(fam, degree):
+    # deg Delta_v = 12 - ord_{u=0} Delta: the isotrivial Delta = 37 u^6 becomes 37 v^6
+    dv = to_v_chart(fam).delta_v
+    assert dv.degree == degree == 12 - fam.delta_poly.order_at_zero_exact()
+    assert dv.coeffs[-1] != 0
+    assert dv.order_at_zero_exact() == 12 - fam.delta_poly.degree
 
 
 def test_v_chart_involution():
@@ -131,18 +145,55 @@ def test_expansions_built_once_per_family(monkeypatch):
     assert len(calls) == 2
 
 
-@pytest.mark.parametrize("nf, lam", [(nf, 10.0**e) for nf in range(5) for e in range(-1, 5)]
-                         + [(nf, 10.0**e) for nf in (0, 1) for e in (-3, -2)])
+@pytest.mark.parametrize("nf, lam", [(nf, 10.0**e) for nf in range(5) for e in range(-3, 5)])
 def test_family_rescaled_in_u_loads_and_signs(nf, lam):
     # u -> u / lam scales coefficient k of g2, g3 and Delta by lam^-k; each coefficient
     # of Delta is judged against the same degree of |g2|^3 + 27 |g3|^2, so no top
-    # coefficient turns into dust and no cancellation dust survives
+    # coefficient turns into dust and no cancellation dust survives.  classify_fiber
+    # reads orders in units of the gap to the nearest other node, so the fibers
+    # classify alike
     d = family_to_dict(sample_family(nf))
     for key in ("g2", "g3"):
         d[key] = [[re / lam**k, im / lam**k] for k, (re, im) in enumerate(d[key])]
     fam = family_from_dict(d)
     assert discriminant_poly(fam).degree == nf + 2
     assert signature_from_monodromy(fam) == -nf
+
+
+@pytest.mark.parametrize("nf, s", [(nf, s) for nf in range(5) for s in (3, -10, 10j)]
+                         + [(nf, 30) for nf in range(4)])
+def test_family_shifted_in_u_loads_and_signs(nf, s):
+    # u -> u + s moves every root by -s and leaves the Taylor coefficients at each node,
+    # and the gaps between nodes, as they were.  nf4 at s = 30 is left out: its Delta
+    # coefficients reach 2e10 there, and their rounding at a node (t_0 ~ 3e-5) is above
+    # 1e-8 of the node's Taylor terms, so three of its six nodes read order 0.  The
+    # Euler route is checked: the contour route's winding check refuses nf4 at 10i and
+    # nf3 at 30
+    fam = sample_family(nf)
+    d = family_to_dict(fam)
+    d["g2"], d["g3"] = ([[c.real, c.imag] for c in p.taylor_at(s)]
+                        for p in (fam.g2_poly, fam.g3_poly))
+    report = surface_report(family_from_dict(d))
+    assert [f.kodaira for f in report.fibers] == [KodairaType("I", 1)] * (nf + 2) + [
+        KodairaType("I*", 4 - nf)]
+    assert report.sign_z == -nf
+
+
+@pytest.mark.parametrize("lam", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("offset", [0.0, -0.5])
+@pytest.mark.parametrize("double", [None, 5])
+def test_order_at_one_sided_cluster(lam, offset, double):
+    # twelve roots (j/11 + offset) lam, all on one side of u = 0 at offset 0, one of them
+    # double: read in units of the gap to the nearest other root, each has its own
+    # multiplicity at any scale (in units of u, the default, the simple ones read 9 or
+    # 10 at lam = 1e-3, offset 0)
+    roots = [(j / 11 + offset) * lam for j in range(12)]
+    if double is not None:
+        roots[double + 1] = roots[double]
+    p = ComplexPoly.of(list(np.poly(roots)[::-1].astype(complex)))
+    for r in set(roots):
+        gap = min(abs(r - q) for q in roots if q != r)
+        assert p.order_at(complex(r), gap) == roots.count(r)
 
 
 def test_family_json_round_trip():

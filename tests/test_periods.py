@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -23,7 +24,7 @@ from uplane import (
     periods_along_family,
     sample_family,
 )
-from uplane.curves import discriminant_scale
+from uplane.curves import discriminant_scale, is_numerically_singular
 
 # AGM oracles at 30+ digits (mpmath): pi / (2 agm(...)) on the root data of
 # 4x^3 - g2 x - g3 for the two classical lattices.
@@ -305,6 +306,50 @@ def test_failed_validation_above_rounding_is_a_branch_failure(monkeypatch):
     assert not isinstance(info.value, SingularCurve)
 
 
+def _count_validated(monkeypatch, P):
+    """Make every candidate fail the eta check; return the list of candidates walked."""
+    walked = []
+    validated = P._validated
+
+    def counting(curve, delta, cands):
+        return validated(curve, delta, (walked.append(c) or c for c in cands))
+
+    monkeypatch.setattr(P, "_validated", counting)
+    monkeypatch.setattr(P, "modular_discriminant", lambda p: 0j)
+    return walked
+
+
+def _failure(curve) -> str:
+    return re.escape("no AGM basis candidate satisfied the eta^24 identity and the lattice"
+                     f" invariants for g2={curve.g2}, g3={curve.g3}")
+
+
+def test_branch_failure_walks_every_candidate(monkeypatch):
+    import uplane.periods as P
+    from uplane import AgmBranchFailure
+
+    curve = WeierstrassCurve(1 + 2j, -3 + 0.5j)
+    walked = _count_validated(monkeypatch, P)
+    with pytest.raises(AgmBranchFailure, match=f"^{_failure(curve)}$") as info:
+        compute_periods(curve)
+    assert not isinstance(info.value, SingularCurve)
+    assert len(walked) == 6 * 7
+
+
+def test_unresolvable_failure_walks_every_candidate(monkeypatch):
+    import uplane.periods as P
+    from uplane.periods import ETA_RESOLVABLE
+
+    g2 = 3.0 + 0j
+    curve = WeierstrassCurve(g2, cmath.sqrt(g2**3 / 27.0) * (1.0 + 1e-7))
+    assert not is_numerically_singular(curve, discriminant(curve))
+    assert abs(discriminant(curve)) < ETA_RESOLVABLE * discriminant_scale(curve)
+    walked = _count_validated(monkeypatch, P)
+    with pytest.raises(SingularCurve, match=f"^discriminant within its rounding of zero: {_failure(curve)}$"):
+        compute_periods(curve)
+    assert len(walked) == 6 * 7
+
+
 def _in_closed_domain(tau: complex) -> bool:
     # F with the 1e-9 slack of reduce_tau, widened by rounding of omega' / omega
     edge, ulp = 1e-9, 1e-12
@@ -419,7 +464,8 @@ def test_candidates_are_in_the_upper_half_plane_and_never_negated(parts, log_sca
     import uplane.periods as P
 
     cands = P._candidate_params(cubic_roots(_curve_from(parts, log_scale)))
-    assert 0 < len(cands) <= 6 * 7
+    # 6 root orderings x 7 shears, none dropped: Im tau does not depend on the shear
+    assert len(cands) == 6 * 7
     assert all(tau == wp / w and tau.imag > 1e-12 for w, wp, tau in cands)
     pairs = {(w, wp) for w, wp, _ in cands}
     assert not any((-w, -wp) in pairs for w, wp in pairs)

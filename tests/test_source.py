@@ -89,3 +89,16 @@ def test_np_roots_only_in_the_root_finders():
         and isinstance(node.value, ast.Name) and node.value.id == "np"
     ]
     assert found == []
+
+
+def test_no_two_argument_round_in_src():
+    # round(x, ndigits) goes through a decimal conversion, about a microsecond a call,
+    # too slow for a hash key in a hot path; round(x) to an integer is cheap and stays
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "round" and len(node.args) + len(node.keywords) > 1
+    ]
+    assert found == []
