@@ -301,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--operator", choices=("dbar", "signature"), required=True)
     p.add_argument("--orientation", choices=("cw", "ccw"), required=True)
     p.add_argument("--chart", choices=("u", "v"), default="u")
-    p.add_argument("--samples", type=int, default=1024)
+    p.add_argument("--samples", type=int, default=LoopSpec.samples)
     p.set_defaults(func=_cmd_holonomy)
 
     p = add_parser("signature", help="surface signature via monodromy")

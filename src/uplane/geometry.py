@@ -25,7 +25,7 @@ The anomaly ratio constant below was fixed by symbolic differentiation before
 anything here was implemented: with ln|Delta(u)| and ln|omega(u)|^2 harmonic
 away from the nodes,
 
-    F1 = -ln vol + const - (1/12) ln|Delta|^2,   vol = 4 Im(tau)|omega|^2,
+    F1 = -ln vol - (1/12) ln|Delta| + 2 ln 2 pi,   vol = 4 Im(tau)|omega|^2,
     d_u d_ubar F1 = -d_u d_ubar ln Im(tau) = |tau'(u)|^2 / (4 Im^2 tau),
 
 so with Laplace-Beltrami (1/Im tau) d_a d_abar, da = omega du, and scalar

@@ -32,7 +32,7 @@ from .errors import (
     NonIntegerWinding,
     SingularFiber,
 )
-from .kodaira import AT_INFINITY, find_singular_fibers
+from .kodaira import AT_INFINITY, find_singular_fibers, node_gap
 
 #: sample counts a loop may be integrated at; a loop that needs more is refused
 _MIN_SAMPLES, _MAX_SAMPLES = 64, 1 << 20
@@ -64,7 +64,7 @@ class Chart(enum.Enum):
 class LoopSpec:
     center: complex
     radius: float
-    samples: int = 1024
+    samples: int = _MIN_SAMPLES
     orientation: Orientation = Orientation.COUNTERCLOCKWISE
     chart: Chart = Chart.U
 
@@ -223,19 +223,16 @@ def canonical_trivialization_check(family: CurveFamily, loop: LoopSpec) -> bool:
     return six_eta.denominator == 1 and six_eta.numerator % 4 == 0
 
 
-def _node_loop(roots, index: int) -> LoopSpec:
-    """Counterclockwise loop around the index-th node that encloses no other node."""
-    z = roots[index][0]
-    others = [abs(z - w) for j, (w, _) in enumerate(roots) if j != index]
-    radius = 0.4 * min(others) if others else 0.5 * (1.0 + abs(z))
-    return LoopSpec(center=z, radius=radius, samples=_MIN_SAMPLES)
+def _node_loop(family: CurveFamily, z: complex) -> LoopSpec:
+    """Counterclockwise loop around the node z that encloses no other node."""
+    return LoopSpec(center=z, radius=0.4 * node_gap(family, z))
 
 
 def _infinity_loop(roots) -> LoopSpec:
     """Counterclockwise loop around v = 0 that encloses no finite node."""
     images = [1.0 / abs(z) for z, _ in roots if abs(z) > 1e-12]
     radius = 0.4 * min(images) if images else 0.5
-    return LoopSpec(center=0.0, radius=radius, samples=_MIN_SAMPLES, chart=Chart.V)
+    return LoopSpec(center=0.0, radius=radius, chart=Chart.V)
 
 
 @dataclass(frozen=True)
@@ -259,8 +256,7 @@ def _integrate_loops(family: CurveFamily) -> _ContourPass:
     # every other zero is >= 2.5 radii from a loop's center (rho <= 0.4): 64 samples do
     return _ContourPass(
         roots=roots,
-        nodes=tuple(_ccw_winding_and_transport(family, _node_loop(roots, i))
-                    for i in range(len(roots))),
+        nodes=tuple(_ccw_winding_and_transport(family, _node_loop(family, z)) for z, _ in roots),
         infinity=_ccw_winding_and_transport(family, _infinity_loop(roots)),
         ord_inf=to_v_chart(family).ord_delta_at_zero,
     )

@@ -107,47 +107,31 @@ class SurfaceReport:
 
 
 def find_singular_fibers(family: CurveFamily):
-    """Roots of the discriminant with multiplicities, as a tuple of (root, mult).
+    """Zeros of the discriminant with multiplicities, as a tuple of (location, mult).
 
-    Companion-matrix eigenvalues, Newton-polished, then merged into clusters
-    of radius 1e-7 (1 + max |root|); multiplicities sum to deg Delta.
-    Callers that want each family's roots once read them through
-    `family.cached("nodes", find_singular_fibers)`.
+    The companion-matrix eigenvalues of Delta, taken as they are, grouped by single
+    linkage within r = 1e-3 max |z - c|, c their mean.  An m-fold zero comes back as
+    m eigenvalues about eps^(1/m) of that spread apart (~1e-4 for m = 4), so each
+    group is one fiber, at the group's mean, of multiplicity its size; zeros closer
+    than r read as one.  r scales with the roots, so neither a shift nor a scale of
+    u changes the grouping, and r = 0 still groups an exactly repeated zero.
+    Sorted by (Re, Im).  Callers that want each family's roots once read them
+    through `family.cached("nodes", find_singular_fibers)`.
     """
     d = family.delta_poly
     if d.is_zero:
         raise IdenticallySingular("discriminant vanishes identically")
-    norm = max(abs(c) for c in d.coeffs)
-    coeffs_desc = list(reversed(d.coeffs))
-    raw = [complex(z) for z in np.roots(coeffs_desc)]
-    dp = d.derivative()
-    polished = []
-    for z in raw:
-        for _ in range(3):
-            fp = dp(z)
-            if abs(fp) < 1e-12 * norm:
-                break  # multiple root: Newton unreliable, keep companion value
-            step = d(z) / fp
-            z -= step
-            if abs(step) < 1e-15 * (1.0 + abs(z)):
-                break
-        polished.append(z)
-    tol = 1e-7 * (1.0 + max(abs(z) for z in polished))
-    clusters = []  # list of [sum, count]
-    for z in sorted(polished, key=lambda w: (w.real, w.imag)):
-        for c in clusters:
-            if abs(z - c[0] / c[1]) < tol:
-                c[0] += z
-                c[1] += 1
-                break
-        else:
-            clusters.append([z, 1])
-    out = [(c[0] / c[1], c[1]) for c in clusters]
-    out.sort(key=lambda rc: (rc[0].real, rc[0].imag))
-    total = sum(m for _, m in out)
-    if total != d.degree:
-        raise CrossCheckFailed("root multiplicities vs deg Delta", total, d.degree, 0.0)
-    return tuple(out)
+    left = [complex(z) for z in np.roots(d.coeffs[::-1])]
+    c = sum(left) / len(left)
+    r = 1e-3 * max(abs(z - c) for z in left)
+    out = []
+    while left:
+        group = [left.pop()]
+        for z in group:  # the group grows while it is read
+            group += [w for w in left if abs(w - z) <= r]
+            left = [w for w in left if abs(w - z) > r]
+        out.append((sum(group) / len(group), len(group)))
+    return tuple(sorted(out, key=lambda zm: (zm[0].real, zm[0].imag)))
 
 
 def _classify_orders(a: int, b: int, d: int) -> KodairaType:
@@ -167,11 +151,12 @@ def _classify_orders(a: int, b: int, d: int) -> KodairaType:
     raise NonMinimal(f"unclassifiable vanishing orders (g2, g3, Delta) = ({a}, {b}, {d})")
 
 
-def _node_gap(family: CurveFamily, location: complex) -> float:
+def node_gap(family: CurveFamily, location: complex) -> float:
     """Distance from location to the second-nearest finite node: the nearest is the
-    fiber's own, so this is the gap to the nearest other singular fiber, and orders
-    read in it do not depend on where the family sits in the u-plane or on its scale.
-    |location| (1 at u = 0) when the family has one finite node."""
+    fiber's own, so this is the gap to the nearest other singular fiber, |location|
+    (1 at u = 0) when the family has one.  It is the unit of length of
+    `classify_fiber`'s orders and sets the radius of holonomy's node loops, so
+    neither depends on where the family sits in the u-plane or on its scale."""
     gaps = sorted(abs(z - location) for z, _ in family.cached("nodes", find_singular_fibers))
     return gaps[1] if len(gaps) > 1 else abs(location) or 1.0
 
@@ -185,7 +170,7 @@ def classify_fiber(family: CurveFamily, location) -> FiberReport:
         d = v.delta_v.order_at_zero_exact()
     else:
         location = complex(location)
-        rho = _node_gap(family, location)
+        rho = node_gap(family, location)
         a = family.g2_poly.order_at(location, rho)
         b = family.g3_poly.order_at(location, rho)
         d = discriminant_poly(family).order_at(location, rho)

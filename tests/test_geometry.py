@@ -206,6 +206,17 @@ def test_f1_example_square_fiber():
     assert abs(val - 2.365) < 5e-4
 
 
+@pytest.mark.parametrize("nf", range(5))
+def test_f1_closed_form_in_volume_and_discriminant(nf):
+    # F1 = -ln vol - (1/12) ln|Delta(u)| + 2 ln 2 pi, the form the anomaly ratio was
+    # derived from; the constant drops out of the Laplacian
+    fam = sample_family(nf)
+    for u in POINTS:
+        p = periods_along_family(fam, u)
+        lhs = f1(fam, u) + math.log(fiber_volume(p)) + math.log(abs(fam.delta_poly(u))) / 12
+        assert abs(lhs - 2.0 * math.log(2.0 * math.pi)) <= 1e-13
+
+
 def test_f1_diverges_toward_node():
     # the |Delta|^{1/6} factor sends det' to 0 at the node; the volume's
     # squared-log growth delays the divergence, so probe well inside the

@@ -11,10 +11,12 @@ from uplane import (
     NonMinimal,
     NotSingular,
     classify_fiber,
+    curvature_ledger,
     discriminant_poly,
     find_singular_fibers,
     isotrivial_family,
     sample_family,
+    signature_from_monodromy,
     surface_report,
     table1_expected,
     to_v_chart,
@@ -202,3 +204,71 @@ def test_sample_families_match_table_generic_row():
         assert finite == sorted(k.label for k in row.finite_fibers)
         inf = [f for f in rep.fibers if f.location is AT_INFINITY][0]
         assert inf.kodaira == row.fiber_at_infinity
+
+
+def _sw_family(nf, masses, lam=1.0):
+    """The Seiberg-Witten curve y^2 = x^3 + a x^2 + b x + c of nf = 0..3 flavors
+    (Seiberg & Witten, Nucl. Phys. B431, 1994, section 16), with a, b, c polynomials
+    in u, in Weierstrass form g2 = -4 (b - a^2/3), g3 = -4 (2a^3/27 - ab/3 + c)."""
+    m1, m2, m3 = list(masses) + [0.0] * (3 - len(masses))
+    if nf == 0:  # x^2 (x - u) + lam^4 x / 4
+        a, b, c = [0, -1], [lam**4 / 4], [0]
+    elif nf == 1:  # x^2 (x - u) + m lam^3 x / 4 - lam^6 / 64
+        a, b, c = [0, -1], [m1 * lam**3 / 4], [-(lam**6) / 64]
+    elif nf == 2:  # (x^2 - lam^4/64)(x - u) + m1 m2 lam^2 x / 4 - (m1^2 + m2^2) lam^4 / 64
+        a = [0, -1]
+        b = [-(lam**4) / 64 + m1 * m2 * lam**2 / 4]
+        c = [-(m1**2 + m2**2) * lam**4 / 64, lam**4 / 64]
+    else:  # x^2 (x - u) - lam^2 (x - u)^2 / 64 - s2 lam^2 (x - u) / 64
+        #      + m1 m2 m3 lam x / 4 - s4 lam^2 / 64
+        s2 = m1**2 + m2**2 + m3**2
+        s4 = m1**2 * m2**2 + m1**2 * m3**2 + m2**2 * m3**2
+        a = [-(lam**2) / 64, -1]
+        b = [-s2 * lam**2 / 64 + m1 * m2 * m3 * lam / 4, 2 * lam**2 / 64]
+        c = [-s4 * lam**2 / 64, s2 * lam**2 / 64, -(lam**2) / 64]
+    a, b, c = (ComplexPoly.of(p) for p in (a, b, c))
+    g2 = -4.0 * (b - a * a * (1 / 3))
+    g3 = -4.0 * (a * a * a * (2 / 27) - a * b * (1 / 3) + c)
+    return CurveFamily(g2, g3, nf=nf, name=f"sw-nf{nf}", masses=tuple(map(complex, masses)))
+
+
+def test_sw_family_builder_matches_the_fixtures():
+    # nf0 at lam = 1 is sample_family(0); nf2 massless at lam^4 = 64 is coalesced_family()
+    nf0, fix0 = _sw_family(0, ()), sample_family(0)
+    assert (nf0.g2_poly, nf0.g3_poly) == (fix0.g2_poly, fix0.g3_poly)
+    nf2, fix2 = _sw_family(2, (0.0, 0.0), lam=64**0.25), coalesced_family()
+    for p, q in ((nf2.g2_poly, fix2.g2_poly), (nf2.g3_poly, fix2.g3_poly)):
+        assert len(p.coeffs) == len(q.coeffs)
+        assert all(abs(x - y) <= 1e-15 * abs(y) for x, y in zip(p.coeffs, q.coeffs))
+
+
+# (nf, masses, the constraint label of the table row they realize).  The table indexes
+# masses its own way: its nf3 row "m_3 = m_4 = 0" is two zero masses of three, and the
+# nf2 I2 comes from m1 = m2 or m1 = -m2 alike
+_SW_ROWS = [
+    (0, (), "-"),
+    (1, (0.5,), "-"),
+    (2, (0.3, 0.7), "-"),
+    (2, (0.7, 0.7), "m_1 = m_2"),
+    (2, (0.7, -0.7), "m_1 = m_2"),
+    (2, (0.0, 0.0), "m_1 = m_2 = 0"),
+    (3, (0.2, 0.5, 0.9), "-"),
+    (3, (0.3, 0.8, 0.8), "m_2 = m_3"),
+    (3, (0.6, 0.6, 0.0), "m_2 = m_3"),
+    (3, (0.5, 0.5, 0.5), "m_1 = m_2 = m_3"),
+    (3, (0.6, 0.0, 0.0), "m_3 = m_4 = 0"),
+    (3, (0.0, 0.0, 0.0), "m_1 = m_2 = m_3 = 0"),
+]
+
+
+@pytest.mark.parametrize("nf, masses, label", _SW_ROWS, ids=[
+    f"nf{nf}-" + ",".join(map(str, ms)) for nf, ms, _ in _SW_ROWS])
+def test_sw_mass_point_realizes_its_table_row(nf, masses, label):
+    fam = _sw_family(nf, masses)
+    rep = surface_report(fam)
+    (row,) = [r for r in table1_expected(nf) if r.constraint_label == label]
+    assert rep.fibers[-1].kodaira == row.fiber_at_infinity
+    assert sorted(f.kodaira.label for f in rep.fibers[:-1]) == sorted(
+        k.label for k in row.finite_fibers)
+    assert signature_from_monodromy(fam, report=rep) == rep.sign_z == -nf
+    assert curvature_ledger(fam).total == 2
