@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .curves import CurveFamily, discriminant_poly, to_v_chart
+from .curves import CurveFamily, WeierstrassCurve, discriminant_poly, discriminant_scale, to_v_chart
 from .errors import (
     BadNf,
     CrossCheckFailed,
@@ -109,29 +109,66 @@ class SurfaceReport:
 def find_singular_fibers(family: CurveFamily):
     """Zeros of the discriminant with multiplicities, as a tuple of (location, mult).
 
-    The companion-matrix eigenvalues of Delta, taken as they are, grouped by single
-    linkage within r = 1e-3 max |z - c|, c their mean.  An m-fold zero comes back as
-    m eigenvalues about eps^(1/m) of that spread apart (~1e-4 for m = 4), so each
-    group is one fiber, at the group's mean, of multiplicity its size; zeros closer
-    than r read as one.  r scales with the roots, so neither a shift nor a scale of
-    u changes the grouping, and r = 0 still groups an exactly repeated zero.
-    Sorted by (Re, Im).  Callers that want each family's roots once read them
-    through `family.cached("nodes", find_singular_fibers)`.
+    The companion-matrix eigenvalues of Delta, taken as they are, linked within
+    1e-3 of their spread max |z - mean|.  A group no wider than that, and no wider
+    than rounding can split one zero (`_rounding_splits`), is one zero at its mean,
+    of multiplicity its size; any other group is split at its longest link, where
+    single linkage joins it last.  So distinct zeros stay apart down to the rounding,
+    and a scale of u leaves the grouping as it was.  Sorted by (Re, Im).  Callers
+    that want each family's roots once read them through
+    `family.cached("nodes", find_singular_fibers)`.
     """
     d = family.delta_poly
     if d.is_zero:
         raise IdenticallySingular("discriminant vanishes identically")
-    left = [complex(z) for z in np.roots(d.coeffs[::-1])]
-    c = sum(left) / len(left)
-    r = 1e-3 * max(abs(z - c) for z in left)
-    out = []
-    while left:
-        group = [left.pop()]
-        for z in group:  # the group grows while it is read
-            group += [w for w in left if abs(w - z) <= r]
-            left = [w for w in left if abs(w - z) > r]
-        out.append((sum(group) / len(group), len(group)))
+    eig = [complex(z) for z in np.roots(d.coeffs[::-1])]
+    cap = 1e-3 * max(abs(z - sum(eig) / len(eig)) for z in eig)
+    groups, out = (_linked(eig, cap) if cap else [eig]), []
+    while groups:
+        g = groups.pop()
+        diam = max(abs(z - w) for z in g for w in g)
+        if len(g) == 1 or diam <= cap and _rounding_splits(family, g, eig, diam):
+            out.append((sum(g) / len(g), len(g)))
+        else:
+            groups += _linked(g, _longest_link(g))
     return tuple(sorted(out, key=lambda zm: (zm[0].real, zm[0].imag)))
+
+
+def _rounding_splits(family: CurveFamily, group, eig, diam: float) -> bool:
+    """Whether rounding can split an m-fold zero z of Delta into group's m eigenvalues,
+    diam apart.  Delta(z + t) ~ D t^m, D = |lead Delta| prod |z - w| over the other
+    eigenvalues, and rounding moves Delta by eps N, N = |g2|^3 + 27 |g3|^2 at |z| with
+    absolute coefficients (the terms Delta cancels): a split of (eps N / D)^(1/m).
+    Up to 10 times that is allowed."""
+    z, m = sum(group) / len(group), len(group)
+    n2, n3 = (sum(abs(a) * abs(z) ** k for k, a in enumerate(p.coeffs))
+              for p in (family.g2_poly, family.g3_poly))
+    d = abs(family.delta_poly.coeffs[-1]) * np.prod([abs(z - w) for w in eig if w not in group])
+    return (diam / 10.0) ** m * d <= np.finfo(float).eps * discriminant_scale(
+        WeierstrassCurve(n2, n3))
+
+
+def _longest_link(group) -> float:
+    """The longest edge of group's minimum spanning tree (Prim's algorithm)."""
+    gap = {k: abs(z - group[0]) for k, z in enumerate(group[1:], 1)}
+    longest = 0.0
+    while gap:
+        k = min(gap, key=gap.get)
+        longest = max(longest, gap.pop(k))
+        gap = {j: min(g, abs(group[j] - group[k])) for j, g in gap.items()}
+    return longest
+
+
+def _linked(group, r: float):
+    """group's single-linkage parts, linking points less than r apart."""
+    parts = []
+    while group:
+        part, group = [group[0]], group[1:]
+        for z in part:  # the part grows while it is read
+            part += [w for w in group if abs(w - z) < r]
+            group = [w for w in group if abs(w - z) >= r]
+        parts.append(part)
+    return parts
 
 
 def _classify_orders(a: int, b: int, d: int) -> KodairaType:

@@ -172,8 +172,8 @@ def test_family_rescaled_in_u_loads_and_signs(nf, lam):
     # u -> u / lam scales coefficient k of g2, g3 and Delta by lam^-k; each coefficient
     # of Delta is judged against the same degree of |g2|^3 + 27 |g3|^2, so no top
     # coefficient turns into dust and no cancellation dust survives.  The roots are
-    # grouped within a radius relative to their spread, and orders are read in units
-    # of the gap to the nearest other node, so the fibers classify alike at any scale
+    # grouped by lengths that scale with u, and orders are read in units of the gap to
+    # the nearest other node, so the fibers classify alike at any scale
     fam = _swept_family(nf)
     d = family_to_dict(fam)
     for key in ("g2", "g3"):

@@ -244,7 +244,10 @@ def test_sw_family_builder_matches_the_fixtures():
 
 # (nf, masses, the constraint label of the table row they realize).  The table indexes
 # masses its own way: its nf3 row "m_3 = m_4 = 0" is two zero masses of three, and the
-# nf2 I2 comes from m1 = m2 or m1 = -m2 alike
+# nf2 I2 comes from m1 = m2 or m1 = -m2 alike.  The generic rows close to a constrained
+# one keep two nodes apart that are 5e-4 and 6e-4 of the root spread apart, and a heavy
+# flavor (m = 1e3) puts one node near u = m^2 and leaves the others ~1e-4 of the spread
+# apart: distinct nodes, which no grouping of the roots may read as one fiber
 _SW_ROWS = [
     (0, (), "-"),
     (1, (0.5,), "-"),
@@ -258,6 +261,10 @@ _SW_ROWS = [
     (3, (0.5, 0.5, 0.5), "m_1 = m_2 = m_3"),
     (3, (0.6, 0.0, 0.0), "m_3 = m_4 = 0"),
     (3, (0.0, 0.0, 0.0), "m_1 = m_2 = m_3 = 0"),
+    (2, (0.3, 0.3003), "-"),
+    (3, (0.2, 0.5, 0.5003), "-"),
+    (1, (1e3,), "-"),
+    (2, (0.3, 1e3), "-"),
 ]
 
 
