@@ -116,11 +116,12 @@ def find_singular_fibers(family: CurveFamily):
     single linkage joins it last.  So distinct zeros stay apart down to the rounding,
     and a scale of u leaves the grouping as it was.  Sorted by (Re, Im).  Callers
     that want each family's roots once read them through
-    `family.cached("nodes", find_singular_fibers)`.
+    `family.cached("nodes", find_singular_fibers)`.  Raises IdenticallySingular when
+    Delta is zero, and DegreeMismatch (`discriminant_poly`) unless deg Delta = nf + 2.
     """
-    d = family.delta_poly
-    if d.is_zero:
+    if family.delta_poly.is_zero:
         raise IdenticallySingular("discriminant vanishes identically")
+    d = discriminant_poly(family)
     eig = [complex(z) for z in np.roots(d.coeffs[::-1])]
     cap = 1e-3 * max(abs(z - sum(eig) / len(eig)) for z in eig)
     groups, out = (_linked(eig, cap) if cap else [eig]), []

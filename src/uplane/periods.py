@@ -7,14 +7,15 @@ For roots e1, e2, e3 of 4x^3 - g2 x - g3 the candidate half-periods are
 
 with M the arithmetic-geometric mean using principal square roots and, at
 each step, the square-root branch closer to the running arithmetic mean.
-Which root permutation gives a lattice basis is not knowable a priori in the
-complex case: candidates (omega, omega' + k omega), |k| <= 3, Im tau > 0, over
-the 6 root orderings (at most 42, repeats kept) are walked in build order until
-one passes.  Each is first put into the canonical basis of its
-lattice: tau in the closed fundamental domain F of `modular.reduce_tau`, and
-arg omega in (-pi/n, pi/n] by the rotations that fix the lattice (n = 2, or
-4 when g3 == 0 and 6 when g2 == 0 exactly).  There, where every modular form
-is its raw q-series, it is validated against the modular-discriminant identity
+Which root ordering gives a lattice basis is not knowable a priori in the
+complex case, though the first passed on every curve tried: the 6 orderings
+are walked lazily, one candidate (omega, omega') with Im tau > 0 each, until
+one passes, and a failure is raised once all 6 have failed.  Each is first put
+into the canonical basis of its lattice: tau in the closed fundamental domain F
+of `modular.reduce_tau`, and arg omega in (-pi/n, pi/n] by the rotations that
+fix the lattice (n = 2, or 4 when g3 == 0 and 6 when g2 == 0 exactly).
+There, where every modular form is its raw q-series, it is validated against
+the modular-discriminant identity
 
     (2 pi)^12 eta(tau)^24 / (2 omega)^12 = g2^3 - 27 g3^2,
 
@@ -76,7 +77,7 @@ class Periods:
 def cubic_roots(curve: WeierstrassCurve):
     """Roots of 4x^3 - g2 x - g3, sorted lexicographically by (Re, Im)."""
     r = np.roots([4.0, 0.0, -curve.g2, -curve.g3])
-    # one Newton polish pass per root; cheap and tightens np.roots output
+    # up to 3 Newton steps per root; cheap and tightens np.roots output
     out = []
     for z in r:
         z = complex(z)
@@ -118,27 +119,22 @@ def agm_steps(a: complex, b: complex):
 
 
 def _candidate_params(roots):
-    """Basis candidates: root permutations x shear omega' + k omega, with Im tau > 0.
-    At most 6 x 7 = 42 in build order, repeats kept: one is reached only after its first
-    copy failed.
-    (-omega, -omega') is left out: it has the same tau and passes or fails with (omega, omega')."""
-    cands = []
+    """One candidate (omega, omega', tau), Im tau > 0, per root ordering; each AGM pair is
+    built only after the previous ordering's candidate failed.  No shear omega' + k omega:
+    `_canonical` takes every basis of a lattice to the same point of F.  (-omega, -omega')
+    is left out: it has the same tau and passes or fails with (omega, omega')."""
     for e1, e2, e3 in itertools.permutations(roots):
         m1 = agm(cmath.sqrt(e1 - e3), cmath.sqrt(e1 - e2))
         m2 = agm(cmath.sqrt(e1 - e3), cmath.sqrt(e2 - e3))
         if m1 == 0 or m2 == 0:
             continue
         w = math.pi / (2.0 * m1)
-        omp = 1j * math.pi / (2.0 * m2)
-        if (omp / w).imag < 0:
-            omp = -omp
-        for k in range(-3, 4):
-            wp = omp + k * w
-            tau = wp / w
-            if tau.imag <= 1e-12:
-                continue
-            cands.append((w, wp, tau))
-    return cands
+        wp = 1j * math.pi / (2.0 * m2)
+        if (wp / w).imag < 0:
+            wp = -wp
+        tau = wp / w
+        if tau.imag > 1e-12:
+            yield w, wp, tau
 
 
 def _basis(w: complex, wp: complex) -> Periods:

@@ -6,6 +6,7 @@ from uplane import (
     BadNf,
     ComplexPoly,
     CurveFamily,
+    DegreeMismatch,
     IdenticallySingular,
     KodairaType,
     NonMinimal,
@@ -53,6 +54,13 @@ def test_identically_singular():
     fam = CurveFamily(ComplexPoly.of([0, 0, 3]), ComplexPoly.of([0, 0, 0, 1]), nf=4)
     with pytest.raises(IdenticallySingular):
         find_singular_fibers(fam)
+
+
+def test_constant_discriminant_is_a_degree_mismatch():
+    # Delta = 4^3 - 27 is a nonzero constant: no roots, and deg Delta != nf + 2
+    fam = CurveFamily(ComplexPoly.of([4]), ComplexPoly.of([1]), nf=0)
+    with pytest.raises(DegreeMismatch, match="deg\\(discriminant\\) = 0, expected nf \\+ 2 = 2"):
+        surface_report(fam)
 
 
 def test_root_residuals_small():

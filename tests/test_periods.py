@@ -333,7 +333,8 @@ def test_branch_failure_walks_every_candidate(monkeypatch):
     with pytest.raises(AgmBranchFailure, match=f"^{_failure(curve)}$") as info:
         compute_periods(curve)
     assert not isinstance(info.value, SingularCurve)
-    assert len(walked) == 6 * 7
+    # one candidate per root ordering, all six validated before the failure is raised
+    assert len(walked) == 6
 
 
 def test_unresolvable_failure_walks_every_candidate(monkeypatch):
@@ -347,7 +348,88 @@ def test_unresolvable_failure_walks_every_candidate(monkeypatch):
     walked = _count_validated(monkeypatch, P)
     with pytest.raises(SingularCurve, match=f"^discriminant within its rounding of zero: {_failure(curve)}$"):
         compute_periods(curve)
-    assert len(walked) == 6 * 7
+    assert len(walked) == 6
+
+
+def _count_agm(monkeypatch, P):
+    """Count calls of periods.agm; return the one-element list holding the count."""
+    calls = [0]
+    agm = P.agm
+
+    def counting(a, b):
+        calls[0] += 1
+        return agm(a, b)
+
+    monkeypatch.setattr(P, "agm", counting)
+    return calls
+
+
+def _random_curves(seed: int, n: int):
+    """n curves with standard complex normal (g2, g3) at scales 1e-4..1e4, away from Delta = 0."""
+    rng = np.random.default_rng(seed)
+    curves = []
+    while len(curves) < n:
+        s = 10.0 ** rng.uniform(-4, 4)
+        g2 = complex(*rng.standard_normal(2)) * s**2
+        g3 = complex(*rng.standard_normal(2)) * s**3
+        curve = WeierstrassCurve(g2, g3)
+        if abs(discriminant(curve)) >= 1e-6 * discriminant_scale(curve):
+            curves.append(curve)
+    return curves
+
+
+def _fiber_curves():
+    return [sample_family(nf).curve_at(cmath.rect(2.7, math.pi * k / 4))
+            for nf in range(5) for k in range(8)]
+
+
+def test_passing_solve_builds_one_agm_pair(monkeypatch):
+    # the first root ordering passes, so the other five are never built
+    import uplane.periods as P
+
+    calls = _count_agm(monkeypatch, P)
+    for curve in _fiber_curves() + _random_curves(3, 200):
+        calls[0] = 0
+        compute_periods(curve)
+        assert calls[0] == 2, curve
+
+
+def test_failed_first_candidate_falls_through_to_the_next_ordering(monkeypatch):
+    # the first eta check of each solve reads 0: the walk builds the second ordering's
+    # AGM pair, and that candidate reaches the same canonical basis
+    import uplane.periods as P
+
+    curves = _fiber_curves() + _random_curves(4, 100)
+    expected = [compute_periods(curve) for curve in curves]
+    calls = _count_agm(monkeypatch, P)
+    eta_checks = [0]
+    modular_discriminant = P.modular_discriminant
+
+    def first_fails(p):
+        eta_checks[0] += 1
+        return 0j if eta_checks[0] == 1 else modular_discriminant(p)
+
+    monkeypatch.setattr(P, "modular_discriminant", first_fails)
+    for curve, ref in zip(curves, expected):
+        calls[0] = eta_checks[0] = 0
+        p = compute_periods(curve)
+        assert calls[0] == 4 and eta_checks[0] == 2, curve
+        _assert_canonical(curve, p)
+        assert abs(p.tau - ref.tau) <= 1e-12 and abs(p.omega - ref.omega) <= 1e-12 * abs(ref.omega)
+
+
+def test_invariants_residual_of_the_one_pair_solve():
+    # max(|g2' - g2| / S^2, |g3' - g3| / S^3) over 1,000 seeded curves.  The 42-candidate
+    # enumeration (7 shears of each ordering) read median 1.08e-15 and max 7.65e-15 on
+    # these curves; one candidate per ordering reads median 7.2e-16 and max 3.7e-15
+    res = []
+    for curve in _random_curves(17, 1000):
+        p = compute_periods(curve)
+        s = discriminant_scale(curve) ** (1.0 / 6.0)
+        g2, g3 = lattice_g2_g3(p.tau, p.omega)
+        res.append(max(abs(g2 - curve.g2) / s**2, abs(g3 - curve.g3) / s**3))
+    assert np.median(res) <= 1.08e-15
+    assert max(res) <= 7.65e-15
 
 
 def _in_closed_domain(tau: complex) -> bool:
@@ -463,9 +545,9 @@ def test_negated_candidate_validates_to_the_same_basis(parts, log_scale):
 def test_candidates_are_in_the_upper_half_plane_and_never_negated(parts, log_scale):
     import uplane.periods as P
 
-    cands = P._candidate_params(cubic_roots(_curve_from(parts, log_scale)))
-    # 6 root orderings x 7 shears, none dropped: Im tau does not depend on the shear
-    assert len(cands) == 6 * 7
+    cands = list(P._candidate_params(cubic_roots(_curve_from(parts, log_scale))))
+    # one candidate per root ordering, none dropped
+    assert len(cands) == 6
     assert all(tau == wp / w and tau.imag > 1e-12 for w, wp, tau in cands)
     pairs = {(w, wp) for w, wp, _ in cands}
     assert not any((-w, -wp) in pairs for w, wp in pairs)
