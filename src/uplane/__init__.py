@@ -5,7 +5,6 @@ determinant-line holonomies for Weierstrass elliptic families over the u-plane.
 from .curves import (
     ComplexPoly,
     CurveFamily,
-    VChartData,
     WeierstrassCurve,
     discriminant,
     discriminant_poly,

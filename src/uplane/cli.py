@@ -195,7 +195,7 @@ def _cmd_holonomy(args) -> dict:
 
 def _cmd_signature(args) -> dict:
     family = load_family(args.family)
-    # the signature and the ledger share the family's one contour pass
+    # the signature and the ledger read the family's fiber rows, integrated once
     report = kodaira.surface_report(family)
     sig = signature_from_monodromy(family, report=report)
     ledger = curvature_ledger(family)

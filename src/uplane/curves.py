@@ -123,19 +123,6 @@ class ComplexPoly:
                 return k
         return ORDER_INFINITE
 
-    def order_at_zero_exact(self) -> int:
-        """Vanishing order at 0 from exactly-zero stored coefficients.
-
-        Meant for chart-change output whose zero coefficients are exact by
-        construction (pure reindexing, no arithmetic).
-        """
-        if self.is_zero:
-            return ORDER_INFINITE
-        for k, c in enumerate(self.coeffs):
-            if c != 0:
-                return k
-        return ORDER_INFINITE
-
 
 ORDER_INFINITE = 10**6  # stand-in vanishing order of the zero polynomial
 
@@ -295,34 +282,22 @@ def poly_to_v_chart(p: ComplexPoly, weight: int) -> ComplexPoly:
     return ComplexPoly.of(out)
 
 
-@dataclass(frozen=True)
-class VChartData:
-    """The family seen from the chart v = -1/u: weights 4, 6 and 12."""
+def order_at_infinity(p: ComplexPoly, weight: int) -> int:
+    """Vanishing order at v = 0 of poly_to_v_chart(p, weight): weight - deg p, exactly.
 
-    g2_v: ComplexPoly
-    g3_v: ComplexPoly
-    delta_v: ComplexPoly
-    nf: int
-
-    @property
-    def ord_delta_at_zero(self) -> int:
-        return self.delta_v.order_at_zero_exact()
-
-
-def to_v_chart(family: CurveFamily) -> VChartData:
-    """Transport g2, g3 and the discriminant to the chart at infinity.
-
-    ord_{v=0}(delta_v) = 12 - deg_u(delta) = 10 - nf for valid families.
-    Built once per family object.
+    The order of g2, g3 and Delta at u = infinity (weights 4, 6 and 12);
+    ORDER_INFINITE for the zero polynomial.
     """
-    return family.cached("v_chart", _build_v_chart)
+    return ORDER_INFINITE if p.is_zero else weight - p.degree
 
 
-def _build_v_chart(family: CurveFamily) -> VChartData:
-    g2v = poly_to_v_chart(family.g2_poly, 4)
-    g3v = poly_to_v_chart(family.g3_poly, 6)
-    dv = poly_to_v_chart(family.delta_poly, 12)
-    return VChartData(g2_v=g2v, g3_v=g3v, delta_v=dv, nf=family.nf)
+def to_v_chart(family: CurveFamily) -> ComplexPoly:
+    """Delta_v = v^12 Delta(-1/v), the discriminant in the chart at infinity.
+
+    It vanishes at v = 0 to order_at_infinity(Delta, 12) = 10 - nf for valid
+    families.  Built once per family object.
+    """
+    return family.cached("v_chart", lambda fam: poly_to_v_chart(fam.delta_poly, 12))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .curves import ComplexPoly, CurveFamily, discriminant_poly, near_singular_fiber, to_v_chart
+from .curves import (ComplexPoly, CurveFamily, discriminant_poly, near_singular_fiber,
+                     order_at_infinity, to_v_chart)
 from .errors import (
     CrossCheckFailed,
     LoopTooCloseToSingularity,
@@ -95,7 +96,7 @@ class CurvatureLedger:
 
 
 def _chart_delta(family: CurveFamily, chart: Chart) -> ComplexPoly:
-    return discriminant_poly(family) if chart is Chart.U else to_v_chart(family).delta_v
+    return discriminant_poly(family) if chart is Chart.U else to_v_chart(family)
 
 
 def connection_form(operator: Operator, family: CurveFamily, u: complex) -> complex:
@@ -111,12 +112,12 @@ def _chart_zeros(family: CurveFamily, chart: Chart) -> tuple:
 
     In the u-chart they are the family's singular fibers.  In the v-chart
     (u = -1/v) each nonzero fiber z sits at -1/z, and Delta_v vanishes at
-    v = 0 to the order ord_inf = 12 - deg Delta.
+    v = 0 to the order 12 - deg Delta.
     """
     nodes = family.cached("nodes", find_singular_fibers)
     if chart is Chart.U:
         return nodes
-    at_zero = (0j, to_v_chart(family).ord_delta_at_zero)
+    at_zero = (0j, order_at_infinity(family.delta_poly, 12))
     return tuple((-1.0 / z, m) for z, m in nodes if z != 0) + (at_zero,)
 
 
@@ -235,36 +236,20 @@ def _infinity_loop(roots) -> LoopSpec:
     return LoopSpec(center=0.0, radius=radius, chart=Chart.V)
 
 
-@dataclass(frozen=True)
-class _ContourPass:
-    """Every loop of a family integrated once, counterclockwise, coefficient 1.
+def _fiber_rows(family: CurveFamily) -> tuple:
+    """(location, order of Delta, ccw winding) of each singular fiber, AT_INFINITY last.
 
-    One loop around each finite singular fiber in the u-chart and one around
-    v = 0, each as (loop, winding, integral of Delta'/Delta dz).  The
-    holonomies, the curvature ledger of either operator and the signature
-    are all derived from these numbers.
+    The windings are integrated on first use and kept: one loop around each finite
+    fiber in the u-chart and one around v = 0.  Every other zero is >= 2.5 radii
+    from a loop's center (rho <= 0.4), so 64 samples do.
     """
+    def build(fam):
+        roots = _chart_zeros(fam, Chart.U)
+        loops = [(z, m, _node_loop(fam, z)) for z, m in roots]
+        loops.append((AT_INFINITY, order_at_infinity(fam.delta_poly, 12), _infinity_loop(roots)))
+        return tuple((loc, m, _ccw_winding_and_transport(fam, loop)[1]) for loc, m, loop in loops)
 
-    roots: tuple  # ((location, multiplicity), ...) from find_singular_fibers
-    nodes: tuple
-    infinity: tuple
-    ord_inf: int
-
-
-def _integrate_loops(family: CurveFamily) -> _ContourPass:
-    roots = _chart_zeros(family, Chart.U)
-    # every other zero is >= 2.5 radii from a loop's center (rho <= 0.4): 64 samples do
-    return _ContourPass(
-        roots=roots,
-        nodes=tuple(_ccw_winding_and_transport(family, _node_loop(family, z)) for z, _ in roots),
-        infinity=_ccw_winding_and_transport(family, _infinity_loop(roots)),
-        ord_inf=to_v_chart(family).ord_delta_at_zero,
-    )
-
-
-def _contour_pass(family: CurveFamily) -> _ContourPass:
-    """The family's contour pass, integrated on first use."""
-    return family.cached("contours", _integrate_loops)
+    return family.cached("fibers", build)
 
 
 def curvature_ledger(
@@ -274,18 +259,16 @@ def curvature_ledger(
 
     Exact residues k_n / 6 at each finite singular fiber (k_n = ord Delta)
     and (10 - nf)/6 at infinity for the signature operator; denominators 12
-    for dbar.  The counterclockwise winding of the contour pass around each
-    fiber must equal its order (the multiplicity from find_singular_fibers,
-    ord_inf at infinity), else CrossCheckFailed.
+    for dbar.  The counterclockwise winding around each fiber must equal its
+    order (the multiplicity from find_singular_fibers, 12 - deg Delta at
+    infinity), else CrossCheckFailed.
     """
     den = 6 if operator is Operator.SIGNATURE else 12
-    cp = _contour_pass(family)
-    windings = [w for _, w, _ in cp.nodes + (cp.infinity,)]
-    orders = [m for _, m in cp.roots] + [cp.ord_inf]
+    rows = _fiber_rows(family)
+    windings, orders = [w for _, _, w in rows], [k for _, k, _ in rows]
     if windings != orders:
         raise CrossCheckFailed("contour windings vs discriminant orders", windings, orders, 0.0)
-    locations = [z for z, _ in cp.roots] + [AT_INFINITY]
-    residues = tuple((loc, Fraction(k, den)) for loc, k in zip(locations, orders))
+    residues = tuple((loc, Fraction(k, den)) for loc, k, _ in rows)
     total = sum((r for _, r in residues), Fraction(0))
     return CurvatureLedger(residues=residues, total=total)
 
@@ -302,10 +285,8 @@ def signature_from_monodromy(family: CurveFamily, report=None) -> int:
     """
     from .kodaira import surface_report  # local import avoids a cycle at import time
 
-    cp = _contour_pass(family)
-    eta_sum = Fraction(-2, 3) * sum(w for _, w, _ in cp.nodes)
-    eta_inf = Fraction(-2, 3) * cp.infinity[1]
-    sig = eta_sum - Fraction(1, 2) * eta_inf - 2
+    eta0 = [Fraction(-2, 3) * w for _, _, w in _fiber_rows(family)]
+    sig = sum(eta0[:-1]) - Fraction(1, 2) * eta0[-1] - 2
     if sig.denominator != 1:
         raise CrossCheckFailed("signature from monodromy is an integer", sig, round(sig), 0.0)
     sig = int(sig)

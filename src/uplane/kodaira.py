@@ -4,19 +4,18 @@ configuration table for nf = 0..4, and topological signatures.
 Classification uses the standard vanishing-order table on (ord g2, ord g3,
 ord Delta).  At finite points the orders come from Taylor coefficients with a
 relative tolerance, read in units of the gap to the nearest other node; at
-infinity they are read off exactly from the v-chart coefficient structure,
-where zeros are exact by construction.
+infinity they are exact: weight - degree, the weights of g2, g3 and Delta
+being 4, 6 and 12.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .curves import CurveFamily, WeierstrassCurve, discriminant_poly, discriminant_scale, to_v_chart
+from .curves import (CurveFamily, WeierstrassCurve, discriminant_poly, discriminant_scale,
+                     order_at_infinity)
 from .errors import (
     BadNf,
-    CrossCheckFailed,
     EulerMismatch,
     IdenticallySingular,
     NonMinimal,
@@ -202,10 +201,8 @@ def node_gap(family: CurveFamily, location: complex) -> float:
 def classify_fiber(family: CurveFamily, location) -> FiberReport:
     """Kodaira type, vanishing orders and Euler number of one singular fiber."""
     if location is AT_INFINITY:
-        v = to_v_chart(family)
-        a = v.g2_v.order_at_zero_exact()
-        b = v.g3_v.order_at_zero_exact()
-        d = v.delta_v.order_at_zero_exact()
+        a, b, d = (order_at_infinity(p, w) for p, w in
+                   ((family.g2_poly, 4), (family.g3_poly, 6), (family.delta_poly, 12)))
     else:
         location = complex(location)
         rho = node_gap(family, location)
@@ -229,7 +226,7 @@ def surface_report(family: CurveFamily) -> SurfaceReport:
 
     sign(total space over CP^1) = -(2/3) * (sum of fiber Euler numbers), and
     removing the fiber at infinity subtracts sign(E_inf) = 2 - e(E_inf).
-    Exact rational arithmetic throughout.
+    The Euler numbers must sum to 12 (else EulerMismatch), so sign(Zbar) = -8.
     """
     nodes = family.cached("nodes", find_singular_fibers)
     reports = [classify_fiber(family, root) for root, _ in nodes]
@@ -238,15 +235,12 @@ def surface_report(family: CurveFamily) -> SurfaceReport:
     total = sum(r.euler for r in reports)
     if total != 12:
         raise EulerMismatch(f"fiber Euler numbers sum to {total}, expected 12")
-    sign_zbar = -Fraction(2, 3) * total
-    if sign_zbar.denominator != 1:
-        raise CrossCheckFailed("sign(Zbar) is an integer", sign_zbar, round(sign_zbar), 0.0)
-    sign_z = sign_zbar - (2 - inf_report.euler)
+    sign_zbar = -2 * total // 3
     return SurfaceReport(
         fibers=tuple(reports),
         total_euler=total,
-        sign_zbar=int(sign_zbar),
-        sign_z=int(sign_z),
+        sign_zbar=sign_zbar,
+        sign_z=sign_zbar - (2 - inf_report.euler),
     )
 
 

@@ -1,9 +1,10 @@
+import argparse
 import json
 import math
 
 import pytest
 
-from uplane import family_to_dict, isotrivial_family, sample_family
+from uplane import cli, family_to_dict, isotrivial_family, sample_family
 from uplane.cli import main
 
 
@@ -454,3 +455,13 @@ def test_scan_curvature_matches_library(capsys, family_file):
         cells = row.split(",")
         u = complex(float(cells[0]), float(cells[1]))
         assert cells[5] == _fmt(scalar_curvature(fam, u, periods_along_family(fam, u)))
+
+
+def test_every_value_flag_joins_its_value():
+    # _join_flag_values glues a negative "RE,IM" to its flag only for flags it knows,
+    # so each option that takes a value must be listed there, and only those
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {opt for p in sub.choices.values() for a in p._actions if a.nargs != 0
+             for opt in a.option_strings if opt.startswith("--")}
+    assert flags == cli._VALUE_FLAGS

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from uplane import (
     ComplexPoly,
@@ -21,7 +23,7 @@ from uplane import (
     surface_report,
     to_v_chart,
 )
-from uplane.curves import poly_to_v_chart
+from uplane.curves import ORDER_INFINITE, order_at_infinity, poly_to_v_chart
 
 
 def test_discriminant_direct_values():
@@ -52,29 +54,50 @@ def test_discriminant_poly_pure_g3():
     assert discriminant_poly(fam).coeffs == (0j, 0j, -27 + 0j)
 
 
+def _first_nonzero(coeffs) -> int:
+    """Index of the first exactly nonzero coefficient; ORDER_INFINITE if there is none."""
+    return next((k for k, c in enumerate(coeffs) if c != 0), ORDER_INFINITE)
+
+
 def test_v_chart_examples():
-    # constant g2 = 4 becomes 4 v^4
+    # g2 = 4, g3 = u^3: Delta = 64 - 27 u^6 becomes 64 v^12 - 27 v^6
     fam = CurveFamily(ComplexPoly.of([4]), ComplexPoly.of([0, 0, 0, 1]), nf=4)
-    v = to_v_chart(fam)
-    assert v.g2_v.coeffs == (0j, 0j, 0j, 0j, 4 + 0j)
+    assert to_v_chart(fam).coeffs == (0j,) * 6 + (-27 + 0j,) + (0j,) * 5 + (64 + 0j,)
+    assert [order_at_infinity(p, w) for p, w in
+            ((fam.g2_poly, 4), (fam.g3_poly, 6), (fam.delta_poly, 12))] == [4, 3, 6]
+    # constant g2 = 4 becomes 4 v^4
+    assert poly_to_v_chart(fam.g2_poly, 4).coeffs == (0j, 0j, 0j, 0j, 4 + 0j)
     # delta = u^2 + 1 -> v^10 (1 + v^2), order 10 at v = 0
     p = ComplexPoly.of([1, 0, 1])
     pv = poly_to_v_chart(p, 12)
-    assert pv.order_at_zero_exact() == 10
+    assert order_at_infinity(p, 12) == _first_nonzero(pv.coeffs) == 10
     assert pv.coeffs[10] == 1 and pv.coeffs[12] == 1
-    # constant delta c -> c v^12
-    pv = poly_to_v_chart(ComplexPoly.of([3.5]), 12)
-    assert pv.order_at_zero_exact() == 12
+    # constant delta c -> c v^12; the zero polynomial vanishes to every order
+    assert order_at_infinity(ComplexPoly.of([3.5]), 12) == 12
+    assert order_at_infinity(ComplexPoly.of([0]), 12) == ORDER_INFINITE
 
 
 @pytest.mark.parametrize("fam, degree", [(sample_family(nf), 12) for nf in range(5)]
                          + [(coalesced_family(), 12), (isotrivial_family(), 6)])
 def test_v_chart_discriminant_degree_is_true(fam, degree):
     # deg Delta_v = 12 - ord_{u=0} Delta: the isotrivial Delta = 37 u^6 becomes 37 v^6
-    dv = to_v_chart(fam).delta_v
-    assert dv.degree == degree == 12 - fam.delta_poly.order_at_zero_exact()
+    dv = to_v_chart(fam)
+    assert dv.degree == degree == 12 - _first_nonzero(fam.delta_poly.coeffs)
     assert dv.coeffs[-1] != 0
-    assert dv.order_at_zero_exact() == 12 - fam.delta_poly.degree
+    assert _first_nonzero(dv.coeffs) == order_at_infinity(fam.delta_poly, 12) == 10 - fam.nf
+
+
+_COEFFS = st.one_of(st.just(0j), st.complex_numbers(max_magnitude=1e8, allow_nan=False,
+                                                    allow_infinity=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(weight=st.sampled_from([4, 6, 12]), coeffs=st.lists(_COEFFS, min_size=1, max_size=13))
+@example(weight=12, coeffs=[0j])  # the zero polynomial
+def test_order_at_infinity_is_the_first_nonzero_v_chart_coefficient(weight, coeffs):
+    # exact zero coefficients are drawn often; degree at most the weight
+    p = ComplexPoly.of(coeffs[:weight + 1])
+    assert order_at_infinity(p, weight) == _first_nonzero(poly_to_v_chart(p, weight).coeffs)
 
 
 def test_v_chart_involution():

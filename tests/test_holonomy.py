@@ -251,8 +251,8 @@ def test_curvature_ledger_exact_totals():
     for nf in range(5):
         led = curvature_ledger(sample_family(nf))
         assert led.total == 2
-        cp = H._contour_pass(sample_family(nf))
-        assert [w for _, w, _ in cp.nodes] == [1] * (nf + 2) and cp.infinity[1] == 10 - nf
+        rows = H._fiber_rows(sample_family(nf))
+        assert [w for _, _, w in rows] == [1] * (nf + 2) + [10 - nf]
         finite = [r for loc, r in led.residues if loc is not AT_INFINITY]
         assert finite == [Fraction(1, 6)] * (nf + 2)
         inf = [r for loc, r in led.residues if loc is AT_INFINITY][0]
@@ -324,13 +324,15 @@ _PASS_SIGNATURES = [0, -1, -2, -3, -4, -2, -4]
     "fam, sig", zip(_PASS_FAMILIES, _PASS_SIGNATURES), ids=[f.name for f in _PASS_FAMILIES]
 )
 def test_one_pass_engine_exact_outputs(fam, sig):
-    cp = H._contour_pass(fam)
-    assert cp.roots == tuple(find_singular_fibers(fam))
+    rows = H._fiber_rows(fam)
+    roots = tuple(find_singular_fibers(fam))
+    assert tuple((z, m) for z, m, _ in rows[:-1]) == roots and rows[-1][0] is AT_INFINITY
     # ccw windings are the vanishing orders of Delta in each chart
-    assert [w for _, w, _ in cp.nodes] == [m for _, m in cp.roots]
-    assert cp.infinity[1] == cp.ord_inf == surface_report(fam).fibers[-1].ord_delta
+    assert [w for _, _, w in rows] == [m for _, m, _ in rows]
+    assert rows[-1][1] == surface_report(fam).fibers[-1].ord_delta
     # every loop agrees with a separate single-loop holonomy, both orientations
-    for loop, w_ccw, _ in cp.nodes + (cp.infinity,):
+    loops = [H._node_loop(fam, z) for z, _ in roots] + [H._infinity_loop(roots)]
+    for loop, (_, _, w_ccw) in zip(loops, rows, strict=True):
         for op in Operator:
             for orient, sign in ((Orientation.COUNTERCLOCKWISE, 1), (Orientation.CLOCKWISE, -1)):
                 res = holonomy(op, fam, LoopSpec(
@@ -343,9 +345,7 @@ def test_one_pass_engine_exact_outputs(fam, sig):
     for op, den, total in ((Operator.SIGNATURE, 6, 2), (Operator.DBAR, 12, 1)):
         led = curvature_ledger(fam, operator=op)
         assert led.total == total
-        assert [r for _, r in led.residues] == (
-            [Fraction(m, den) for _, m in cp.roots] + [Fraction(cp.ord_inf, den)]
-        )
+        assert list(led.residues) == [(loc, Fraction(m, den)) for loc, m, _ in rows]
     assert signature_from_monodromy(fam) == sig
 
 
@@ -411,13 +411,23 @@ def test_integral_read_refuses_an_unresolved_loop(monkeypatch):
 
 
 def test_internal_pass_integrates_every_loop_at_64_samples(monkeypatch):
+    integrated, expected = [], []
+    integrate = H._ccw_winding_and_transport
+
+    def recorded(fam, loop):
+        out = integrate(fam, loop)
+        integrated.append((loop, out[0].samples))
+        return out
+
+    monkeypatch.setattr(H, "_ccw_winding_and_transport", recorded)
     sizes = _spy_sample_sizes(monkeypatch)
-    loops = []
     for fam in [sample_family(nf) for nf in range(5)] + [coalesced_family(), isotrivial_family()]:
-        cp = H._contour_pass(fam)
-        loops += [loop for loop, _, _ in cp.nodes + (cp.infinity,)]
-    assert [loop.samples for loop in loops] == [64] * len(loops)
-    assert sizes == [64] * (2 * len(loops))  # Delta and Delta' of each loop, once
+        roots = find_singular_fibers(fam)
+        expected += [H._node_loop(fam, z) for z, _ in roots] + [H._infinity_loop(roots)]
+        H._fiber_rows(fam)
+    # one loop a row, each the node or infinity loop, each at the 64-sample floor
+    assert integrated == [(loop, 64) for loop in expected]
+    assert sizes == [64] * (2 * len(expected))  # Delta and Delta' of each loop, once
 
 
 def test_unresolvable_loop_is_refused_before_sampling(monkeypatch):
@@ -490,12 +500,14 @@ _FORCED_FAILURES = {
         ["signature"],
         "monodromy route vs Euler-number route",
     ),
-    # the contour pass reports an order at infinity one above the infinity loop's winding
+    # the infinity row reports an order one above its loop's winding
     "windings_vs_orders": (
-        "import dataclasses\n"
         "import uplane.holonomy as h\n"
-        "real = h._integrate_loops\n"
-        "h._integrate_loops = lambda fam: dataclasses.replace(real(fam), ord_inf=real(fam).ord_inf + 1)\n",
+        "real = h._fiber_rows\n"
+        "def patched(fam):\n"
+        "    *finite, (loc, order, winding) = real(fam)\n"
+        "    return (*finite, (loc, order + 1, winding))\n"
+        "h._fiber_rows = patched\n",
         ["signature"],
         "contour windings vs discriminant orders",
     ),

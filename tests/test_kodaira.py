@@ -122,7 +122,11 @@ def test_v_chart_order_bookkeeping():
     for nf in range(5):
         fam = sample_family(nf)
         total_finite = sum(m for _, m in find_singular_fibers(fam))
-        assert total_finite + to_v_chart(fam).ord_delta_at_zero == 12
+        ord_inf = classify_fiber(fam, AT_INFINITY).ord_delta
+        assert total_finite + ord_inf == 12
+        # the order is the count of exactly zero low coefficients of Delta_v
+        dv = to_v_chart(fam).coeffs
+        assert dv[:ord_inf] == (0j,) * ord_inf and dv[ord_inf] != 0
 
 
 def test_surface_reports():

@@ -42,6 +42,19 @@ def test_the_basis_move_has_one_home():
     assert found == []
 
 
+def test_the_chart_change_has_one_home():
+    # the v-chart polynomials are built in curves (to_v_chart); every other module reads
+    # Delta_v from there and the orders at infinity from order_at_infinity (weight - degree)
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "curves.py"
+        for name, line in _names(ast.parse(path.read_text(encoding="utf-8")))
+        if name == "poly_to_v_chart"
+    ]
+    assert found == []
+
+
 def test_no_module_imports_scipy():
     # numpy is the only run-time dependency; the lattice-zeta oracle's E1 is modular._exp1
     found = [
