@@ -7,13 +7,16 @@ For roots e1, e2, e3 of 4x^3 - g2 x - g3 the candidate half-periods are
 
 with M the arithmetic-geometric mean using principal square roots and, at
 each step, the square-root branch closer to the running arithmetic mean.
+The roots come in closed form (`cubic_roots`, Cardano with a guarded Newton
+polish), so the whole solve is scalar Python.
 Which root ordering gives a lattice basis is not knowable a priori in the
 complex case, though the first passed on every curve tried: the 6 orderings
 are walked lazily, one candidate (omega, omega') with Im tau > 0 each, until
 one passes, and a failure is raised once all 6 have failed.  Each is first put
 into the canonical basis of its lattice: tau in the closed fundamental domain F
 of `modular.reduce_tau`, and arg omega in (-pi/n, pi/n] by the rotations that
-fix the lattice (n = 2, or 4 when g3 == 0 and 6 when g2 == 0 exactly).
+fix the lattice (n = 2, or 4 when g3 == 0 and 6 when g2 == 0 exactly), each
+edge with reduce_tau's slack.
 There, where every modular form is its raw q-series, it is validated against
 the modular-discriminant identity
 
@@ -31,8 +34,6 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .curves import (
     CurveFamily,
@@ -63,6 +64,9 @@ AGM_RTOL = 4e-16
 #: documented step below which periods_along_family guarantees no basis jump
 CONTINUITY_STEP = 1e-3
 
+#: the cube roots of unity, 1 first
+_CUBE_UNITS = (1.0, complex(-0.5, 0.5 * math.sqrt(3.0)), complex(-0.5, -0.5 * math.sqrt(3.0)))
+
 
 @dataclass(frozen=True)
 class Periods:
@@ -75,19 +79,38 @@ class Periods:
 
 
 def cubic_roots(curve: WeierstrassCurve):
-    """Roots of 4x^3 - g2 x - g3, sorted lexicographically by (Re, Im)."""
-    r = np.roots([4.0, 0.0, -curve.g2, -curve.g3])
-    # up to 3 Newton steps per root; cheap and tightens np.roots output
+    """Roots of 4x^3 - g2 x - g3, sorted lexicographically by (Re, Im).
+
+    Cardano on x^3 + p x + q (p = -g2/4, q = -g3/4), Numerical Recipes 5.6: c is the
+    larger in modulus of -q/2 +- sqrt(q^2/4 + p^3/27), so no cancellation enters it,
+    t its principal cube root, and the roots are t w - p / (3 t w) over the cube roots
+    of unity w.  c = 0 only when g2 = g3 = 0 (or their powers underflow), where the
+    root is triple.
+    """
+    g2, g3 = curve.g2, curve.g3
+    p, q = -0.25 * g2, -0.25 * g3
+    s = cmath.sqrt(0.25 * q * q + p * p * p / 27.0)
+    c = max(-0.5 * q + s, -0.5 * q - s, key=abs)
+    if c == 0:
+        return (0j, 0j, 0j)
+    t = c ** (1.0 / 3.0)
     out = []
-    for z in r:
-        z = complex(z)
+    for unit in _CUBE_UNITS:
+        tw = t * unit
+        z = tw - p / (3.0 * tw)
+        # up to 3 Newton steps, each kept only if it lowers |f|: at a double root
+        # f' is itself rounding, and an unguarded step divides rounding by rounding
+        f = (4.0 * z * z - g2) * z - g3
         for _ in range(3):
-            f = 4.0 * z**3 - curve.g2 * z - curve.g3
-            fp = 12.0 * z**2 - curve.g2
+            fp = 12.0 * z * z - g2
             if abs(fp) < 1e-30:
                 break
             step = f / fp
-            z -= step
+            znew = z - step
+            fnew = (4.0 * znew * znew - g2) * znew - g3
+            if not abs(fnew) < abs(f):
+                break
+            z, f = znew, fnew
             if abs(step) < 1e-16 * (1.0 + abs(z)):
                 break
         out.append(z)
@@ -151,15 +174,17 @@ def _canonical(w: complex, wp: complex, tau: complex, n: int):
 
     Returns (t, (w, wp), (a, b, c, d)): reduce_tau's point t, the basis, and the matrix
     that gives the basis as (c wp + d w, a wp + b w) before the rotation.  The arg
-    boundary carries reduce_tau's slack; the final half-plane test is exact: Re w > 0,
-    or Im w > 0 when Re w = 0.
+    boundary and the final half-plane test carry reduce_tau's slack: w is kept when
+    Re w > _EDGE |w|, or when |Re w| <= _EDGE |w| and Im w > 0.  On a real curve whose
+    omega is imaginary, Re w is rounding, and an exact test would let it pick the sign.
     """
     t, (a, b, c, d) = reduce_tau(tau)
     w, wp = c * wp + d * w, a * wp + b * w
     if n > 2:
         unit = _UNIT_ROOT[n] ** math.ceil(cmath.phase(w) * n / TWO_PI - 0.5 - _EDGE)
         w, wp = unit * w, unit * wp
-    if w.real < 0 or (w.real == 0 and w.imag < 0):
+    edge = _EDGE * abs(w)
+    if w.real < -edge or (w.real <= edge and w.imag < 0):
         w, wp, a, b, c, d = -w, -wp, -a, -b, -c, -d
     return t, (w, wp), (a, b, c, d)
 

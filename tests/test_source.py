@@ -91,17 +91,26 @@ def test_every_import_is_used():
 
 
 def test_np_roots_only_in_the_root_finders():
-    # kodaira finds a family's singular fibers once and periods a fiber's cubic roots;
-    # holonomy reads the zeros of either chart from the singular fibers
+    # kodaira finds a family's singular fibers once; holonomy reads the zeros of either
+    # chart from the singular fibers, and periods takes a fiber's cubic roots in closed form
     found = [
         f"{path.name}:{node.lineno}"
         for path in sorted(SRC.glob("*.py"))
-        if path.name not in ("kodaira.py", "periods.py")
+        if path.name != "kodaira.py"
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Attribute) and node.attr == "roots"
         and isinstance(node.value, ast.Name) and node.value.id == "np"
     ]
     assert found == []
+
+
+def test_the_period_solve_imports_no_numpy():
+    # the period solve is scalar Python: cmath and math only
+    tree = ast.parse((SRC / "periods.py").read_text(encoding="utf-8"))
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert [m for m in modules if m and m.split(".")[0] == "numpy"] == []
 
 
 def test_no_two_argument_round_in_src():
