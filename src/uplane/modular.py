@@ -1,6 +1,8 @@
 """Dedekind eta, theta constants and E4/E6 from q-series at reduce_tau's point of F, and a
 lattice-zeta continuation oracle for regularized determinants of the twisted fiber Laplacian.
-eta's q-product is checked there against Euler's pentagonal series.
+eta's q-product is checked there against Euler's pentagonal series.  `eta_in_f` and
+`eisenstein_in_f` sum the series from the nome of a point of F, which a period basis
+already carries; `dedekind_eta` and `eisenstein_e4/e6` walk tau there first.
 
 The oracle evaluates the eigenvalue zeta function of (-4 d dbar) on a torus
 with half-period omega and modulus tau, twisted by a spin structure
@@ -96,8 +98,8 @@ def reduce_tau(tau) -> tuple:
     return t, (a, b, c, d)
 
 
-def _eta_qproduct(tau: complex) -> complex:
-    q = cmath.exp(2j * math.pi * tau)
+def _eta_qproduct(q: complex) -> complex:
+    """prod (1 - q^n) over n >= 1, up to the first q^n below 1e-17."""
     prod = 1.0 + 0.0j
     qn = 1.0 + 0.0j
     for _ in range(_MAX_TERMS):
@@ -105,14 +107,28 @@ def _eta_qproduct(tau: complex) -> complex:
         if abs(qn) < _TERM_TOL:
             break
         prod *= 1.0 - qn
-    return cmath.exp(1j * math.pi * tau / 12.0) * prod
+    return prod
 
 
-def _eta_pentagonal(t: complex) -> complex:
-    """Euler's pentagonal series eta(t) = e^{pi i t / 12} sum_n (-1)^n q^{n (3n - 1) / 2} for
-    t in F: |n| <= 3 leaves out terms below |q|^22 < 1e-52."""
-    q = cmath.exp(2j * math.pi * t)
-    return cmath.exp(1j * math.pi * t / 12.0) * (1.0 - q - q**2 + q**5 + q**7 - q**12 - q**15)
+def _eta_pentagonal(q: complex) -> complex:
+    """Euler's pentagonal series sum_n (-1)^n q^{n (3n - 1) / 2} for the nome of a point of F:
+    |n| <= 3 leaves out terms below |q|^22 < 1e-52."""
+    return 1.0 - q - q**2 + q**5 + q**7 - q**12 - q**15
+
+
+def eta_in_f(t: complex, q: complex) -> complex:
+    """eta(t) = e^{pi i t / 12} prod (1 - q^n) at a point t of F, from its nome q = e^{2 pi i t}.
+
+    The product is checked against Euler's pentagonal series of the same nome: they must
+    agree to ETA_SERIES_RTOL = 1e-13 relative (8.4e-16 at worst over 2,502 points of F up
+    to Im t = 100), else CrossCheckFailed; NaN fails too.
+    """
+    twelfth = cmath.exp(1j * math.pi * t / 12.0)
+    eta = twelfth * _eta_qproduct(q)
+    series = twelfth * _eta_pentagonal(q)
+    if not abs(eta - series) <= ETA_SERIES_RTOL * abs(series):
+        raise CrossCheckFailed("eta: q-product vs pentagonal series", eta, series, ETA_SERIES_RTOL)
+    return eta
 
 
 def _eta_multiplier(a: int, c: int, d: int) -> complex:
@@ -136,19 +152,16 @@ def _eta_multiplier(a: int, c: int, d: int) -> complex:
 def dedekind_eta(tau) -> complex:
     """eta(tau) = e^{pi i tau / 12} prod (1 - q^n), q = e^{2 pi i tau}.
 
-    The product is taken at t = (a tau + b) / (c tau + d) = reduce_tau(tau)
-    and carried back by the multiplier of the matrix, signed so that c > 0,
-    or c = 0 and d = 1 (Apostol, Modular Functions, thm 3.4):
+    `eta_in_f` at t = (a tau + b) / (c tau + d) = reduce_tau(tau), returned as it is when
+    the matrix is the identity, else carried back by the multiplier of the matrix, signed
+    so that c > 0, or c = 0 and d = 1 (Apostol, Modular Functions, thm 3.4):
     eta(t) = eps sqrt(-i (c tau + d)) eta(tau), and eta(tau + b) = e^{pi i b/12} eta(tau).
-    The product at t is checked against Euler's pentagonal series there: they must agree
-    to ETA_SERIES_RTOL = 1e-13 relative (8.4e-16 at worst over 2,502 points of F up to
-    Im t = 100), else CrossCheckFailed; NaN fails too.
     """
-    t, (a, b, c, d) = reduce_tau(tau)
-    eta = _eta_qproduct(t)
-    series = _eta_pentagonal(t)
-    if not abs(eta - series) <= ETA_SERIES_RTOL * abs(series):
-        raise CrossCheckFailed("eta: q-product vs pentagonal series", eta, series, ETA_SERIES_RTOL)
+    t, matrix = reduce_tau(tau)
+    eta = eta_in_f(t, cmath.exp(2j * math.pi * t))
+    if matrix == (1, 0, 0, 1):
+        return eta
+    a, b, c, d = matrix
     if (c, d) < (0, 0):
         a, b, c, d = -a, -b, -c, -d
     if c == 0:
@@ -174,30 +187,45 @@ def theta_ab(a: int, b: int, tau) -> complex:
     return eta**5 / (half * double) ** 2
 
 
-def _eisenstein(tau, power: int, coeff: float) -> complex:
-    """1 + coeff sum n^power q^n / (1 - q^n), summed at t = reduce_tau(tau) until a
-    term is below 1e-17, then carried back by the weight: E(tau) = E(t) / (c tau + d)^k."""
-    t, (_, _, c, d) = reduce_tau(tau)
-    q = cmath.exp(2j * math.pi * t)
-    s = 0j
+def eisenstein_in_f(q: complex) -> tuple:
+    """(E4, E6) at a point of F from its nome q, in one loop over q^n:
+    E4 = 1 + 240 sum n^3 q^n / (1 - q^n) and E6 = 1 - 504 sum n^5 q^n / (1 - q^n),
+    each summed until its own term is below 1e-17 of max(1, |its sum|)."""
+    s4 = s6 = 0j
+    open4 = open6 = True
     qn = 1.0 + 0.0j
     for n in range(1, _MAX_TERMS):
         qn *= q
-        term = n**power * qn / (1.0 - qn)
-        s += term
-        if abs(term) < _TERM_TOL * max(1.0, abs(s)):
+        if open4:
+            term = n**3 * qn / (1.0 - qn)
+            s4 += term
+            open4 = not abs(term) < _TERM_TOL * max(1.0, abs(s4))
+        if open6:
+            term = n**5 * qn / (1.0 - qn)
+            s6 += term
+            open6 = not abs(term) < _TERM_TOL * max(1.0, abs(s6))
+        if not (open4 or open6):
             break
-    return (1.0 + coeff * s) / (c * complex(tau) + d) ** (power + 1)
+    return 1.0 + 240.0 * s4, 1.0 - 504.0 * s6
+
+
+def _eisenstein(tau) -> tuple:
+    """(E4, E6)(tau): `eisenstein_in_f` at t = reduce_tau(tau), carried back by the weight,
+    E(tau) = E(t) / (c tau + d)^k."""
+    t, (_, _, c, d) = reduce_tau(tau)
+    e4, e6 = eisenstein_in_f(cmath.exp(2j * math.pi * t))
+    z = c * complex(tau) + d
+    return e4 / z**4, e6 / z**6
 
 
 def eisenstein_e4(tau) -> complex:
     """E4(tau) = 1 + 240 sum n^3 q^n / (1 - q^n)."""
-    return _eisenstein(tau, 3, 240.0)
+    return _eisenstein(tau)[0]
 
 
 def eisenstein_e6(tau) -> complex:
     """E6(tau) = 1 - 504 sum n^5 q^n / (1 - q^n)."""
-    return _eisenstein(tau, 5, -504.0)
+    return _eisenstein(tau)[1]
 
 
 def j_from_tau(tau) -> complex:
@@ -205,12 +233,15 @@ def j_from_tau(tau) -> complex:
     return eisenstein_e4(tau) ** 3 / dedekind_eta(tau) ** 24
 
 
+def g2_g3_from_forms(e4: complex, e6: complex, omega: complex) -> tuple:
+    """g2 = (2 pi)^4 E4 / (12 (2 omega)^4) and g3 = (2 pi)^6 E6 / (216 (2 omega)^6)."""
+    two_w = 2.0 * omega
+    return TWO_PI**4 * e4 / (12.0 * two_w**4), TWO_PI**6 * e6 / (216.0 * two_w**6)
+
+
 def lattice_g2_g3(tau, omega: complex) -> tuple:
     """Weierstrass invariants of the lattice spanned by 2*omega, 2*omega*tau."""
-    two_w = 2.0 * omega
-    g2 = TWO_PI**4 * eisenstein_e4(tau) / (12.0 * two_w**4)
-    g3 = TWO_PI**6 * eisenstein_e6(tau) / (216.0 * two_w**6)
-    return g2, g3
+    return g2_g3_from_forms(*_eisenstein(tau), omega)
 
 
 # ---------------------------------------------------------------------------

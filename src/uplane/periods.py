@@ -17,20 +17,24 @@ into the canonical basis of its lattice: tau in the closed fundamental domain F
 of `modular.reduce_tau`, and arg omega in (-pi/n, pi/n] by the rotations that
 fix the lattice (n = 2, or 4 when g3 == 0 and 6 when g2 == 0 exactly), each
 edge with reduce_tau's slack.
-There, where every modular form is its raw q-series, it is validated against
-the modular-discriminant identity
+There, where every modular form is its raw q-series, eta, E4 and E6 are summed
+once each from the basis' nome q (`modular.eta_in_f`, `modular.eisenstein_in_f`),
+and the candidate is validated against the modular-discriminant identity
 
     (2 pi)^12 eta(tau)^24 / (2 omega)^12 = g2^3 - 27 g3^2,
 
 which holds for every basis of the period lattice and fails for any branch
 mistake.  The identity sees only omega^12 and so passes rotated lattices too;
-the canonical basis must also reproduce (g2, g3) through `lattice_g2_g3`, to
-1e-12 S^2 and 1e-12 S^3 with S = discriminant_scale^(1/6).  A seeded solve
+the canonical basis must also reproduce (g2, g3) from E4 and E6, to
+1e-12 S^2 and 1e-12 S^3 with S = discriminant_scale^(1/6).  The eta that
+validated the basis stays with it as `Periods.eta`, which every closed form of
+`spectral` reads, so F1 and the determinants take no second eta.  A seeded solve
 then moves to the basis nearest the seed's, which keeps frames continuous
 along loops.  `reduce_periods` makes the same move for a basis given by hand.
 """
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -43,7 +47,15 @@ from .curves import (
     is_numerically_singular,
 )
 from .errors import AgmBranchFailure, SingularCurve, SingularFiber
-from .modular import _EDGE, TWO_PI, lattice_g2_g3, reduce_tau
+from .modular import (
+    _EDGE,
+    TWO_PI,
+    dedekind_eta,
+    eisenstein_in_f,
+    eta_in_f,
+    g2_g3_from_forms,
+    reduce_tau,
+)
 from .spectral import modular_discriminant
 
 #: relative tolerance of the modular-discriminant post-condition
@@ -76,6 +88,12 @@ class Periods:
     omega_prime: complex
     tau: complex
     q: complex
+
+    @functools.cached_property
+    def eta(self) -> complex:
+        """dedekind_eta(tau), evaluated on the first read and kept with the basis.  A
+        validated solve keeps the eta it was checked with (`_validated`), the same value."""
+        return dedekind_eta(self.tau)
 
 
 def cubic_roots(curve: WeierstrassCurve):
@@ -199,27 +217,36 @@ def reduce_periods(p: Periods):
 
 def _validated(curve: WeierstrassCurve, delta: complex, cands):
     """The canonical basis of the first candidate that, reduced, satisfies the eta^24
-    identity and reproduces (g2, g3); None if none does."""
+    identity and reproduces (g2, g3); None if none does.
+
+    eta, E4 and E6 are the raw series of the basis' nome p.q, and eta is kept as p.eta.
+    Only where reduce_tau would move p.tau is eta left to dedekind_eta, so that p.eta is
+    always dedekind_eta(p.tau): wp / w rounds a square lattice's tau to Re tau = -1e-17
+    on |tau| = 1 in a few percent of solves, and reduce_tau moves that tau by S.
+    """
     n = 6 if curve.g2 == 0 else 4 if curve.g3 == 0 else 2
     s = discriminant_scale(curve) ** (1.0 / 6.0)
     for w, wp, tau in cands:
         p = _basis(*_canonical(w, wp, tau, n)[1])
+        if reduce_tau(p.tau)[1] == (1, 0, 0, 1):
+            p.__dict__["eta"] = eta_in_f(p.tau, p.q)  # the memo of Periods.eta
         if not abs(modular_discriminant(p) - delta) / abs(delta) <= ETA_IDENTITY_RTOL:
             continue
-        g2, g3 = lattice_g2_g3(p.tau, p.omega)
+        g2, g3 = g2_g3_from_forms(*eisenstein_in_f(p.q), p.omega)
         if (abs(g2 - curve.g2) <= INVARIANTS_RTOL * s**2
                 and abs(g3 - curve.g3) <= INVARIANTS_RTOL * s**3):
             return p
     return None
 
 
-def _nearest_basis(w: complex, wp: complex, seed: Periods):
-    """The oriented basis of the half-period lattice <w, wp> nearest the seed's.
+def _nearest_basis(p: Periods, seed: Periods) -> Periods:
+    """The oriented basis of p's half-period lattice nearest the seed's.
 
-    The seed's half-periods are written in real coordinates of (w, wp) and
-    rounded to integers; (w, wp) itself is returned unless that gives
+    The seed's half-periods are written in real coordinates of (omega, omega') and
+    rounded to integers; p itself, with its eta, is returned unless that gives
     another basis of determinant 1.
     """
+    w, wp = p.omega, p.omega_prime
     area = (w.conjugate() * wp).imag
 
     def coords(z: complex):
@@ -227,8 +254,8 @@ def _nearest_basis(w: complex, wp: complex, seed: Periods):
 
     (a, b), (c, d) = coords(seed.omega), coords(seed.omega_prime)
     if (a, b, c, d) == (1, 0, 0, 1) or a * d - b * c != 1:
-        return w, wp
-    return a * w + b * wp, c * w + d * wp
+        return p
+    return _basis(a * w + b * wp, c * w + d * wp)
 
 
 def compute_periods(curve: WeierstrassCurve, seed: Periods = None) -> Periods:
@@ -250,7 +277,7 @@ def compute_periods(curve: WeierstrassCurve, seed: Periods = None) -> Periods:
         if abs(delta) < ETA_RESOLVABLE * discriminant_scale(curve):
             raise SingularCurve(f"discriminant within its rounding of zero: {failure}")
         raise AgmBranchFailure(failure)
-    return p if seed is None else _basis(*_nearest_basis(p.omega, p.omega_prime, seed))
+    return p if seed is None else _nearest_basis(p, seed)
 
 
 def periods_along_family(family: CurveFamily, u: complex, prev: Periods = None) -> Periods:

@@ -1,8 +1,9 @@
 """Closed-form regularized determinants, Quillen norms and the annulus (Dirichlet)
-determinants, each one expression on one `dedekind_eta` value.
+determinants, each one expression on one eta value: the basis' own `Periods.eta`,
+evaluated at most once per basis and, on a solved basis, the eta that validated it.
 
 eta's q-product is checked where it is computed, against Euler's pentagonal series
-(`modular.dedekind_eta`), so the closed forms here carry no second route of their own.
+(`modular.eta_in_f`), so the closed forms here carry no second route of their own.
 The twisted determinants also check their eta quotients against the theta series.
 The lattice-zeta continuation (`modular.epstein_zeta_logdet`) checks the closed forms
 through neither eta nor theta: `uplane zeta-oracle` and the tests compare the two.
@@ -25,7 +26,7 @@ from typing import TYPE_CHECKING
 
 from .curves import WeierstrassCurve, discriminant
 from .errors import CrossCheckFailed, OddStructure
-from .modular import _EDGE, TWO_PI, SpinStructure, dedekind_eta, theta_ab
+from .modular import _EDGE, TWO_PI, SpinStructure, theta_ab
 
 if TYPE_CHECKING:  # periods validates its solves here, so it imports this module
     from .periods import Periods
@@ -48,8 +49,15 @@ def fiber_volume(p: Periods) -> float:
 
 
 def modular_discriminant(p: Periods) -> complex:
-    """(2 pi)^12 eta(tau)^24 / (2 omega)^12."""
-    return TWO_PI**12 * dedekind_eta(p.tau) ** 24 / (2.0 * p.omega) ** 12
+    """(2 pi)^12 eta(tau)^24 / (2 omega)^12.
+
+    Raises ValueError when (2 omega)^12 overflows: omega beyond about 1e25, the periods
+    of a curve whose roots are near 1e-51.
+    """
+    try:
+        return TWO_PI**12 * p.eta**24 / (2.0 * p.omega) ** 12
+    except OverflowError:
+        raise ValueError(f"(2 omega)^12 overflows for omega={p.omega}") from None
 
 
 def det_prime_laplacian(p: Periods) -> float:
@@ -58,7 +66,7 @@ def det_prime_laplacian(p: Periods) -> float:
     4 Im^2(tau) |omega|^2 |eta(tau)|^4 / (2 pi)^2, which is
     vol^2/(2 pi)^4 |Delta_modular|^{1/6}.
     """
-    return 4.0 * p.tau.imag**2 * abs(p.omega) ** 2 * abs(dedekind_eta(p.tau)) ** 4 / TWO_PI**2
+    return 4.0 * p.tau.imag**2 * abs(p.omega) ** 2 * abs(p.eta) ** 4 / TWO_PI**2
 
 
 def _theta_series(a: int, b: int, t: complex) -> complex:
@@ -82,9 +90,8 @@ def det_twisted(nu: SpinStructure, p: Periods) -> float:
     if p.tau.imag < _F_FLOOR:
         raise ValueError(f"det_twisted takes tau in the fundamental domain, got {p.tau};"
                          " move the basis there with periods.reduce_periods")
-    eta = dedekind_eta(p.tau)
-    primary = abs(theta_ab(nu.nu1, nu.nu2, p.tau) / eta) ** 2
-    alt = abs(_theta_series(nu.nu1, nu.nu2, p.tau) / eta) ** 2
+    primary = abs(theta_ab(nu.nu1, nu.nu2, p.tau) / p.eta) ** 2
+    alt = abs(_theta_series(nu.nu1, nu.nu2, p.tau) / p.eta) ** 2
     if not abs(primary - alt) <= 1e-10 * primary:  # NaN fails
         raise CrossCheckFailed("twisted determinant: eta quotient vs theta series",
                                primary, alt, 1e-10)
@@ -102,7 +109,7 @@ def quillen_norm_sigma(curve: WeierstrassCurve) -> float:
 
 def quillen_norm_from_periods(p: Periods) -> float:
     """|Delta_modular|^{1/12} = 2 pi |eta(tau)|^2 / |2 omega|."""
-    return TWO_PI * abs(dedekind_eta(p.tau)) ** 2 / abs(2.0 * p.omega)
+    return TWO_PI * abs(p.eta) ** 2 / abs(2.0 * p.omega)
 
 
 def det_dirichlet_annulus(p: Periods) -> float:
@@ -118,9 +125,9 @@ def det_dirichlet_flat(p: Periods) -> float:
     det_D(Lambda^2 Delta) = det_D(flat) * exp(L / 6 pi) with Lambda = |omega| / pi,
     L = 2 pi^2 Im tau and Lambda^{2 zeta_D(0)} = 1/Lambda (zeta_D(0) = -1/2).
     """
-    return p.tau.imag * abs(dedekind_eta(p.tau)) ** 2 * abs(p.q) ** (1.0 / 6.0)
+    return p.tau.imag * abs(p.eta) ** 2 * abs(p.q) ** (1.0 / 6.0)
 
 
 def quillen_norm_sigma_hat(p: Periods) -> float:
     """||sigma|| in the flat-annulus metric: |q^{1/6}/eta^2| / (2 pi)^2."""
-    return abs(p.q) ** (1.0 / 6.0) / abs(dedekind_eta(p.tau)) ** 2 / TWO_PI**2
+    return abs(p.q) ** (1.0 / 6.0) / abs(p.eta) ** 2 / TWO_PI**2

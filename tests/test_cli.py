@@ -396,34 +396,47 @@ def test_scan_bad_margin_or_grid_exit_2(capsys, family_file, flag, value):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv, expected", [
-    (["anomaly", "--at", "1e200,0"], 2),
-    (["anomaly", "--at", "1e100,0"], 2),
-    (["scan", "--grid", "1e200,1e200,0,0,1,1"], 2),
-    (["holonomy", "--center", "0,0", "--radius", "1e200", "--operator", "dbar",
+    (["anomaly", "--family", None, "--at", "1e200,0"], 2),
+    (["anomaly", "--family", None, "--at", "1e100,0"], 2),
+    (["scan", "--family", None, "--grid", "1e200,1e200,0,0,1,1"], 2),
+    (["holonomy", "--family", None, "--center", "0,0", "--radius", "1e200", "--operator", "dbar",
       "--orientation", "cw"], 1),
+    # ((1.3+0.2i) s^2, (0.4-0.7i) s^3) at s = 1e-51 and 1e-52: omega ~ 1e25, so the eta^24
+    # identity's (2 omega)^12 overflows
+    (["periods", "--g2", "1.3e-102,2e-103", "--g3", "4e-154,-7e-154"], 2),
+    (["periods", "--g2", "1.3e-104,2e-105", "--g3", "4e-157,-7e-157"], 2),
 ])
 def test_overflowing_input_is_one_error_line(capsys, family_file, argv, expected):
-    code, out, err = _run(capsys, argv[:1] + ["--family", family_file(0)] + argv[1:])
+    code, out, err = _run(capsys, [family_file(0) if a is None else a for a in argv])
     assert code == expected and out == ""
     assert _one_error_line(err)
 
 
 def test_eta_products_per_determinants_request_and_scan_point(capsys, family_file, monkeypatch):
-    # determinants: 1 each for det', the annulus, the flat annulus and the Quillen norm, and
-    # 10 for the twisted determinants (eta and its theta quotients); a scan point: 1 for
-    # the solve's eta identity and 1 for F1
+    # determinants: 1 for the reduced basis' eta, which det', the annulus, the Quillen norm
+    # and the twisted determinants share, 7 for the theta quotients' own etas and 1 for the
+    # flat annulus on the given basis; a scan point: 1, the solve's, which F1 reads again;
+    # an anomaly item: 1 per period solve of its 9-point stencil
     from uplane import modular
 
-    calls = []
-    product = modular._eta_qproduct
-    monkeypatch.setattr(modular, "_eta_qproduct", lambda t: calls.append(t) or product(t))
+    import uplane.periods as P
+
+    calls, loops = [], []
+    product, series = modular._eta_qproduct, modular.eisenstein_in_f
+    monkeypatch.setattr(modular, "_eta_qproduct", lambda q: calls.append(q) or product(q))
+    for module in (modular, P):  # E4 and E6 are summed in one loop
+        monkeypatch.setattr(module, "eisenstein_in_f", lambda q: loops.append(q) or series(q))
     argv = ["determinants", "--tau", "1.3,0.2", "--two-omega", "1,0.5"]
     assert _run(capsys, argv)[0] == 0
-    assert len(calls) == 14
+    assert len(calls) == 9
     calls.clear()
     code, out, _ = _run(capsys, ["scan", "--family", family_file(0), "--grid", "2,3,2,3,3,3"])
     assert code == 0 and len(out.strip().split("\n")) == 1 + 9
-    assert len(calls) == 2 * 9
+    assert len(calls) == 9
+    calls.clear()
+    loops.clear()
+    assert _run(capsys, ["anomaly", "--family", family_file(0), "--at", "0.3,0.9"])[0] == 0
+    assert len(calls) == 9 and len(loops) == 9
 
 
 def test_scan_solves_each_point_once(capsys, family_file, monkeypatch):

@@ -206,6 +206,49 @@ def test_f1_example_square_fiber():
     assert abs(val - 2.365) < 5e-4
 
 
+#: |F1 - F1_mpmath| allowed: F1 takes -2 ln|eta|, so twice eta's worst relative error
+#: against mpmath (1.4e-14, README "Numerical conventions"); 1.8e-15 is the worst seen
+F1_ATOL = 3e-14
+
+
+def _mp_f1(p) -> float:
+    """-1/2 ln(4 Im^2 tau |omega|^2 |eta|^4 / (2 pi)^2) with a 30-digit mpmath eta at p.tau."""
+    import mpmath as mp
+
+    mp.mp.dps = 30
+    t = mp.mpc(p.tau)
+    eta = mp.exp(1j * mp.pi * t / 12) * mp.qp(mp.exp(2j * mp.pi * t))
+    det = 4 * mp.im(t) ** 2 * abs(mp.mpc(p.omega)) ** 2 * abs(eta) ** 4 / (2 * mp.pi) ** 2
+    return float(-mp.log(det) / 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    g2=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    g3=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    log_scale=st.floats(-4.0, 4.0),
+    log_gap=st.one_of(st.none(), st.floats(-6.0, -1.0)),
+)
+def test_f1_of_a_solved_fiber_against_mpmath(g2, g3, log_scale, log_gap):
+    # the eta F1 reads is the one that validated the solve; log_gap puts the curve
+    # 10^log_gap from a node (g3 = sqrt(g2^3 / 27) (1 + gap)), where Im tau grows
+    import cmath
+
+    from uplane import WeierstrassCurve, compute_periods
+    from uplane.curves import discriminant_scale
+    from uplane.geometry import f1_from_periods
+
+    g2, g3 = complex(*g2), complex(*g3)
+    assume(abs(g2) > 1e-2 and abs(g3) > 1e-2)
+    if log_gap is not None:
+        g3 = cmath.sqrt(g2**3 / 27.0) * (1.0 + g3 / abs(g3) * 10.0**log_gap)
+    s = 10.0**log_scale
+    curve = WeierstrassCurve(g2 * s**2, g3 * s**3)
+    assume(abs(g2**3 - 27.0 * g3**2) > 1e-6 * discriminant_scale(WeierstrassCurve(g2, g3)))
+    p = compute_periods(curve)
+    assert abs(f1_from_periods(p) - _mp_f1(p)) <= F1_ATOL
+
+
 @pytest.mark.parametrize("nf", range(5))
 def test_f1_closed_form_in_volume_and_discriminant(nf):
     # F1 = -ln vol - (1/12) ln|Delta(u)| + 2 ln 2 pi, the form the anomaly ratio was

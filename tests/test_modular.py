@@ -212,18 +212,31 @@ def _raw_eisenstein(tau, power, coeff):
     return 1.0 + coeff * s
 
 
+def _raw_eta(tau):
+    """eta's q-product taken at tau itself, factor for factor as `modular` takes it."""
+    q = cmath.exp(2j * math.pi * tau)
+    prod, qn = 1.0 + 0.0j, 1.0 + 0.0j
+    for _ in range(10**4):
+        qn *= q
+        if abs(qn) < 1e-17:
+            break
+        prod *= 1.0 - qn
+    return cmath.exp(1j * math.pi * tau / 12.0) * prod
+
+
 @settings(max_examples=200, deadline=None)
 @given(x=st.floats(-3.0, 3.0), y=st.floats(0.01, 3.0))
 def test_forms_in_the_fundamental_domain_are_the_raw_series(x, y):
     # at a point of F reduce_tau's matrix is the identity, and eta, E4 and E6 are
-    # bit-equal to their q-series there: outputs at reduced tau keep every bit
-    from uplane.modular import _eta_qproduct
-
+    # bit-equal to their q-series there, whether summed from tau or from the nome a
+    # period basis carries: outputs at reduced tau keep every bit
     t, _ = reduce_tau(complex(x, y))
     assert reduce_tau(t) == (t, (1, 0, 0, 1))
-    assert dedekind_eta(t) == _eta_qproduct(t)
+    q = cmath.exp(2j * math.pi * t)
+    assert dedekind_eta(t) == _raw_eta(t) == modular.eta_in_f(t, q)
     assert eisenstein_e4(t) == _raw_eisenstein(t, 3, 240.0)
     assert eisenstein_e6(t) == _raw_eisenstein(t, 5, -504.0)
+    assert modular.eisenstein_in_f(q) == (eisenstein_e4(t), eisenstein_e6(t))
 
 
 def _points_of_f() -> list:
@@ -244,8 +257,12 @@ def _points_of_f() -> list:
 
 def test_eta_product_agrees_with_the_pentagonal_series_on_f():
     # 8.4e-16 at worst, the figure stated beside ETA_SERIES_RTOL = 1e-13
-    worst = max(abs(modular._eta_qproduct(t) - modular._eta_pentagonal(t))
-                / abs(modular._eta_pentagonal(t)) for t in _points_of_f())
+    def product_and_series(t):
+        q, twelfth = cmath.exp(2j * math.pi * t), cmath.exp(1j * math.pi * t / 12.0)
+        return twelfth * modular._eta_qproduct(q), twelfth * modular._eta_pentagonal(q)
+
+    worst = max(abs(eta - series) / abs(series)
+                for eta, series in map(product_and_series, _points_of_f()))
     assert worst <= 1e-15
 
 
@@ -253,7 +270,7 @@ def test_eta_product_agrees_with_the_pentagonal_series_on_f():
 @pytest.mark.parametrize("tau", [0.3 + 1.1j, 1.3 + 0.02j])
 def test_eta_refuses_a_product_the_series_disagrees_with(monkeypatch, factor, tau):
     series = modular._eta_pentagonal
-    monkeypatch.setattr(modular, "_eta_pentagonal", lambda t: factor * series(t))
+    monkeypatch.setattr(modular, "_eta_pentagonal", lambda q: factor * series(q))
     with pytest.raises(CrossCheckFailed, match="eta: q-product vs pentagonal series"):
         dedekind_eta(tau)
 

@@ -694,3 +694,93 @@ def test_nearly_repeated_roots_are_singular_at_every_scale(e):
     s = 10.0**e
     with pytest.raises(SingularCurve):
         compute_periods(WeierstrassCurve(3.0 * s**2, (1.0 + 1e-14) * s**3))
+
+
+def _solve_recording_forms(curve):
+    """compute_periods(curve), the (E4, E6) pairs its validation summed, and the numbers
+    of eta q-products taken by the solve and by a first read of p.eta after it."""
+    import uplane.periods as P
+    from uplane import modular
+
+    forms, products = [], []
+    series, product = P.eisenstein_in_f, modular._eta_qproduct
+    with pytest.MonkeyPatch.context() as mp_:
+        mp_.setattr(P, "eisenstein_in_f", lambda q: forms.append(series(q)) or forms[-1])
+        mp_.setattr(modular, "_eta_qproduct", lambda q: products.append(q) or product(q))
+        p = compute_periods(curve)
+        solve = len(products)
+        p.eta
+    return p, forms, (solve, len(products) - solve)
+
+
+def _assert_eta_is_dedekind_eta(curve):
+    """Every basis of curve's lattice carries p.eta == dedekind_eta(p.tau), bit for bit:
+    the validated one, seeded ones, reduced ones and hand-built ones.  Returns whether
+    the validated tau was a point of F (reduce_tau's matrix the identity)."""
+    import uplane.periods as P
+    from uplane import dedekind_eta, eisenstein_e4, eisenstein_e6, reduce_tau
+    from uplane.cli import _periods_from_tau
+
+    p, forms, products = _solve_recording_forms(curve)
+    in_f = reduce_tau(p.tau)[1] == (1, 0, 0, 1)
+    # the first candidate passes: one eta in the solve, none when F1 or a determinant reads it
+    assert products == (1, 0) and len(forms) == 1
+    assert p.eta == dedekind_eta(p.tau)
+    (e4, e6), = forms
+    if in_f:
+        assert (e4, e6) == (eisenstein_e4(p.tau), eisenstein_e6(p.tau))
+    else:  # tau is within rounding of F, where the series converge alike; E6(i) = 0
+        assert abs(e4 - eisenstein_e4(p.tau)) <= 1e-14
+        assert abs(e6 - eisenstein_e6(p.tau)) <= 1e-14
+    # a seed in the solve's own basis keeps the solved basis, with its eta
+    again = compute_periods(curve, seed=p)
+    assert again == p and "eta" in again.__dict__ and again.eta == p.eta
+    sheared = P._basis(p.omega, p.omega_prime + 2 * p.omega)
+    seeded = compute_periods(curve, seed=sheared)
+    assert seeded.tau != p.tau and seeded.eta == dedekind_eta(seeded.tau)
+    reduced, _ = P.reduce_periods(sheared)
+    assert reduced.eta == dedekind_eta(reduced.tau)
+    given, reduced, _ = _periods_from_tau(sheared.tau, 2.0 * sheared.omega)
+    assert given.eta == dedekind_eta(given.tau) and reduced.eta == dedekind_eta(reduced.tau)
+    return in_f
+
+
+def _lattice_curve(kind, parts, log_scale):
+    """A generic, square (g3 = 0), hexagonal (g2 = 0) or real curve from four parts."""
+    if kind == "generic":
+        return _curve_from(parts, log_scale)
+    s = 10.0**log_scale
+    g2, g3 = {"square": (complex(*parts[:2]), 0.0), "hexagonal": (0.0, complex(*parts[2:])),
+              "real": (parts[0], parts[2])}[kind]
+    assume(abs(g2) ** 3 + 27 * abs(g3) ** 2 > 1e-3)
+    curve = WeierstrassCurve(g2 * s**2, g3 * s**3)
+    assume(abs(discriminant(curve)) > 1e-6 * discriminant_scale(curve))
+    return curve
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(["generic", "square", "hexagonal", "real"]),
+    parts=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+    log_scale=st.floats(-4.0, 4.0),
+)
+@example(kind="real", parts=[1.0, 0.0, 1.0, 0.0], log_scale=0.0)  # Delta < 0: Re tau = 1/2
+@example(kind="real", parts=[-1.0, 0.0, 0.1, 0.0], log_scale=0.0)  # Delta < 0: |tau| = 1
+@example(kind="real", parts=[1.0, 0.0, 0.05, 0.0], log_scale=0.5)  # three real roots: Re tau = 0
+@example(kind="real", parts=[1.0, 0.0, 0.0, 0.0], log_scale=0.0)  # tau = i
+@example(kind="hexagonal", parts=[0.0, 0.0, 1.0, 0.0], log_scale=0.0)  # tau = e^{i pi/3}
+@example(kind="square", parts=[-0.5, 0.0, 0.0, 0.0], log_scale=0.0)
+def test_a_basis_eta_is_dedekind_eta_bit_for_bit(kind, parts, log_scale):
+    _assert_eta_is_dedekind_eta(_lattice_curve(kind, parts, log_scale))
+
+
+def test_square_lattices_whose_tau_rounds_out_of_f_keep_dedekind_eta():
+    # wp / w rounds a square lattice's tau to Re tau = -1e-17 on |tau| = 1 in a few
+    # percent of solves; reduce_tau moves that tau by S, so the validation's raw series
+    # is not kept as p.eta there, and p.eta takes the multiplier like dedekind_eta
+    rng = np.random.default_rng(20)
+    outside = 0
+    for _ in range(300):
+        g2 = complex(*rng.standard_normal(2)) * 10.0 ** rng.uniform(-4, 4)
+        outside += not _assert_eta_is_dedekind_eta(WeierstrassCurve(g2, 0.0))
+    assert outside > 0

@@ -42,6 +42,23 @@ def test_the_basis_move_has_one_home():
     assert found == []
 
 
+def test_a_basis_eta_has_one_home():
+    # a period basis carries its eta (Periods.eta, evaluated once per basis and, on a
+    # solved basis, the eta that validated it); outside modular and periods nothing
+    # evaluates dedekind_eta(<basis>.tau) again
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name not in ("modular.py", "periods.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and node.args
+        and isinstance(node.func, (ast.Name, ast.Attribute))
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "dedekind_eta"
+        and isinstance(node.args[0], ast.Attribute) and node.args[0].attr == "tau"
+    ]
+    assert found == []
+
+
 def test_the_chart_change_has_one_home():
     # the v-chart polynomials are built in curves (to_v_chart); every other module reads
     # Delta_v from there and the orders at infinity from order_at_infinity (weight - degree)

@@ -196,7 +196,7 @@ def test_each_closed_form_takes_one_eta_product(monkeypatch, closed_form, tau):
 
     calls = []
     product = modular._eta_qproduct
-    monkeypatch.setattr(modular, "_eta_qproduct", lambda t: calls.append(t) or product(t))
+    monkeypatch.setattr(modular, "_eta_qproduct", lambda q: calls.append(q) or product(q))
     closed_form(_periods(tau, 1 + 0.5j))
     assert len(calls) == 1
 
@@ -342,7 +342,7 @@ def test_lattice_values_agree_between_a_basis_and_its_reduced_one(x, y, r, arg):
         (
             "from uplane import modular\n"
             "real = modular._eta_pentagonal\n"
-            "modular._eta_pentagonal = lambda t: (1.0 + 1e-12) * real(t)\n",
+            "modular._eta_pentagonal = lambda q: (1.0 + 1e-12) * real(q)\n",
             ["determinants", "--tau", "0.3,1.1", "--two-omega", "1,0"],
             "eta: q-product vs pentagonal series",
         ),
