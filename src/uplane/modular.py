@@ -1,8 +1,8 @@
 """Dedekind eta, theta constants and E4/E6 from q-series at reduce_tau's point of F, and a
 lattice-zeta continuation oracle for regularized determinants of the twisted fiber Laplacian.
-eta's q-product is checked there against Euler's pentagonal series.  `eta_in_f` and
-`eisenstein_in_f` sum the series from the nome of a point of F, which a period basis
-already carries; `dedekind_eta` and `eisenstein_e4/e6` walk tau there first.
+eta's q-product is checked there against Euler's pentagonal series of the same nome.
+`eisenstein_in_f` sums E4 and E6 from the nome of a point of F, which a period basis
+already carries; `eisenstein_e4/e6` walk tau there first.
 
 The oracle evaluates the eigenvalue zeta function of (-4 d dbar) on a torus
 with half-period omega and modulus tau, twisted by a spin structure
@@ -116,21 +116,6 @@ def _eta_pentagonal(q: complex) -> complex:
     return 1.0 - q - q**2 + q**5 + q**7 - q**12 - q**15
 
 
-def eta_in_f(t: complex, q: complex) -> complex:
-    """eta(t) = e^{pi i t / 12} prod (1 - q^n) at a point t of F, from its nome q = e^{2 pi i t}.
-
-    The product is checked against Euler's pentagonal series of the same nome: they must
-    agree to ETA_SERIES_RTOL = 1e-13 relative (8.4e-16 at worst over 2,502 points of F up
-    to Im t = 100), else CrossCheckFailed; NaN fails too.
-    """
-    twelfth = cmath.exp(1j * math.pi * t / 12.0)
-    eta = twelfth * _eta_qproduct(q)
-    series = twelfth * _eta_pentagonal(q)
-    if not abs(eta - series) <= ETA_SERIES_RTOL * abs(series):
-        raise CrossCheckFailed("eta: q-product vs pentagonal series", eta, series, ETA_SERIES_RTOL)
-    return eta
-
-
 def _eta_multiplier(a: int, c: int, d: int) -> complex:
     """eps = e^{pi i ((a + d) / 12c - s(d, c))} for c > 0, with the Dedekind sum s(d, c)
     from the reciprocity law s(h, k) + s(k, h) = (h^2 + k^2 + 1) / 12hk - 1/4.
@@ -152,13 +137,21 @@ def _eta_multiplier(a: int, c: int, d: int) -> complex:
 def dedekind_eta(tau) -> complex:
     """eta(tau) = e^{pi i tau / 12} prod (1 - q^n), q = e^{2 pi i tau}.
 
-    `eta_in_f` at t = (a tau + b) / (c tau + d) = reduce_tau(tau), returned as it is when
-    the matrix is the identity, else carried back by the multiplier of the matrix, signed
-    so that c > 0, or c = 0 and d = 1 (Apostol, Modular Functions, thm 3.4):
+    The product is taken at t = (a tau + b) / (c tau + d) = reduce_tau(tau), returned as
+    it is when the matrix is the identity, and otherwise carried back by the multiplier of
+    the matrix, signed so that c > 0, or c = 0 and d = 1 (Apostol, Modular Functions, thm 3.4):
     eta(t) = eps sqrt(-i (c tau + d)) eta(tau), and eta(tau + b) = e^{pi i b/12} eta(tau).
+    The product at t is checked against Euler's pentagonal series of the same nome: they
+    must agree to ETA_SERIES_RTOL = 1e-13 relative (8.4e-16 at worst over 2,502 points of F
+    up to Im t = 100), else CrossCheckFailed; NaN fails too.
     """
     t, matrix = reduce_tau(tau)
-    eta = eta_in_f(t, cmath.exp(2j * math.pi * t))
+    q = cmath.exp(2j * math.pi * t)
+    twelfth = cmath.exp(1j * math.pi * t / 12.0)
+    eta = twelfth * _eta_qproduct(q)
+    series = twelfth * _eta_pentagonal(q)
+    if not abs(eta - series) <= ETA_SERIES_RTOL * abs(series):
+        raise CrossCheckFailed("eta: q-product vs pentagonal series", eta, series, ETA_SERIES_RTOL)
     if matrix == (1, 0, 0, 1):
         return eta
     a, b, c, d = matrix

@@ -17,18 +17,18 @@ into the canonical basis of its lattice: tau in the closed fundamental domain F
 of `modular.reduce_tau`, and arg omega in (-pi/n, pi/n] by the rotations that
 fix the lattice (n = 2, or 4 when g3 == 0 and 6 when g2 == 0 exactly), each
 edge with reduce_tau's slack.
-There, where every modular form is its raw q-series, eta, E4 and E6 are summed
-once each from the basis' nome q (`modular.eta_in_f`, `modular.eisenstein_in_f`),
-and the candidate is validated against the modular-discriminant identity
+There, where every modular form is its raw q-series, the candidate is validated
+against the modular-discriminant identity
 
     (2 pi)^12 eta(tau)^24 / (2 omega)^12 = g2^3 - 27 g3^2,
 
 which holds for every basis of the period lattice and fails for any branch
 mistake.  The identity sees only omega^12 and so passes rotated lattices too;
-the canonical basis must also reproduce (g2, g3) from E4 and E6, to
-1e-12 S^2 and 1e-12 S^3 with S = discriminant_scale^(1/6).  The eta that
-validated the basis stays with it as `Periods.eta`, which every closed form of
-`spectral` reads, so F1 and the determinants take no second eta.  A seeded solve
+the canonical basis must also reproduce (g2, g3) from E4 and E6, summed in one
+loop from the nome q the basis already carries (`modular.eisenstein_in_f`), to
+1e-12 S^2 and 1e-12 S^3 with S = discriminant_scale^(1/6).  The identity reads
+eta through `Periods.eta`, which keeps it with the basis, so F1 and every closed
+form of `spectral` read the eta that validated the solve.  A seeded solve
 then moves to the basis nearest the seed's, which keeps frames continuous
 along loops.  `reduce_periods` makes the same move for a basis given by hand.
 """
@@ -52,7 +52,6 @@ from .modular import (
     TWO_PI,
     dedekind_eta,
     eisenstein_in_f,
-    eta_in_f,
     g2_g3_from_forms,
     reduce_tau,
 )
@@ -91,8 +90,8 @@ class Periods:
 
     @functools.cached_property
     def eta(self) -> complex:
-        """dedekind_eta(tau), evaluated on the first read and kept with the basis.  A
-        validated solve keeps the eta it was checked with (`_validated`), the same value."""
+        """dedekind_eta(tau), evaluated on the first read and kept with the basis: on a
+        solved basis, the eta of its validation (`_validated`)."""
         return dedekind_eta(self.tau)
 
 
@@ -217,19 +216,12 @@ def reduce_periods(p: Periods):
 
 def _validated(curve: WeierstrassCurve, delta: complex, cands):
     """The canonical basis of the first candidate that, reduced, satisfies the eta^24
-    identity and reproduces (g2, g3); None if none does.
-
-    eta, E4 and E6 are the raw series of the basis' nome p.q, and eta is kept as p.eta.
-    Only where reduce_tau would move p.tau is eta left to dedekind_eta, so that p.eta is
-    always dedekind_eta(p.tau): wp / w rounds a square lattice's tau to Re tau = -1e-17
-    on |tau| = 1 in a few percent of solves, and reduce_tau moves that tau by S.
-    """
+    identity and reproduces (g2, g3); None if none does.  The identity memoises p.eta;
+    E4 and E6 are the raw series of the basis' nome p.q."""
     n = 6 if curve.g2 == 0 else 4 if curve.g3 == 0 else 2
     s = discriminant_scale(curve) ** (1.0 / 6.0)
     for w, wp, tau in cands:
         p = _basis(*_canonical(w, wp, tau, n)[1])
-        if reduce_tau(p.tau)[1] == (1, 0, 0, 1):
-            p.__dict__["eta"] = eta_in_f(p.tau, p.q)  # the memo of Periods.eta
         if not abs(modular_discriminant(p) - delta) / abs(delta) <= ETA_IDENTITY_RTOL:
             continue
         g2, g3 = g2_g3_from_forms(*eisenstein_in_f(p.q), p.omega)

@@ -3,7 +3,7 @@ determinants, each one expression on one eta value: the basis' own `Periods.eta`
 evaluated at most once per basis and, on a solved basis, the eta that validated it.
 
 eta's q-product is checked where it is computed, against Euler's pentagonal series
-(`modular.eta_in_f`), so the closed forms here carry no second route of their own.
+(`modular.dedekind_eta`), so the closed forms here carry no second route of their own.
 The twisted determinants also check their eta quotients against the theta series.
 The lattice-zeta continuation (`modular.epstein_zeta_logdet`) checks the closed forms
 through neither eta nor theta: `uplane zeta-oracle` and the tests compare the two.

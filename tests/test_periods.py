@@ -715,8 +715,7 @@ def _solve_recording_forms(curve):
 
 def _assert_eta_is_dedekind_eta(curve):
     """Every basis of curve's lattice carries p.eta == dedekind_eta(p.tau), bit for bit:
-    the validated one, seeded ones, reduced ones and hand-built ones.  Returns whether
-    the validated tau was a point of F (reduce_tau's matrix the identity)."""
+    the validated one, seeded ones, reduced ones and hand-built ones."""
     import uplane.periods as P
     from uplane import dedekind_eta, eisenstein_e4, eisenstein_e6, reduce_tau
     from uplane.cli import _periods_from_tau
@@ -742,7 +741,6 @@ def _assert_eta_is_dedekind_eta(curve):
     assert reduced.eta == dedekind_eta(reduced.tau)
     given, reduced, _ = _periods_from_tau(sheared.tau, 2.0 * sheared.omega)
     assert given.eta == dedekind_eta(given.tau) and reduced.eta == dedekind_eta(reduced.tau)
-    return in_f
 
 
 def _lattice_curve(kind, parts, log_scale):
@@ -770,17 +768,8 @@ def _lattice_curve(kind, parts, log_scale):
 @example(kind="real", parts=[1.0, 0.0, 0.0, 0.0], log_scale=0.0)  # tau = i
 @example(kind="hexagonal", parts=[0.0, 0.0, 1.0, 0.0], log_scale=0.0)  # tau = e^{i pi/3}
 @example(kind="square", parts=[-0.5, 0.0, 0.0, 0.0], log_scale=0.0)
+# tau = -3e-17 + 1j: wp / w rounds out of F, and reduce_tau moves that tau by S
+@example(kind="square", parts=[0.6464356261864594, 1.5968682223798234, 0.0, 0.0], log_scale=0.0)
 def test_a_basis_eta_is_dedekind_eta_bit_for_bit(kind, parts, log_scale):
     _assert_eta_is_dedekind_eta(_lattice_curve(kind, parts, log_scale))
 
-
-def test_square_lattices_whose_tau_rounds_out_of_f_keep_dedekind_eta():
-    # wp / w rounds a square lattice's tau to Re tau = -1e-17 on |tau| = 1 in a few
-    # percent of solves; reduce_tau moves that tau by S, so the validation's raw series
-    # is not kept as p.eta there, and p.eta takes the multiplier like dedekind_eta
-    rng = np.random.default_rng(20)
-    outside = 0
-    for _ in range(300):
-        g2 = complex(*rng.standard_normal(2)) * 10.0 ** rng.uniform(-4, 4)
-        outside += not _assert_eta_is_dedekind_eta(WeierstrassCurve(g2, 0.0))
-    assert outside > 0
