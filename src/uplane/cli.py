@@ -87,7 +87,7 @@ def _cmd_periods(args) -> dict:
         "q": _c(p.q),
         "eta_identity_rel_err": rel,
         "j_curve": _c(j_invariant(curve)),
-        "j_tau": _c(modular.j_from_tau(p.tau)),
+        "j_tau": _c(modular.klein_j(modular.eisenstein_in_f(p.q)[0], p.eta)),
     }
 
 

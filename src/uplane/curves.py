@@ -8,6 +8,7 @@ which g2, g3 and the discriminant pick up weights 4, 6 and 12.
 
 import cmath
 import json
+import math
 from dataclasses import dataclass, field
 from itertools import zip_longest
 
@@ -70,15 +71,11 @@ class ComplexPoly:
         return ComplexPoly.of([x + y for x, y in pairs])
 
     def __sub__(self, other: "ComplexPoly") -> "ComplexPoly":
-        return self + (other * -1.0)
+        return ComplexPoly.of(difference(self.coeffs, other.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, ComplexPoly):
-            out = [0j] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return ComplexPoly.of(out)
+            return ComplexPoly.of(convolve(self.coeffs, other.coeffs))
         return ComplexPoly.of([complex(other) * c for c in self.coeffs])
 
     __rmul__ = __mul__
@@ -125,6 +122,22 @@ class ComplexPoly:
 
 
 ORDER_INFINITE = 10**6  # stand-in vanishing order of the zero polynomial
+
+
+def convolve(a, b) -> list:
+    """The product of two ascending coefficient sequences, untrimmed: the one summation
+    order of a polynomial product (`ComplexPoly.__mul__`, the expansions of Delta and W)."""
+    out = [0j] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def difference(a, b) -> list:
+    """a - b of two ascending coefficient sequences, formed as a + (-1) b: the one form of
+    a polynomial difference (`ComplexPoly.__sub__`, the expansions of Delta and W)."""
+    return [x + y for x, y in zip_longest(a, [-1.0 * c for c in b], fillvalue=0j)]
 
 
 @dataclass(frozen=True)
@@ -229,10 +242,11 @@ def expand_discriminant(family: CurveFamily) -> ComplexPoly:
     of u; if every coefficient is trimmed the discriminant is identically
     zero and the zero polynomial is returned.
     """
-    g2, g3 = family.g2_poly, family.g3_poly
-    coeffs = list((g2 * g2 * g2 - 27.0 * (g3 * g3)).coeffs)
-    a2, a3 = (ComplexPoly.of([abs(c) for c in p.coeffs]) for p in (g2, g3))
-    scale = (a2 * a2 * a2 + 27.0 * (a3 * a3)).coeffs
+    g2, g3 = family.g2_poly.coeffs, family.g3_poly.coeffs
+    coeffs = difference(convolve(convolve(g2, g2), g2), [27.0 * c for c in convolve(g3, g3)])
+    a2, a3 = [abs(c) for c in g2], [abs(c) for c in g3]
+    scale = [x + 27.0 * y for x, y in zip_longest(convolve(convolve(a2, a2), a2),
+                                                  convolve(a3, a3), fillvalue=0.0)]
     while coeffs and abs(coeffs[-1]) <= 1e-12 * abs(scale[len(coeffs) - 1]):
         coeffs.pop()
     return ComplexPoly.of(coeffs or [0.0])
@@ -256,14 +270,16 @@ def near_singular_fiber(family: CurveFamily, u: complex, rel_tol: float) -> bool
     """Whether |Delta(u)| < rel_tol * sum_k |c_k| |u|^k.
 
     The right side is the size of the terms of the expanded discriminant that
-    cancel at a node, so the test is scale-free in u and in the coefficients.
+    cancel at a node, so the test is scale-free in u and in the coefficients.  It is
+    summed by Horner's rule; ValueError when it overflows.
     """
     d = discriminant_poly(family)
-    try:
-        scale = sum(abs(c) * abs(u) ** k for k, c in enumerate(d.coeffs)) + 1e-300
-    except OverflowError:
-        raise ValueError(f"discriminant overflows at u={u}") from None
-    return abs(d(u)) < rel_tol * scale
+    r, scale = abs(u), 0.0
+    for c in reversed(d.coeffs):
+        scale = scale * r + abs(c)
+    if not scale < math.inf:
+        raise ValueError(f"discriminant overflows at u={u}")
+    return abs(d(u)) < rel_tol * (scale + 1e-300)
 
 
 def poly_to_v_chart(p: ComplexPoly, weight: int) -> ComplexPoly:

@@ -37,7 +37,7 @@ curvature S = |d tau/d a|^2 / (8 Im^3 tau):
 import math
 from dataclasses import dataclass
 
-from .curves import CurveFamily, near_singular_fiber
+from .curves import ComplexPoly, CurveFamily, convolve, difference, near_singular_fiber
 from .errors import DivisionByZero, StencilCrossesSingularity
 from .periods import Periods, periods_along_family
 from .spectral import det_prime_laplacian, fiber_volume
@@ -79,9 +79,9 @@ def _check_stencil(family: CurveFamily, points, rel_tol: float = 1e-9):
 def _j_numerator(family: CurveFamily):
     """(W, scale): W = 2 g2 g3' - 3 g2' g3 and the largest coefficient of its two terms."""
     g2, g3 = family.g2_poly, family.g3_poly
-    a = 2.0 * (g2 * g3.derivative())
-    b = 3.0 * (g2.derivative() * g3)
-    return a - b, max(abs(c) for c in a.coeffs + b.coeffs)
+    a = [2.0 * c for c in convolve(g2.coeffs, g3.derivative().coeffs)]
+    b = [3.0 * c for c in convolve(g2.derivative().coeffs, g3.coeffs)]
+    return ComplexPoly.of(difference(a, b)), max(abs(c) for c in a + b)
 
 
 def is_isotrivial(family: CurveFamily, tol: float = 1e-10) -> bool:

@@ -70,7 +70,7 @@ def _tau_of(tau) -> complex:
     return tau
 
 
-#: slack of both boundary conventions of the fundamental domain
+#: slack of every boundary of the fundamental domain
 _EDGE = 1e-9
 
 
@@ -78,8 +78,10 @@ def reduce_tau(tau) -> tuple:
     """SL(2,Z)-reduce tau into the closed fundamental domain F.
 
     F is |tau| >= 1 with -1/2 < Re tau <= 1/2, and Re tau >= 0 on |tau| = 1.
-    Both boundaries carry a slack of 1e-9: Re tau within it of -1/2 is moved
-    to +1/2, and |tau| within it of 1 counts as on the circle.
+    Each boundary carries a slack of 1e-9: Re tau within it of -1/2 is moved
+    to +1/2, |tau| within it of 1 counts as on the circle, and there Re tau
+    within it of 0 counts as Re tau >= 0, so a basis whose rounding puts it
+    just left of i is a point of F.
     Returns (tau_reduced, (a, b, c, d)) with tau_reduced = (a tau + b)/(c tau + d).
     """
     t = _tau_of(tau)
@@ -90,7 +92,7 @@ def reduce_tau(tau) -> tuple:
             t += n
             a, b = a + n * c, b + n * d
         r = abs(t)
-        if r < 1.0 - _EDGE or (r <= 1.0 + _EDGE and t.real < 0.0):
+        if r < 1.0 - _EDGE or (r <= 1.0 + _EDGE and t.real < -_EDGE):
             t = -1.0 / t
             a, b, c, d = -c, -d, a, b
         else:
@@ -163,14 +165,16 @@ def dedekind_eta(tau) -> complex:
     return eta / (_eta_multiplier(a, c, d) * root)
 
 
-def theta_ab(a: int, b: int, tau) -> complex:
+def theta_ab(a: int, b: int, tau, eta: complex = None) -> complex:
     """Theta constant theta_ab(0|tau) = sum_n exp[i pi (n + a/2)^2 tau + i pi (n + a/2) b],
     a, b in {0, 1}, from the eta quotients (Koehler, Eta Products, 2011): theta_00 =
     eta^5 / (eta(tau/2)^2 eta(2 tau)^2), theta_01 = eta(tau/2)^2 / eta,
-    theta_10 = 2 eta(2 tau)^2 / eta and theta_11 = 0."""
+    theta_10 = 2 eta(2 tau)^2 / eta and theta_11 = 0.  eta is eta(tau), taken here unless
+    the caller has it (a period basis' `Periods.eta`)."""
     if (a, b) == (1, 1):
         return 0j
-    eta = dedekind_eta(tau)
+    if eta is None:
+        eta = dedekind_eta(tau)
     if a == 1:
         return 2.0 * dedekind_eta(2.0 * tau) ** 2 / eta
     half = dedekind_eta(0.5 * tau)
@@ -189,14 +193,18 @@ def eisenstein_in_f(q: complex) -> tuple:
     qn = 1.0 + 0.0j
     for n in range(1, _MAX_TERMS):
         qn *= q
-        if open4:
-            term = n**3 * qn / (1.0 - qn)
+        one_minus = 1.0 - qn
+        n3 = n * n * n
+        if open4:  # max(1, |s|) as a conditional, which is cheaper than the call
+            term = n3 * qn / one_minus
             s4 += term
-            open4 = not abs(term) < _TERM_TOL * max(1.0, abs(s4))
+            size = abs(s4)
+            open4 = not abs(term) < _TERM_TOL * (size if size > 1.0 else 1.0)
         if open6:
-            term = n**5 * qn / (1.0 - qn)
+            term = n3 * n * n * qn / one_minus
             s6 += term
-            open6 = not abs(term) < _TERM_TOL * max(1.0, abs(s6))
+            size = abs(s6)
+            open6 = not abs(term) < _TERM_TOL * (size if size > 1.0 else 1.0)
         if not (open4 or open6):
             break
     return 1.0 + 240.0 * s4, 1.0 - 504.0 * s6
@@ -221,9 +229,15 @@ def eisenstein_e6(tau) -> complex:
     return _eisenstein(tau)[1]
 
 
+def klein_j(e4: complex, eta: complex) -> complex:
+    """Klein j = E4^3 / eta^24 of E4 and eta at one tau: unlike 1728 E4^3 / (E4^3 - E6^2), it
+    cancels nothing."""
+    return e4**3 / eta**24
+
+
 def j_from_tau(tau) -> complex:
-    """Klein j = E4^3 / eta^24: unlike 1728 E4^3 / (E4^3 - E6^2), nothing cancels."""
-    return eisenstein_e4(tau) ** 3 / dedekind_eta(tau) ** 24
+    """Klein j(tau), `klein_j` of E4 and eta at tau."""
+    return klein_j(eisenstein_e4(tau), dedekind_eta(tau))
 
 
 def g2_g3_from_forms(e4: complex, e6: complex, omega: complex) -> tuple:

@@ -34,7 +34,6 @@ along loops.  `reduce_periods` makes the same move for a basis given by hand.
 """
 
 import cmath
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -79,6 +78,20 @@ CONTINUITY_STEP = 1e-3
 _CUBE_UNITS = (1.0, complex(-0.5, 0.5 * math.sqrt(3.0)), complex(-0.5, -0.5 * math.sqrt(3.0)))
 
 
+class _memo:
+    """functools.cached_property without the lock Python 3.11 takes on every first read (two
+    threads may both evaluate): the first read writes the value into the instance's __dict__."""
+
+    def __init__(self, fn):
+        self.fn, self.__doc__ = fn, fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.fn.__name__] = self.fn(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class Periods:
     """Half-periods (full periods are 2*omega, 2*omega_prime), tau and nome."""
@@ -88,7 +101,7 @@ class Periods:
     tau: complex
     q: complex
 
-    @functools.cached_property
+    @_memo
     def eta(self) -> complex:
         """dedekind_eta(tau), evaluated on the first read and kept with the basis: on a
         solved basis, the eta of its validation (`_validated`)."""
@@ -164,8 +177,9 @@ def _candidate_params(roots):
     `_canonical` takes every basis of a lattice to the same point of F.  (-omega, -omega')
     is left out: it has the same tau and passes or fails with (omega, omega')."""
     for e1, e2, e3 in itertools.permutations(roots):
-        m1 = agm(cmath.sqrt(e1 - e3), cmath.sqrt(e1 - e2))
-        m2 = agm(cmath.sqrt(e1 - e3), cmath.sqrt(e2 - e3))
+        r13 = cmath.sqrt(e1 - e3)
+        m1 = agm(r13, cmath.sqrt(e1 - e2))
+        m2 = agm(r13, cmath.sqrt(e2 - e3))
         if m1 == 0 or m2 == 0:
             continue
         w = math.pi / (2.0 * m1)

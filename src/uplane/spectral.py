@@ -90,7 +90,7 @@ def det_twisted(nu: SpinStructure, p: Periods) -> float:
     if p.tau.imag < _F_FLOOR:
         raise ValueError(f"det_twisted takes tau in the fundamental domain, got {p.tau};"
                          " move the basis there with periods.reduce_periods")
-    primary = abs(theta_ab(nu.nu1, nu.nu2, p.tau) / p.eta) ** 2
+    primary = abs(theta_ab(nu.nu1, nu.nu2, p.tau, p.eta) / p.eta) ** 2
     alt = abs(_theta_series(nu.nu1, nu.nu2, p.tau) / p.eta) ** 2
     if not abs(primary - alt) <= 1e-10 * primary:  # NaN fails
         raise CrossCheckFailed("twisted determinant: eta quotient vs theta series",

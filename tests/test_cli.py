@@ -414,8 +414,9 @@ def test_overflowing_input_is_one_error_line(capsys, family_file, argv, expected
 
 def test_eta_products_per_determinants_request_and_scan_point(capsys, family_file, monkeypatch):
     # determinants: 1 for the reduced basis' eta, which det', the annulus, the Quillen norm
-    # and the twisted determinants share, 7 for the theta quotients' own etas and 1 for the
-    # flat annulus on the given basis; a scan point: 1, the solve's, which F1 reads again;
+    # and the twisted determinants and their theta quotients share, 4 for the quotients'
+    # eta(tau/2) and eta(2 tau) and 1 for the flat annulus on the given basis; a scan
+    # point: 1, the solve's, which F1 reads again;
     # an anomaly item: 1 per period solve of its 9-point stencil
     from uplane import modular
 
@@ -428,7 +429,7 @@ def test_eta_products_per_determinants_request_and_scan_point(capsys, family_fil
         monkeypatch.setattr(module, "eisenstein_in_f", lambda q: loops.append(q) or series(q))
     argv = ["determinants", "--tau", "1.3,0.2", "--two-omega", "1,0.5"]
     assert _run(capsys, argv)[0] == 0
-    assert len(calls) == 9
+    assert len(calls) == 6
     calls.clear()
     code, out, _ = _run(capsys, ["scan", "--family", family_file(0), "--grid", "2,3,2,3,3,3"])
     assert code == 0 and len(out.strip().split("\n")) == 1 + 9
@@ -451,6 +452,21 @@ def test_scan_solves_each_point_once(capsys, family_file, monkeypatch):
     rows = out.strip().split("\n")[1:]
     assert code == 0 and len(rows) == 9
     assert len(calls) == len(rows)
+
+
+def test_anomaly_item_solves_through_the_traced_names(capsys, family_file, monkeypatch):
+    # one item: the 9 points of the stencil, each one compute_periods with 2 AGMs and
+    # one cubic, called through the periods module globals a layer tracer wraps
+    import uplane.periods as P
+
+    calls = {"compute_periods": 0, "agm": 0, "cubic_roots": 0}
+    for name in calls:
+        def counted(*a, _fn=getattr(P, name), _name=name, **kw):
+            calls[_name] += 1
+            return _fn(*a, **kw)
+        monkeypatch.setattr(P, name, counted)
+    assert _run(capsys, ["anomaly", "--family", family_file(0), "--at", "0.3,0.9"])[0] == 0
+    assert calls == {"compute_periods": 9, "agm": 18, "cubic_roots": 9}
 
 
 def test_scan_curvature_matches_library(capsys, family_file):

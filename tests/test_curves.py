@@ -1,3 +1,5 @@
+from itertools import zip_longest
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -23,7 +25,7 @@ from uplane import (
     surface_report,
     to_v_chart,
 )
-from uplane.curves import ORDER_INFINITE, order_at_infinity, poly_to_v_chart
+from uplane.curves import ORDER_INFINITE, expand_discriminant, order_at_infinity, poly_to_v_chart
 
 
 def test_discriminant_direct_values():
@@ -142,6 +144,69 @@ def test_j_scaling_invariance():
         j1 = j_invariant(WeierstrassCurve(g2, g3))
         j2 = j_invariant(WeierstrassCurve(s**4 * g2, s**6 * g3))
         assert abs(j1 - j2) <= 1e-12 * (1 + abs(j1))
+
+
+def _product_route(family):
+    """Delta with its trim and (W, its scale) by the chains of ComplexPoly products, sums
+    and scalings that built them before the plain-list expansions: every product by the
+    schoolbook loop below, every difference as a + (-1) b, each result trimmed."""
+    def mul(p, other):
+        if not isinstance(other, ComplexPoly):
+            return ComplexPoly.of([complex(other) * c for c in p.coeffs])
+        out = [0j] * (len(p.coeffs) + len(other.coeffs) - 1)
+        for i, x in enumerate(p.coeffs):
+            for j, y in enumerate(other.coeffs):
+                out[i + j] += x * y
+        return ComplexPoly.of(out)
+
+    def add(p, other):
+        return ComplexPoly.of([x + y for x, y in zip_longest(p.coeffs, other.coeffs,
+                                                            fillvalue=0j)])
+
+    def sub(p, other):
+        return add(p, mul(other, -1.0))
+
+    g2, g3 = family.g2_poly, family.g3_poly
+    coeffs = list(sub(mul(mul(g2, g2), g2), mul(mul(g3, g3), 27.0)).coeffs)
+    a2, a3 = (ComplexPoly.of([abs(c) for c in p.coeffs]) for p in (g2, g3))
+    scale = add(mul(mul(a2, a2), a2), mul(mul(a3, a3), 27.0)).coeffs
+    while coeffs and abs(coeffs[-1]) <= 1e-12 * abs(scale[len(coeffs) - 1]):
+        coeffs.pop()
+    a = mul(mul(g2, g3.derivative()), 2.0)
+    b = mul(mul(g2.derivative(), g3), 3.0)
+    return ComplexPoly.of(coeffs or [0.0]), sub(a, b), max(abs(c) for c in a.coeffs + b.coeffs)
+
+
+#: exact zeros, small integers, and magnitudes 1e-20 .. 1e20, real or complex
+_MIXED = st.one_of(
+    st.just(0j), st.sampled_from([1.0, -1.0, 2.0, -3.0, 4.0 / 3.0]),
+    st.builds(lambda m, e, im: complex(m * 10.0**e, im * 10.0**e),
+              st.floats(-1.0, 1.0), st.integers(-20, 20),
+              st.one_of(st.just(0.0), st.floats(-1.0, 1.0))),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(g2=st.lists(_MIXED, min_size=1, max_size=3), g3=st.lists(_MIXED, min_size=1, max_size=4))
+def test_convolved_expansions_are_the_product_route(g2, g3):
+    # expand_discriminant (with its trim) and W = 2 g2 g3' - 3 g2' g3 are plain coefficient
+    # convolutions, summed in the product route's order: equal coefficient tuples
+    from uplane.geometry import _j_numerator
+
+    fam = CurveFamily(ComplexPoly.of(g2), ComplexPoly.of(g3), nf=0)
+    delta, w, scale = _product_route(fam)
+    assert expand_discriminant(fam).coeffs == delta.coeffs
+    assert _j_numerator(fam)[0].coeffs == w.coeffs and _j_numerator(fam)[1] == scale
+
+
+@pytest.mark.parametrize("fam", [sample_family(nf) for nf in range(5)]
+                         + [coalesced_family(), isotrivial_family()], ids=lambda f: f.name)
+def test_fixture_expansions_are_the_product_route(fam):
+    from uplane.geometry import _j_numerator
+
+    delta, w, scale = _product_route(fam)
+    assert fam.delta_poly.coeffs == delta.coeffs
+    assert _j_numerator(fam) == (w, scale)
 
 
 def test_horner_is_deterministic():

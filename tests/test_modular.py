@@ -255,6 +255,15 @@ def _points_of_f() -> list:
     return pts + [complex(-0.5 - 1e-9, 0.9), cmath.rect(1.0 - 1e-9, 2 * math.pi / 3)]
 
 
+def test_eisenstein_in_f_is_the_raw_series_on_f():
+    # E4 and E6 from a basis' nome, summed in one loop with one (1 - q^n) per term, keep
+    # every bit of their own series on the arc, both edges, the interior and the slack
+    for t in _points_of_f():
+        q = cmath.exp(2j * math.pi * t)
+        assert modular.eisenstein_in_f(q) == (_raw_eisenstein(t, 3, 240.0),
+                                              _raw_eisenstein(t, 5, -504.0)), t
+
+
 def test_eta_product_agrees_with_the_pentagonal_series_on_f():
     # 8.4e-16 at worst, the figure stated beside ETA_SERIES_RTOL = 1e-13
     def product_and_series(t):

@@ -536,11 +536,12 @@ def test_invariants_residual_of_the_one_pair_solve():
 
 
 def _in_closed_domain(tau: complex) -> bool:
-    # F with the 1e-9 slack of reduce_tau, widened by rounding of omega' / omega
+    # F with the 1e-9 slack of reduce_tau on each of its boundaries (on the arc too),
+    # widened by rounding of omega' / omega
     edge, ulp = 1e-9, 1e-12
     if not (-0.5 + edge - ulp < tau.real <= 0.5 + edge + ulp and abs(tau) >= 1 - edge - ulp):
         return False
-    return abs(tau) > 1 + edge + ulp or tau.real >= -ulp
+    return abs(tau) > 1 + edge + ulp or tau.real >= -edge - ulp
 
 
 def _assert_canonical(curve, p):
@@ -574,6 +575,23 @@ def test_unseeded_basis_is_canonical(parts, log_scale):
     # and the basis reproduces the curve's own invariants
     curve = _curve_from(parts, log_scale)
     _assert_canonical(curve, compute_periods(curve))
+
+
+@settings(max_examples=300, deadline=None)
+@given(re_=st.floats(-3.0, 3.0), im_=st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
+       hexagonal=st.booleans())
+@example(re_=0.1619, im_=0.0247, hexagonal=False)  # tau = -6e-17+1j before the arc's slack
+@example(re_=1.0, im_=0.0, hexagonal=False)
+@example(re_=1.0, im_=0.0, hexagonal=True)
+def test_square_and_hexagonal_solves_are_points_of_f(re_, im_, hexagonal):
+    # the solved tau of (g2, 0) and (0, g3) is i and e^{i pi/3} up to rounding, on the arc
+    # of F: reduce_tau keeps it, so eta and E4/E6 there take no carry-back
+    from uplane import reduce_tau
+
+    z = complex(re_, im_)
+    assume(abs(z) > 1e-3)
+    p = compute_periods(WeierstrassCurve(0j, z) if hexagonal else WeierstrassCurve(z, 0j))
+    assert reduce_tau(p.tau) == (p.tau, (1, 0, 0, 1))
 
 
 def test_canonical_basis_where_the_default_left_the_domain():
