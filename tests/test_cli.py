@@ -1,6 +1,8 @@
 import argparse
 import json
 import math
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -494,3 +496,72 @@ def test_every_value_flag_joins_its_value():
     flags = {opt for p in sub.choices.values() for a in p._actions if a.nargs != 0
              for opt in a.option_strings if opt.startswith("--")}
     assert flags == cli._VALUE_FLAGS
+
+
+#: a valid argv per command; the family files are never opened, since every case below
+#: fails or exits in argparse first
+_VALID_ARGV = {
+    "periods": ["--g2", "4,0", "--g3", "0,0"],
+    "determinants": ["--tau", "0,1", "--two-omega", "1,0"],
+    "zeta-oracle": ["--tau", "0.3,1.7", "--nu1", "0", "--nu2", "1", "--two-omega", "1,0"],
+    "classify": ["--family", "nf0.json"],
+    "anomaly": ["--family", "nf0.json", "--at", "0.3,0.9"],
+    "holonomy": ["--family", "nf0.json", "--center", "1,0", "--radius", "0.5",
+                 "--operator", "dbar", "--orientation", "cw"],
+    "signature": ["--family", "nf0.json"],
+    "scan": ["--family", "nf0.json", "--grid", "2,3,2,3,3,3"],
+}
+
+
+def _swapped(command, flag, value):
+    argv = [command] + _VALID_ARGV[command]
+    if flag in argv:
+        argv[argv.index(flag) + 1] = value
+        return argv
+    return argv + [flag, value]
+
+
+_ARGPARSE_CASES = [[], ["--help"], ["-h"], ["bogus"], ["--bogus"]]
+for _command, _rest in _VALID_ARGV.items():
+    _ARGPARSE_CASES += [
+        [_command],  # the missing required flags
+        [_command, "--help"],
+        [_command] + _rest + ["--bogus", "1"],
+        [_command, _rest[0]],  # a flag missing its value
+        [_command, "--out"],
+    ]
+_ARGPARSE_CASES += [
+    _swapped("holonomy", "--operator", "curl"),
+    _swapped("holonomy", "--orientation", "up"),
+    _swapped("holonomy", "--chart", "w"),
+    _swapped("holonomy", "--radius", "x"),
+    _swapped("holonomy", "--samples", "1.5"),
+    _swapped("zeta-oracle", "--nu1", "2"),
+    _swapped("zeta-oracle", "--nu2", "x"),
+    _swapped("anomaly", "--step", "x"),
+    _swapped("scan", "--margin", "x"),
+    # a complex flag's own parser names its value in the error line
+    _swapped("periods", "--g2", "1"),
+    _swapped("periods", "--g3", "1,2,3"),
+    _swapped("determinants", "--tau", "i"),
+    _swapped("determinants", "--two-omega", "1"),
+    _swapped("anomaly", "--at", "1"),
+    _swapped("holonomy", "--center", "1"),
+]
+
+#: exit code, stdout and stderr of every case, as the hand-built parser of the first
+#: release printed them at COLUMNS=100 (argparse words its messages per Python version)
+_ARGPARSE_TEXT = json.loads((Path(__file__).parent / "cli_argparse_text.json").read_text())
+
+
+@pytest.mark.skipif(sys.version_info[:2] != tuple(_ARGPARSE_TEXT["python"]),
+                    reason="argparse's text is pinned for one Python version")
+@pytest.mark.parametrize("argv", _ARGPARSE_CASES, ids=lambda argv: " ".join(argv) or "(none)")
+def test_argparse_text_is_pinned(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "100")
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    assert [code, out.out, out.err] == _ARGPARSE_TEXT["cases"][" ".join(argv)]
