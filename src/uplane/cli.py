@@ -250,77 +250,72 @@ def _cmd_scan(args) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _flag(flag: str, **kw):
+    """One option of a command: its flag and the keyword arguments of add_argument."""
+    return flag, kw
+
+
+def _complex(flag: str, what: str):
+    """A required RE,IM option; `_parse_complex` names `what` in its errors."""
+    return _flag(flag, type=lambda text: _parse_complex(text, what), required=True,
+                 metavar="RE,IM")
+
+
+def _values(enum) -> tuple:
+    return tuple(member.value for member in enum)
+
+
+_OUT = _flag("--out", help="output path (default: stdout)")
+_FAMILY = _flag("--family", required=True)
+_TAU = _complex("--tau", "tau")
+_TWO_OMEGA = _complex("--two-omega", "2 omega")
+_SPIN = {"type": int, "choices": (0, 1), "required": True}
+
+#: every command: name, help line, handler and its options in the order --help lists
+#: them, after --out.  The parser, the dispatch and _VALUE_FLAGS are read from here.
+_COMMANDS = (
+    ("periods", "half-periods and modulus of one curve", _cmd_periods,
+     (_complex("--g2", "g2"), _complex("--g3", "g3"))),
+    ("determinants", "determinant zoo at a fiber (tau, 2*omega)", _cmd_determinants,
+     (_TAU, _TWO_OMEGA)),
+    ("zeta-oracle", "lattice-zeta continuation determinant", _cmd_zeta_oracle,
+     (_TAU, _flag("--nu1", **_SPIN), _flag("--nu2", **_SPIN), _TWO_OMEGA)),
+    ("classify", "Kodaira types and signature of a family", _cmd_classify, (_FAMILY,)),
+    ("anomaly", "anomaly-equation check at one base point", _cmd_anomaly,
+     (_FAMILY, _complex("--at", "base point"), _flag("--step", type=float))),
+    ("holonomy", "loop holonomy of a determinant line", _cmd_holonomy,
+     (_FAMILY, _complex("--center", "loop center"), _flag("--radius", type=float, required=True),
+      _flag("--operator", choices=_values(Operator), required=True),
+      _flag("--orientation", choices=_values(Orientation), required=True),
+      _flag("--chart", choices=_values(Chart), default=Chart.U.value),
+      _flag("--samples", type=int, default=LoopSpec.samples))),
+    ("signature", "surface signature via monodromy", _cmd_signature, (_FAMILY,)),
+    ("scan", "grid scan emitting plot data as CSV", _cmd_scan,
+     (_FAMILY, _flag("--grid", required=True, metavar="X0,X1,Y0,Y1,NX,NY"),
+      _flag("--margin", type=float, default=0.05))),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="uplane",
         description="Determinant-line and fiber-geometry computations for "
         "Weierstrass elliptic families over the u-plane.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", default=None, help="output path (default: stdout)")
-    sub = ap.add_subparsers(dest="command", required=True, parser_class=argparse.ArgumentParser)
-
-    def add_parser(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
-
-    def add_complex(p, flag, what):
-        p.add_argument(flag, type=lambda text: _parse_complex(text, what), required=True,
-                       metavar="RE,IM")
-
-    p = add_parser("periods", help="half-periods and modulus of one curve")
-    add_complex(p, "--g2", "g2")
-    add_complex(p, "--g3", "g3")
-    p.set_defaults(func=_cmd_periods)
-
-    p = add_parser("determinants", help="determinant zoo at a fiber (tau, 2*omega)")
-    add_complex(p, "--tau", "tau")
-    add_complex(p, "--two-omega", "2 omega")
-    p.set_defaults(func=_cmd_determinants)
-
-    p = add_parser("zeta-oracle", help="lattice-zeta continuation determinant")
-    add_complex(p, "--tau", "tau")
-    p.add_argument("--nu1", type=int, choices=(0, 1), required=True)
-    p.add_argument("--nu2", type=int, choices=(0, 1), required=True)
-    add_complex(p, "--two-omega", "2 omega")
-    p.set_defaults(func=_cmd_zeta_oracle)
-
-    p = add_parser("classify", help="Kodaira types and signature of a family")
-    p.add_argument("--family", required=True)
-    p.set_defaults(func=_cmd_classify)
-
-    p = add_parser("anomaly", help="anomaly-equation check at one base point")
-    p.add_argument("--family", required=True)
-    add_complex(p, "--at", "base point")
-    p.add_argument("--step", type=float, default=None)
-    p.set_defaults(func=_cmd_anomaly)
-
-    p = add_parser("holonomy", help="loop holonomy of a determinant line")
-    p.add_argument("--family", required=True)
-    add_complex(p, "--center", "loop center")
-    p.add_argument("--radius", type=float, required=True)
-    p.add_argument("--operator", choices=("dbar", "signature"), required=True)
-    p.add_argument("--orientation", choices=("cw", "ccw"), required=True)
-    p.add_argument("--chart", choices=("u", "v"), default="u")
-    p.add_argument("--samples", type=int, default=LoopSpec.samples)
-    p.set_defaults(func=_cmd_holonomy)
-
-    p = add_parser("signature", help="surface signature via monodromy")
-    p.add_argument("--family", required=True)
-    p.set_defaults(func=_cmd_signature)
-
-    p = add_parser("scan", help="grid scan emitting plot data as CSV")
-    p.add_argument("--family", required=True)
-    p.add_argument("--grid", required=True, metavar="X0,X1,Y0,Y1,NX,NY")
-    p.add_argument("--margin", type=float, default=0.05)
-    p.set_defaults(func=_cmd_scan)
+    common = argparse.ArgumentParser(add_help=False)  # a parent shares one --out action
+    flag, kw = _OUT
+    common.add_argument(flag, **kw)
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, help_line, handler, options in _COMMANDS:
+        p = sub.add_parser(name, help=help_line, parents=[common])
+        for flag, kw in options:
+            p.add_argument(flag, **kw)
+        p.set_defaults(func=handler)
     return ap
 
 
-_VALUE_FLAGS = {
-    "--g2", "--g3", "--tau", "--two-omega", "--at", "--center", "--grid",
-    "--out", "--family", "--radius", "--step", "--margin", "--samples",
-    "--nu1", "--nu2", "--operator", "--orientation", "--chart",
-}
+#: every option takes a value
+_VALUE_FLAGS = frozenset(flag for *_, options in _COMMANDS for flag, _ in (_OUT, *options))
 
 
 def _join_flag_values(argv):

@@ -498,8 +498,8 @@ def test_every_value_flag_joins_its_value():
     assert flags == cli._VALUE_FLAGS
 
 
-#: a valid argv per command; the family files are never opened, since every case below
-#: fails or exits in argparse first
+#: a valid argv per command; the argparse cases below never open nf0.json, since each
+#: fails or exits while the argv is parsed
 _VALID_ARGV = {
     "periods": ["--g2", "4,0", "--g3", "0,0"],
     "determinants": ["--tau", "0,1", "--two-omega", "1,0"],
@@ -511,6 +511,15 @@ _VALID_ARGV = {
     "signature": ["--family", "nf0.json"],
     "scan": ["--family", "nf0.json", "--grid", "2,3,2,3,3,3"],
 }
+
+
+def _run_to_exit(capsys, argv):
+    """_run, with the exit code of an argv that argparse rejects or answers itself."""
+    try:
+        return _run(capsys, argv)
+    except SystemExit as exc:
+        out = capsys.readouterr()
+        return exc.code, out.out, out.err
 
 
 def _swapped(command, flag, value):
@@ -549,8 +558,9 @@ _ARGPARSE_CASES += [
     _swapped("holonomy", "--center", "1"),
 ]
 
-#: exit code, stdout and stderr of every case, as the hand-built parser of the first
-#: release printed them at COLUMNS=100 (argparse words its messages per Python version)
+#: exit code, stdout and stderr of every case, as the hand-written parser that preceded
+#: the command table printed them at COLUMNS=100 (argparse words its messages per Python
+#: version)
 _ARGPARSE_TEXT = json.loads((Path(__file__).parent / "cli_argparse_text.json").read_text())
 
 
@@ -559,9 +569,44 @@ _ARGPARSE_TEXT = json.loads((Path(__file__).parent / "cli_argparse_text.json").r
 @pytest.mark.parametrize("argv", _ARGPARSE_CASES, ids=lambda argv: " ".join(argv) or "(none)")
 def test_argparse_text_is_pinned(capsys, monkeypatch, argv):
     monkeypatch.setenv("COLUMNS", "100")
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    out = capsys.readouterr()
-    assert [code, out.out, out.err] == _ARGPARSE_TEXT["cases"][" ".join(argv)]
+    assert list(_run_to_exit(capsys, argv)) == _ARGPARSE_TEXT["cases"][" ".join(argv)]
+
+
+#: exit code and a piece of stderr when a flag is given -1e-3, a value that argparse
+#: would take for an option string (its negative-number pattern does not match it):
+#: each is the flag's own validation, so the value reached the flag
+_LEADING_MINUS = {
+    "--out": (0, ""),
+    "--family": (2, "cannot read family file: [Errno 2] No such file or directory: '-1e-3'"),
+    "--g2": (2, "g2: expected RE,IM but got '-1e-3'"),
+    "--g3": (2, "g3: expected RE,IM but got '-1e-3'"),
+    "--tau": (2, "tau: expected RE,IM but got '-1e-3'"),
+    "--two-omega": (2, "2 omega: expected RE,IM but got '-1e-3'"),
+    "--at": (2, "base point: expected RE,IM but got '-1e-3'"),
+    "--center": (2, "loop center: expected RE,IM but got '-1e-3'"),
+    "--nu1": (2, "argument --nu1: invalid int value: '-1e-3'"),
+    "--nu2": (2, "argument --nu2: invalid int value: '-1e-3'"),
+    "--samples": (2, "argument --samples: invalid int value: '-1e-3'"),
+    "--operator": (2, "argument --operator: invalid choice: '-1e-3'"),
+    "--orientation": (2, "argument --orientation: invalid choice: '-1e-3'"),
+    "--chart": (2, "argument --chart: invalid choice: '-1e-3'"),
+    "--step": (2, "finite-difference step must be finite and positive, not -0.001"),
+    "--radius": (2, "loop center must be finite and radius finite and positive"),
+    "--grid": (2, "bad --grid spec '-1e-3'"),
+    "--margin": (2, "--margin must be finite and >= 0, not -0.001"),
+}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (name, flag) for name, _, _, options in cli._COMMANDS for flag, _ in (cli._OUT, *options)
+])
+def test_every_value_flag_takes_a_leading_minus_value(capsys, family_file, monkeypatch,
+                                                      tmp_path, command, flag):
+    monkeypatch.chdir(tmp_path)  # the argvs read nf0.json, and --out writes -1e-3, here
+    family_file(0)
+    code, out, err = _run_to_exit(capsys, _swapped(command, flag, "-1e-3"))
+    expected_code, message = _LEADING_MINUS[flag]
+    assert code == expected_code and message in err
+    assert "expected one argument" not in err
+    if flag == "--out":
+        assert out == "" and err == "" and (tmp_path / "-1e-3").stat().st_size > 0

@@ -72,6 +72,17 @@ def test_the_chart_change_has_one_home():
     assert found == []
 
 
+def test_each_cli_flag_has_one_home():
+    # cli's command table declares each flag once, and the holonomy choices are the
+    # values of the Operator, Orientation and Chart enums
+    strings = [node.value for node in ast.walk(ast.parse((SRC / "cli.py").read_text("utf-8")))
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    flags = [s for s in strings if s.startswith("--") and " " not in s]
+    assert len(flags) > 15
+    assert sorted(f for f in set(flags) if flags.count(f) > 1) == []
+    assert {"dbar", "ccw", "cw"} & set(strings) == set()
+
+
 def test_no_module_imports_scipy():
     # numpy is the only run-time dependency; the lattice-zeta oracle's E1 is modular._exp1
     found = [
