@@ -162,13 +162,14 @@ def discriminant(curve: WeierstrassCurve) -> complex:
     return d
 
 
-def is_numerically_singular(curve: WeierstrassCurve, delta: complex) -> bool:
-    """Whether delta = discriminant(curve) is rounding noise on its terms.
+def is_numerically_singular(delta: complex, scale: float) -> bool:
+    """Whether a curve's delta = discriminant(curve) is rounding noise on its terms,
+    scale = discriminant_scale(curve).
 
     |Delta| <= 1e-12 (|g2|^3 + 27 |g3|^2): the curve is a node or a cusp as
     far as double precision can tell.
     """
-    return abs(delta) <= 1e-12 * max(discriminant_scale(curve), 1e-300)
+    return abs(delta) <= 1e-12 * max(scale, 1e-300)
 
 
 def discriminant_scale(curve: WeierstrassCurve) -> float:

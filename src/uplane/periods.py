@@ -228,12 +228,13 @@ def reduce_periods(p: Periods):
     return Periods(omega=w, omega_prime=wp, tau=t, q=cmath.exp(2j * math.pi * t)), matrix
 
 
-def _validated(curve: WeierstrassCurve, delta: complex, cands):
+def _validated(curve: WeierstrassCurve, delta: complex, scale: float, cands):
     """The canonical basis of the first candidate that, reduced, satisfies the eta^24
-    identity and reproduces (g2, g3); None if none does.  The identity memoises p.eta;
-    E4 and E6 are the raw series of the basis' nome p.q."""
+    identity and reproduces (g2, g3); None if none does.  delta and scale are the curve's
+    discriminant and discriminant_scale.  The identity memoises p.eta; E4 and E6 are the
+    raw series of the basis' nome p.q."""
     n = 6 if curve.g2 == 0 else 4 if curve.g3 == 0 else 2
-    s = discriminant_scale(curve) ** (1.0 / 6.0)
+    s = scale ** (1.0 / 6.0)
     for w, wp, tau in cands:
         p = _basis(*_canonical(w, wp, tau, n)[1])
         if not abs(modular_discriminant(p) - delta) / abs(delta) <= ETA_IDENTITY_RTOL:
@@ -273,14 +274,14 @@ def compute_periods(curve: WeierstrassCurve, seed: Periods = None) -> Periods:
     checks with |Delta| below ETA_RESOLVABLE of its terms; AgmBranchFailure when none
     passes above that level.
     """
-    delta = discriminant(curve)
-    if is_numerically_singular(curve, delta):
+    delta, scale = discriminant(curve), discriminant_scale(curve)
+    if is_numerically_singular(delta, scale):
         raise SingularCurve(f"discriminant vanishes for g2={curve.g2}, g3={curve.g3}")
-    p = _validated(curve, delta, _candidate_params(cubic_roots(curve)))
+    p = _validated(curve, delta, scale, _candidate_params(cubic_roots(curve)))
     if p is None:
         failure = ("no AGM basis candidate satisfied the eta^24 identity and the"
                    f" lattice invariants for g2={curve.g2}, g3={curve.g3}")
-        if abs(delta) < ETA_RESOLVABLE * discriminant_scale(curve):
+        if abs(delta) < ETA_RESOLVABLE * scale:
             raise SingularCurve(f"discriminant within its rounding of zero: {failure}")
         raise AgmBranchFailure(failure)
     return p if seed is None else _nearest_basis(p, seed)
@@ -289,14 +290,12 @@ def compute_periods(curve: WeierstrassCurve, seed: Periods = None) -> Periods:
 def periods_along_family(family: CurveFamily, u: complex, prev: Periods = None) -> Periods:
     """Periods of the fiber at u, optionally continuing the frame from prev.
 
-    Raises SingularFiber at (or numerically indistinguishable from)
-    discriminant zeros.
+    Raises SingularFiber, naming u, where compute_periods raises SingularCurve: at (or
+    numerically indistinguishable from) discriminant zeros.
     """
-    curve = family.curve_at(u)
-    # screened here too, so a node raises SingularFiber without a SingularCurve inside
-    if is_numerically_singular(curve, discriminant(curve)):
-        raise SingularFiber(f"discriminant vanishes at u={u}")
     try:
-        return compute_periods(curve, seed=prev)
+        return compute_periods(family.curve_at(u), seed=prev)
     except SingularCurve as exc:
-        raise SingularFiber(str(exc)) from exc
+        # the same error object, retyped: one failure to a caller that counts errors
+        exc.__class__, exc.args = SingularFiber, (f"{exc} at u={u}",)
+        raise

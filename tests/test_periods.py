@@ -249,6 +249,24 @@ def test_family_fiber_and_singular_fiber():
         periods_along_family(fam, 1.0)
 
 
+@pytest.mark.parametrize("u", [0.3 + 0.9j, 1.0])  # a smooth fiber of nf0 and its node
+def test_a_solve_along_a_family_takes_delta_and_its_scale_once(monkeypatch, u):
+    import uplane.curves as C
+    import uplane.periods as P
+
+    calls = []
+    for name in ("discriminant", "discriminant_scale"):
+        fn = getattr(C, name)
+        for module in (C, P):
+            monkeypatch.setattr(module, name,
+                                lambda curve, _fn=fn, _name=name: calls.append(_name) or _fn(curve))
+    try:
+        periods_along_family(sample_family(0), u)
+    except SingularFiber:
+        assert u == 1.0
+    assert sorted(calls) == ["discriminant", "discriminant_scale"]
+
+
 @pytest.mark.parametrize("factor, screened", [(0.5, True), (2.0, False)])
 def test_curve_screen_threshold(factor, screened):
     # near the node u = 1 of nf0, |Delta| / (|g2|^3 + 27 |g3|^2) = 27 |u - 1|
@@ -264,9 +282,10 @@ def test_curve_screen_threshold(factor, screened):
 
     for direction in (1.0, -1.0, 1j):
         u = 1.0 + direction * factor * 1e-12 / 27.0
-        # periods_along_family screens before it solves: no SingularCurve inside
+        # the screen is compute_periods'; along a family its error names the fiber
         exc = error(lambda: periods_along_family(fam, u))
-        assert (isinstance(exc, SingularFiber) and exc.__cause__ is None) == screened
+        assert (isinstance(exc, SingularFiber) and str(exc).startswith("discriminant vanishes")
+                and str(exc).endswith(f" at u={u}")) == screened
         exc = error(lambda: compute_periods(fam.curve_at(u)))
         assert (isinstance(exc, SingularCurve) and "discriminant vanishes" in str(exc)) == screened
 
@@ -378,7 +397,7 @@ def test_failed_validation_above_rounding_is_a_branch_failure(monkeypatch):
     import uplane.periods as P
     from uplane import AgmBranchFailure
 
-    monkeypatch.setattr(P, "_validated", lambda curve, delta, cands: None)
+    monkeypatch.setattr(P, "_validated", lambda curve, delta, scale, cands: None)
     with pytest.raises(AgmBranchFailure, match="eta\\^24 identity") as info:
         compute_periods(WeierstrassCurve(4, 0))
     assert not isinstance(info.value, SingularCurve)
@@ -389,8 +408,8 @@ def _count_validated(monkeypatch, P):
     walked = []
     validated = P._validated
 
-    def counting(curve, delta, cands):
-        return validated(curve, delta, (walked.append(c) or c for c in cands))
+    def counting(curve, delta, scale, cands):
+        return validated(curve, delta, scale, (walked.append(c) or c for c in cands))
 
     monkeypatch.setattr(P, "_validated", counting)
     monkeypatch.setattr(P, "modular_discriminant", lambda p: 0j)
@@ -421,7 +440,7 @@ def test_unresolvable_failure_walks_every_candidate(monkeypatch):
 
     g2 = 3.0 + 0j
     curve = WeierstrassCurve(g2, cmath.sqrt(g2**3 / 27.0) * (1.0 + 1e-7))
-    assert not is_numerically_singular(curve, discriminant(curve))
+    assert not is_numerically_singular(discriminant(curve), discriminant_scale(curve))
     assert abs(discriminant(curve)) < ETA_RESOLVABLE * discriminant_scale(curve)
     walked = _count_validated(monkeypatch, P)
     with pytest.raises(SingularCurve, match=f"^discriminant within its rounding of zero: {_failure(curve)}$"):
@@ -506,10 +525,10 @@ def test_every_passing_ordering_of_a_real_curve_gives_one_basis():
     rng = np.random.default_rng(0)
     for g2, g3 in rng.uniform(-3.0, 3.0, (3000, 2)):
         curve = WeierstrassCurve(complex(g2), complex(g3))
-        delta = discriminant(curve)
-        if is_numerically_singular(curve, delta):
+        delta, scale = discriminant(curve), discriminant_scale(curve)
+        if is_numerically_singular(delta, scale):
             continue
-        passing = [p for p in (P._validated(curve, delta, [cand])
+        passing = [p for p in (P._validated(curve, delta, scale, [cand])
                                for cand in P._candidate_params(cubic_roots(curve)))
                    if p is not None]
         assert passing, curve
@@ -617,14 +636,14 @@ def test_rotated_lattice_passes_eta_but_is_rejected():
 
     fam = sample_family(2)
     curve = fam.curve_at(5e-5)
-    delta = discriminant(curve)
+    delta, scale = discriminant(curve), discriminant_scale(curve)
     p = periods_along_family(fam, 5e-5)
     rot = cmath.exp(-1j * math.pi / 3)
     w, wp = rot * p.omega, rot * p.omega_prime
     eta_err = abs(modular_discriminant(P._basis(w, wp)) - delta) / abs(delta)
     assert eta_err <= P.ETA_IDENTITY_RTOL
-    assert P._validated(curve, delta, [(w, wp, wp / w)]) is None
-    assert P._validated(curve, delta, [(p.omega, p.omega_prime, p.tau)]) == p
+    assert P._validated(curve, delta, scale, [(w, wp, wp / w)]) is None
+    assert P._validated(curve, delta, scale, [(p.omega, p.omega_prime, p.tau)]) == p
 
 
 @settings(max_examples=200, deadline=None)
@@ -642,10 +661,10 @@ def test_negated_candidate_validates_to_the_same_basis(parts, log_scale):
     import uplane.periods as P
 
     curve = _curve_from(parts, log_scale)
-    delta = discriminant(curve)
+    delta, scale = discriminant(curve), discriminant_scale(curve)
     for w, wp, tau in P._candidate_params(cubic_roots(curve)):
-        p = P._validated(curve, delta, [(w, wp, tau)])
-        neg = P._validated(curve, delta, [(-w, -wp, tau)])
+        p = P._validated(curve, delta, scale, [(w, wp, tau)])
+        neg = P._validated(curve, delta, scale, [(-w, -wp, tau)])
         assert (p is None) == (neg is None)
         if p is None:
             continue
