@@ -51,8 +51,9 @@ def _frac(f):
     return {"num": f.numerator, "den": f.denominator}
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17e}"
+#: the CSV rows of anomaly and scan, one %-format each: "%.17e" writes a float as
+#: f"{x:.17e}" does
+_ANOMALY_ROW, _SCAN_ROW = (",".join(["%.17e"] * fields) for fields in (5, 6))
 
 
 def _periods_from_tau(tau: complex, two_omega: complex):
@@ -159,9 +160,7 @@ def _cmd_anomaly(args) -> str:
     family = load_family(args.family)
     rec = geometry.anomaly_check(family, args.at, h=args.step)
     header = "u_re,u_im,lhs,rhs,ratio"
-    row = ",".join(
-        [_fmt(args.at.real), _fmt(args.at.imag), _fmt(rec.lhs), _fmt(rec.rhs), _fmt(rec.ratio)]
-    )
+    row = _ANOMALY_ROW % (args.at.real, args.at.imag, rec.lhs, rec.rhs, rec.ratio)
     return header + "\n" + row + "\n"
 
 
@@ -242,11 +241,7 @@ def _cmd_scan(args) -> str:
                 continue
             f1_val = geometry.f1_from_periods(p)
             qn = abs(d(u)) ** (1.0 / 12.0)
-            lines.append(
-                ",".join(
-                    [_fmt(x), _fmt(y), _fmt(p.tau.imag), _fmt(f1_val), _fmt(qn), _fmt(s)]
-                )
-            )
+            lines.append(_SCAN_ROW % (x, y, p.tau.imag, f1_val, qn, s))
     return "\n".join(lines) + "\n"
 
 
@@ -316,16 +311,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 #: every option takes a value
 _VALUE_FLAGS = frozenset(flag for *_, options in _COMMANDS for flag, _ in (_OUT, *options))
+#: every option string of the parser
+_OPTION_STRINGS = _VALUE_FLAGS | {"-h", "--help"}
 
 
 def _join_flag_values(argv):
-    """Rewrite ['--flag', '-3,1'] as ['--flag=-3,1'].
+    """Rewrite ['--flag', '-3,1'] as ['--flag=-3,1'], unless the token after the flag is an
+    option string itself: argparse then reports the flag's missing value.
 
     argparse otherwise mistakes negative coordinates for option strings.
     """
     out = []
     for tok in argv:
-        if out and out[-1] in _VALUE_FLAGS:
+        if out and out[-1] in _VALUE_FLAGS and tok not in _OPTION_STRINGS:
             out[-1] += "=" + tok
         else:
             out.append(tok)

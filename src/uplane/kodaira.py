@@ -8,6 +8,8 @@ infinity they are exact: weight - degree, the weights of g2, g3 and Delta
 being 4, 6 and 12.
 """
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,9 +122,9 @@ def find_singular_fibers(family: CurveFamily):
     """
     if family.delta_poly.is_zero:
         raise IdenticallySingular("discriminant vanishes identically")
-    d = discriminant_poly(family)
-    eig = [complex(z) for z in np.roots(d.coeffs[::-1])]
-    cap = 1e-3 * max(abs(z - sum(eig) / len(eig)) for z in eig)
+    eig = _roots(discriminant_poly(family).coeffs)
+    mean = sum(eig) / len(eig)
+    cap = 1e-3 * max(abs(z - mean) for z in eig)
     groups, out = (_linked(eig, cap) if cap else [eig]), []
     while groups:
         g = groups.pop()
@@ -134,6 +136,23 @@ def find_singular_fibers(family: CurveFamily):
     return tuple(sorted(out, key=lambda zm: (zm[0].real, zm[0].imag)))
 
 
+def _roots(coeffs) -> list:
+    """The zeros of the polynomial with complex ascending coefficients coeffs, the last
+    nonzero, as `[complex(z) for z in np.roots(coeffs[::-1])]` gives them, without np.roots'
+    wrapper: the eigenvalues of np.roots' own companion matrix (first row -p[1:] / p[0] in
+    numpy's complex division, ones below the diagonal) of the polynomial stripped of its k
+    zero low-order coefficients, then k exact zeros."""
+    k = 0
+    while coeffs[k] == 0:
+        k += 1
+    p = np.array(coeffs[k:][::-1], dtype=complex)
+    if len(p) == 1:
+        return [0j] * k
+    companion = np.eye(len(p) - 1, k=-1, dtype=p.dtype)
+    companion[0] = -p[1:] / p[0]
+    return np.linalg.eigvals(companion).tolist() + [0j] * k
+
+
 def _rounding_splits(family: CurveFamily, group, eig, diam: float) -> bool:
     """Whether rounding can split an m-fold zero z of Delta into group's m eigenvalues,
     diam apart.  Delta(z + t) ~ D t^m, D = |lead Delta| prod |z - w| over the other
@@ -143,8 +162,8 @@ def _rounding_splits(family: CurveFamily, group, eig, diam: float) -> bool:
     z, m = sum(group) / len(group), len(group)
     n2, n3 = (sum(abs(a) * abs(z) ** k for k, a in enumerate(p.coeffs))
               for p in (family.g2_poly, family.g3_poly))
-    d = abs(family.delta_poly.coeffs[-1]) * np.prod([abs(z - w) for w in eig if w not in group])
-    return (diam / 10.0) ** m * d <= np.finfo(float).eps * discriminant_scale(
+    d = abs(family.delta_poly.coeffs[-1]) * math.prod([abs(z - w) for w in eig if w not in group])
+    return (diam / 10.0) ** m * d <= sys.float_info.epsilon * discriminant_scale(
         WeierstrassCurve(n2, n3))
 
 

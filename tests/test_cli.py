@@ -5,6 +5,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from uplane import cli, family_to_dict, isotrivial_family, sample_family
 from uplane.cli import main
@@ -416,8 +418,9 @@ def test_overflowing_input_is_one_error_line(capsys, family_file, argv, expected
 
 def test_eta_products_per_determinants_request_and_scan_point(capsys, family_file, monkeypatch):
     # determinants: 1 for the reduced basis' eta, which det', the annulus, the Quillen norm
-    # and the twisted determinants and their theta quotients share, 4 for the quotients'
-    # eta(tau/2) and eta(2 tau) and 1 for the flat annulus on the given basis; a scan
+    # and the twisted determinants and their theta quotients share, 2 for the quotients'
+    # eta(tau/2) and eta(2 tau), which the reduced basis keeps for all three even
+    # structures, and 1 for the flat annulus on the given basis; a scan
     # point: 1, the solve's, which F1 reads again;
     # an anomaly item: 1 per period solve of its 9-point stencil
     from uplane import modular
@@ -431,7 +434,7 @@ def test_eta_products_per_determinants_request_and_scan_point(capsys, family_fil
         monkeypatch.setattr(module, "eisenstein_in_f", lambda q: loops.append(q) or series(q))
     argv = ["determinants", "--tau", "1.3,0.2", "--two-omega", "1,0.5"]
     assert _run(capsys, argv)[0] == 0
-    assert len(calls) == 6
+    assert len(calls) == 4
     calls.clear()
     code, out, _ = _run(capsys, ["scan", "--family", family_file(0), "--grid", "2,3,2,3,3,3"])
     assert code == 0 and len(out.strip().split("\n")) == 1 + 9
@@ -472,7 +475,6 @@ def test_anomaly_item_solves_through_the_traced_names(capsys, family_file, monke
 
 
 def test_scan_curvature_matches_library(capsys, family_file):
-    from uplane.cli import _fmt
     from uplane.geometry import scalar_curvature
     from uplane.periods import periods_along_family
 
@@ -485,7 +487,7 @@ def test_scan_curvature_matches_library(capsys, family_file):
     for row in out.strip().split("\n")[1:]:
         cells = row.split(",")
         u = complex(float(cells[0]), float(cells[1]))
-        assert cells[5] == _fmt(scalar_curvature(fam, u, periods_along_family(fam, u)))
+        assert cells[5] == f"{scalar_curvature(fam, u, periods_along_family(fam, u)):.17e}"
 
 
 def test_every_value_flag_joins_its_value():
@@ -610,3 +612,39 @@ def test_every_value_flag_takes_a_leading_minus_value(capsys, family_file, monke
     assert "expected one argument" not in err
     if flag == "--out":
         assert out == "" and err == "" and (tmp_path / "-1e-3").stat().st_size > 0
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["periods", "--g2", "--g3", "0,0"], "--g2"),
+    (["anomaly", "--family", "--at", "0.3,0.9"], "--family"),
+    (["classify", "--family", "--out", "x.json"], "--family"),
+])
+def test_a_flag_followed_by_an_option_misses_its_value(capsys, monkeypatch, tmp_path, argv, flag):
+    # the option after the flag is not glued to it as its value, so argparse names the flag
+    monkeypatch.chdir(tmp_path)
+    code, out, err = _run_to_exit(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.endswith(f"error: argument {flag}: expected one argument\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_no_option_string_is_glued_as_a_value():
+    options = sorted(cli._VALUE_FLAGS) + ["-h", "--help"]
+    for flag in cli._VALUE_FLAGS:
+        for option in options:
+            assert cli._join_flag_values([flag, option]) == [flag, option]
+        assert cli._join_flag_values([flag, "-3,1"]) == [flag + "=-3,1"]
+
+
+#: finite floats, signed zeros, subnormals, infinities and NaN
+_FIELD = st.floats() | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                         math.inf, -math.inf, math.nan, -math.nan])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_FIELD, min_size=6, max_size=6))
+@example([-0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan])
+def test_a_csv_row_template_writes_each_field_as_format_does(row):
+    # one %-format per row writes what a join of f"{x:.17e}" fields wrote
+    assert cli._SCAN_ROW % tuple(row) == ",".join(f"{x:.17e}" for x in row)
+    assert cli._ANOMALY_ROW % tuple(row[:5]) == ",".join(f"{x:.17e}" for x in row[:5])

@@ -1,4 +1,7 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uplane import (
     AT_INFINITY,
@@ -291,3 +294,22 @@ def test_sw_mass_point_realizes_its_table_row(nf, masses, label):
         k.label for k in row.finite_fibers)
     assert signature_from_monodromy(fam, report=rep) == rep.sign_z == -nf
     assert curvature_ledger(fam).total == 2
+
+
+#: a coefficient part: 0, or of magnitude 1e-20 to 1e20 with either sign
+_PART = st.just(0.0) | st.builds(lambda m, e, sign: sign * m * 10.0**e, st.floats(1.0, 10.0),
+                                 st.integers(-20, 19), st.sampled_from([1.0, -1.0]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(coeffs=st.lists(st.builds(complex, _PART, _PART), min_size=2, max_size=7),
+       zeros=st.integers(0, 6))
+def test_the_node_roots_are_np_roots_bit_for_bit(coeffs, zeros):
+    # degrees 1-6 with 0-6 exact-zero low-order coefficients: the companion matrix built
+    # directly gives np.roots' eigenvalues, and exact 0j for the stripped zeros
+    from uplane.kodaira import _roots
+
+    zeros = min(zeros, len(coeffs) - 1)
+    coeffs = [0j] * zeros + coeffs[zeros:-1] + [coeffs[-1] or 1.0 + 0j]
+    expected = [complex(z) for z in np.roots(coeffs[::-1])]
+    assert [repr(z) for z in _roots(tuple(coeffs))] == [repr(z) for z in expected]

@@ -60,6 +60,39 @@ def test_cubic_roots_triple_root_at_zero():
         assert cubic_roots(WeierstrassCurve(g2, g3)) == (0j, 0j, 0j)
 
 
+def _bits(roots) -> list:
+    """The roots as repr writes them, which tells -0.0 from 0.0."""
+    return [repr(z) for z in roots]
+
+
+#: parts that tie and differ only in the sign of zero, and any finite float
+_ROOT_PART = st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324]) | st.floats(allow_nan=False)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.builds(complex, _ROOT_PART, _ROOT_PART), min_size=3, max_size=3))
+def test_the_root_insertion_is_the_re_im_sort_bit_for_bit(roots):
+    from uplane.periods import _sorted_re_im
+
+    expected = sorted(roots, key=lambda z: (z.real, z.imag))
+    assert _bits(_sorted_re_im(*roots)) == _bits(expected)
+
+
+#: an invariant, real (imaginary part 0) in about half the draws
+_INVARIANT = st.builds(complex, st.floats(-10.0, 10.0), st.just(0.0) | st.floats(-10.0, 10.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(g2=_INVARIANT, g3=_INVARIANT)
+@example(g2=0j, g3=0j)  # the triple root
+@example(g2=4 + 0j, g3=0j)  # the real square lattice
+@example(g2=3 + 0j, g3=1 + 0j)  # a real double root
+def test_cubic_roots_come_in_the_re_im_sorted_order(g2, g3):
+    # real curves (Im g2 = Im g3 = 0) give real roots and conjugate pairs, whose parts tie
+    roots = cubic_roots(WeierstrassCurve(g2, g3))
+    assert _bits(roots) == _bits(sorted(roots, key=lambda z: (z.real, z.imag)))
+
+
 def _cubic_with_gap(rng, gap: float, real: bool):
     """(g2, g3) of 4 (x - e1)(x - e2)(x - e3) with e1, e2 = s (a +- d/2), e3 = -2 s a, |d| =
     gap |a|, s = 10^U(-3, 3).  Real cubics take a real and d real or imaginary, so two

@@ -119,17 +119,25 @@ def test_every_import_is_used():
 
 
 def test_np_roots_only_in_the_root_finders():
-    # kodaira finds a family's singular fibers once; holonomy reads the zeros of either
-    # chart from the singular fibers, and periods takes a fiber's cubic roots in closed form
-    found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(SRC.glob("*.py"))
-        if path.name != "kodaira.py"
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Attribute) and node.attr == "roots"
-        and isinstance(node.value, ast.Name) and node.value.id == "np"
-    ]
-    assert found == []
+    # kodaira finds a family's singular fibers once, by the eigenvalues of Delta's companion
+    # matrix in one helper (`_roots`); holonomy reads the zeros of either chart from the
+    # singular fibers, and periods takes a fiber's cubic roots in closed form.  np.roots and
+    # eigvals appear nowhere else (modular's Gauss-Laguerre nodes are eigvalsh's)
+    found, home_names = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        home = range(0)
+        if path.name == "kodaira.py":
+            helper = next(node for node in tree.body
+                          if isinstance(node, ast.FunctionDef) and node.name == "_roots")
+            home = range(helper.lineno, helper.end_lineno + 1)
+        for name, line in _names(tree):
+            (home_names if line in home else found).append(name)
+        found += ["np.roots" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "roots"
+                  and isinstance(node.value, ast.Name) and node.value.id == "np"]
+    assert "eigvals" in home_names
+    assert [name for name in found if name in ("eigvals", "np.roots")] == []
 
 
 def test_the_period_solve_imports_no_numpy():
