@@ -235,12 +235,13 @@ def _cmd_scan(args) -> str:
                 continue
             try:
                 p = periods_along_family(family, u)
-                s = geometry.scalar_curvature(family, u, p)
+                delta = d(u)  # one Horner for the curvature and the Quillen norm
+                s = geometry.scalar_curvature(family, u, p, delta)
             except UPlaneError as exc:
                 print(f"scan: skipping u={u} ({exc})", file=sys.stderr)
                 continue
             f1_val = geometry.f1_from_periods(p)
-            qn = abs(d(u)) ** (1.0 / 12.0)
+            qn = abs(delta) ** (1.0 / 12.0)
             lines.append(_SCAN_ROW % (x, y, p.tau.imag, f1_val, qn, s))
     return "\n".join(lines) + "\n"
 

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass, field
 from itertools import zip_longest
 
-import numpy as np
-
 from .errors import BadNf, DegreeMismatch, SchemaError, SingularCurve
 
 _ZERO = (0j,)
@@ -25,9 +23,8 @@ class ComplexPoly:
 
     The trailing stored coefficient is nonzero unless the polynomial is
     identically zero.  Evaluation uses Horner's rule in a fixed descending
-    order so results are bit-reproducible; `at` runs the same recurrence over
-    a numpy array, which is reproducible from run to run but may differ from
-    the scalar path by a rounding (about 3e-16 relative).
+    order so results are bit-reproducible; contour sampling runs the same
+    recurrence over a numpy array (`holonomy._horner`).
     """
 
     coeffs: tuple = _ZERO
@@ -54,14 +51,6 @@ class ComplexPoly:
 
     def __call__(self, u: complex) -> complex:
         acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * u + c
-        return acc
-
-    def at(self, u: np.ndarray) -> np.ndarray:
-        """Values at every point of a complex array, by one vectorized Horner."""
-        u = np.asarray(u, dtype=complex)
-        acc = np.zeros_like(u)
         for c in reversed(self.coeffs):
             acc = acc * u + c
         return acc

@@ -123,21 +123,25 @@ def uplane_point(family: CurveFamily, u: complex, h: float = None) -> UPlanePoin
     return UPlanePoint(u=u, periods=center, d_tau_du=d1, d2_tau_du2=d2)
 
 
-def d_tau_du(family: CurveFamily, u: complex, p: Periods) -> complex:
+def d_tau_du(family: CurveFamily, u: complex, p: Periods, delta: complex = None) -> complex:
     """Closed-form d tau/du = (3 pi i / 4) W(u) / (omega^2 Delta(u)).
 
-    p are the periods of the fiber at u; d tau/du is in their frame.
+    p are the periods of the fiber at u; d tau/du is in their frame.  delta is
+    family.delta_poly(u), evaluated here unless the caller passes it.
     """
     w, _ = family.cached("j_numerator", _j_numerator)
-    return 0.75j * math.pi * w(u) / (p.omega**2 * family.delta_poly(u))
+    if delta is None:
+        delta = family.delta_poly(u)
+    return 0.75j * math.pi * w(u) / (p.omega**2 * delta)
 
 
-def scalar_curvature(family: CurveFamily, u: complex, p: Periods) -> float:
+def scalar_curvature(family: CurveFamily, u: complex, p: Periods, delta: complex = None) -> float:
     """S = |d tau / d a|^2 / (8 Im^3 tau) with d tau/d a = (1/omega) d tau/du.
 
-    p are the periods of the fiber at u; d tau/du is the closed form of `d_tau_du`.
+    p are the periods of the fiber at u; d tau/du is the closed form of `d_tau_du`,
+    with its delta.
     """
-    dtau_da = d_tau_du(family, u, p) / p.omega
+    dtau_da = d_tau_du(family, u, p, delta) / p.omega
     return abs(dtau_da) ** 2 / (8.0 * p.tau.imag**3)
 
 

@@ -459,6 +459,32 @@ def test_scan_solves_each_point_once(capsys, family_file, monkeypatch):
     assert len(calls) == len(rows)
 
 
+def test_a_scan_point_evaluates_delta_once(capsys, family_file, monkeypatch):
+    # per emitted point: g2 and g3 for the fiber's curve, W for d tau/du, and one Delta(u)
+    # that the scalar curvature and the Quillen norm share
+    from uplane.curves import ComplexPoly
+    from uplane.geometry import f1_from_periods, scalar_curvature
+    from uplane.periods import periods_along_family
+
+    argv = ["scan", "--family", family_file(2), "--grid", "0.5,1.5,1,2,3,3"]
+    calls = []
+    horner = ComplexPoly.__call__
+    monkeypatch.setattr(ComplexPoly, "__call__", lambda p, u: calls.append(u) or horner(p, u))
+    code, out, _ = _run(capsys, argv)
+    rows = out.strip().split("\n")[1:]
+    assert code == 0 and len(rows) == 9
+    assert len(calls) == 4 * len(rows)
+    monkeypatch.undo()
+    fam = sample_family(2)
+    for row in rows:
+        x, y = (float(v) for v in row.split(",")[:2])
+        u = complex(x, y)
+        p = periods_along_family(fam, u)
+        expect = (x, y, p.tau.imag, f1_from_periods(p), abs(fam.delta_poly(u)) ** (1 / 12),
+                  scalar_curvature(fam, u, p))
+        assert row == ",".join(f"{v:.17e}" for v in expect)
+
+
 def test_anomaly_item_solves_through_the_traced_names(capsys, family_file, monkeypatch):
     # one item: the 9 points of the stencil, each one compute_periods with 2 AGMs and
     # one cubic, called through the periods module globals a layer tracer wraps

@@ -6,7 +6,9 @@ import subprocess
 import sys
 import types
 import warnings
+from dataclasses import replace
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -301,21 +303,120 @@ def test_array_horner_matches_scalar_and_is_reproducible():
         deg = int(rng.integers(0, 13))
         p = ComplexPoly.of(rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1))
         z = (rng.normal(size=257) + 1j * rng.normal(size=257)) * rng.uniform(0.1, 3.0)
-        vec = p.at(z)
+        vec = H._horner(p, z)
         scalar = np.array([p(w) for w in z])
         # relative to sum |c_k| |z|^k, the scale Horner's rounding error is bounded by
         scale = sum(abs(c) * np.abs(z) ** k for k, c in enumerate(p.coeffs))
         assert np.max(np.abs(vec - scalar) / scale) <= 1e-14
-        # bit-identical on every rerun, whatever the array's length or order
-        assert np.array_equal(vec, p.at(z))
-        assert np.array_equal(vec[1:], p.at(z[1:]))
-        assert np.array_equal(vec, p.at(z[::-1])[::-1])
+        # bit-identical on every rerun, whatever the array's length, order or shape
+        assert np.array_equal(vec, H._horner(p, z))
+        assert np.array_equal(vec[1:], H._horner(p, z[1:]))
+        assert np.array_equal(vec, H._horner(p, z[::-1])[::-1])
+        assert np.array_equal(vec[:256], H._horner(p, z[:256].reshape(4, 64)).reshape(-1))
 
 
 _PASS_FAMILIES = [sample_family(nf) for nf in range(5)] + [
     coalesced_family(),
     isotrivial_family(),
 ]
+
+
+def test_rim_is_the_cached_read_only_unit_circle():
+    for n in (64, 100, 4096):
+        rim = H._rim(n)
+        expect = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, n, endpoint=False))
+        assert rim.tobytes() == expect.tobytes()  # bitwise, signed zeros included
+        assert H._rim(n) is rim and not rim.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            rim[0] = 0.0
+    assert H._rim.cache_info().maxsize == H._RIMS
+    for n in range(64, 64 + 3 * H._RIMS):
+        H._rim(n)
+        assert H._rim.cache_info().currsize <= H._RIMS
+
+
+def _parent_winding(family, loop):
+    """The single-loop contour integral the batched `_ccw_windings` must reproduce bit for
+    bit: one loop, its own unit circle, the Horner loop inline, the same checks in order."""
+    delta = H._chart_delta(family, loop.chart)
+    n = H._sample_count(H._chart_zeros(family, loop.chart), loop)
+    rim = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, n, endpoint=False))
+    z = loop.center + loop.radius * rim
+    dz = 1j * loop.radius * rim * (2.0 * math.pi / n)
+
+    def horner(p):
+        acc = np.zeros_like(z)
+        for c in reversed(p.coeffs):
+            acc = acc * z + c
+        return acc
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals, dvals = horner(delta), horner(delta.derivative())
+        if np.any(np.abs(vals) == 0.0):
+            raise LoopTooCloseToSingularity("contour hits a discriminant zero")
+        integral = np.sum(dvals / vals * dz)
+    if not cmath.isfinite(integral):
+        raise NonIntegerWinding(f"contour integral is not finite at {n} samples")
+    args = np.angle(vals)
+    jumps = np.diff(np.concatenate([args, args[:1]]))
+    jumps = (jumps + math.pi) % (2.0 * math.pi) - math.pi
+    winding = float(np.sum(jumps) / (2.0 * math.pi))
+    k = round(winding)
+    if abs(winding - k) > 1e-8 or abs(integral / (2j * math.pi) - k) > H._INTEGRAL_TOL:
+        raise NonIntegerWinding(f"winding {winding} (integral {integral / (2j * math.pi)}) "
+                                f"not integral at {n} samples")
+    return replace(loop, samples=n), k, integral
+
+
+def _first_failure_or_rows(family, loops):
+    """The parent's rows of loops integrated one at a time, or the first loop's error."""
+    try:
+        return [_parent_winding(family, loop) for loop in loops]
+    except (LoopTooCloseToSingularity, NonIntegerWinding) as exc:
+        return type(exc), str(exc)
+
+
+def _batched_or_failure(family, loops):
+    try:
+        return H._ccw_windings(family, loops)
+    except (LoopTooCloseToSingularity, NonIntegerWinding) as exc:
+        return type(exc), str(exc)
+
+
+#: (zero index, center offset, its angle); a loop adds a radius and a sample floor
+_NEAR_A_ZERO = (st.integers(0, 11), st.floats(0.0, 0.6), st.floats(0.0, 2 * math.pi))
+_LOOP = st.tuples(*_NEAR_A_ZERO, st.floats(0.05, 1.5), st.sampled_from([64, 100, 256, 1024, 4096]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(fam=st.sampled_from(_PASS_FAMILIES), chart=st.sampled_from(list(Chart)),
+       loops=st.lists(_LOOP, min_size=1, max_size=6), raised=st.tuples(*_NEAR_A_ZERO),
+       slack=st.floats(0.05, 0.2), at=st.integers(0, 6))
+def test_a_batched_row_is_its_loop_sampled_alone(fam, chart, loops, raised, slack, at):
+    # loops near the chart's zeros at floors of 64-4,096, plus one whose circle passes
+    # slack of its radius outside a zero, which lifts its count above the floor of 64
+    zeros = H._chart_zeros(fam, chart)
+    scale = 1.0 + max(abs(z) for z, _ in zeros)
+
+    def loop(i, offset, angle, radius, samples):
+        center = complex(zeros[i % len(zeros)][0]) + scale * cmath.rect(offset, angle)
+        return LoopSpec(center, scale * radius, samples, chart=chart)
+
+    specs = [loop(*draw) for draw in loops]
+    i, offset, angle = raised
+    offset = max(offset, 0.05)
+    specs.insert(at % (len(specs) + 1), loop(i, offset, angle, offset * (1.0 + slack), 64))
+    expect = _first_failure_or_rows(fam, specs)
+    assume(isinstance(expect, list))  # every loop passes alone
+    assert max(loop.samples for loop, _, _ in expect) > 64
+    got = H._ccw_windings(fam, specs)
+    for (loop_a, k_a, int_a), (loop_b, k_b, int_b) in zip(got, expect, strict=True):
+        assert loop_a == loop_b and k_a == k_b and int_a == int_b
+    # at the floors alone most such loops fail the check: the first to fail raises
+    with patch.object(H, "_sample_count", lambda zeros, loop: loop.samples):
+        assert _batched_or_failure(fam, specs) == _first_failure_or_rows(fam, specs)
+
+
 # signature of each family; the ledger totals are 2 (signature) and 1 (dbar)
 _PASS_SIGNATURES = [0, -1, -2, -3, -4, -2, -4]
 
@@ -353,34 +454,36 @@ def test_signature_command_integrates_each_loop_once(monkeypatch, tmp_path):
     fam = sample_family(3)
     path = tmp_path / "nf3.json"
     path.write_text(json.dumps(family_to_dict(fam)))
-    counts = {"loops": 0, "reports": 0}
-    integrate, report = H._ccw_winding_and_transport, surface_report
+    counts = {"calls": 0, "loops": 0, "reports": 0}
+    integrate, report = H._ccw_windings, surface_report
 
-    def counted_integrate(*args):
-        counts["loops"] += 1
-        return integrate(*args)
+    def counted_integrate(fam, loops):
+        counts["calls"] += 1
+        counts["loops"] += len(loops)
+        return integrate(fam, loops)
 
     def counted_report(*args, **kwargs):
         counts["reports"] += 1
         return report(*args, **kwargs)
 
-    monkeypatch.setattr(H, "_ccw_winding_and_transport", counted_integrate)
+    monkeypatch.setattr(H, "_ccw_windings", counted_integrate)
     monkeypatch.setattr(sys.modules["uplane.kodaira"], "surface_report", counted_report)
     assert main(["signature", "--family", str(path), "--out", str(tmp_path / "o.json")]) == 0
-    assert counts == {"loops": 5 + 1, "reports": 1}
+    # one call per chart: the 5 node loops together, then the loop around v = 0
+    assert counts == {"calls": 2, "loops": 5 + 1, "reports": 1}
 
 
-def _spy_sample_sizes(monkeypatch) -> list:
-    """Length of every array ComplexPoly.at evaluates from now on."""
-    sizes = []
-    at = ComplexPoly.at
+def _spy_sample_shapes(monkeypatch) -> list:
+    """Shape (loops, samples) of every array the contour Horner evaluates from now on."""
+    shapes = []
+    horner = H._horner
 
     def spied(poly, z):
-        sizes.append(len(z))
-        return at(poly, z)
+        shapes.append(z.shape)
+        return horner(poly, z)
 
-    monkeypatch.setattr(ComplexPoly, "at", spied)
-    return sizes
+    monkeypatch.setattr(H, "_horner", spied)
+    return shapes
 
 
 def test_undersampled_loop_integrates_once_at_the_rule_count(monkeypatch):
@@ -392,9 +495,9 @@ def test_undersampled_loop_integrates_once_at_the_rule_count(monkeypatch):
     n = next(n for n in range(64, 1 << 20)
              if rho**n / (1 - rho**n) + (0.52 / 1.5) ** n <= H._INTEGRAL_TOL / 8)
     assert n > 64
-    sizes = _spy_sample_sizes(monkeypatch)
+    shapes = _spy_sample_shapes(monkeypatch)
     res = holonomy(Operator.SIGNATURE, fam, loop)
-    assert sizes == [n, n]  # Delta and Delta', once each
+    assert shapes == [(1, n), (1, n)]  # Delta and Delta' on one row, once each
     assert res.loop.samples == n
     assert res.winding == -1 and res.log_monodromy == Fraction(-2, 3)
     # the rule's bound on integral / (2 pi i), times 2 pi / 6 for the phase
@@ -411,32 +514,35 @@ def test_integral_read_refuses_an_unresolved_loop(monkeypatch):
 
 
 def test_internal_pass_integrates_every_loop_at_64_samples(monkeypatch):
-    integrated, expected = [], []
-    integrate = H._ccw_winding_and_transport
+    integrated, expected, points = [], [], []
+    integrate = H._ccw_windings
 
-    def recorded(fam, loop):
-        out = integrate(fam, loop)
-        integrated.append((loop, out[0].samples))
+    def recorded(fam, loops):
+        out = integrate(fam, loops)
+        integrated.append([(loop, row[0].samples) for loop, row in zip(loops, out, strict=True)])
         return out
 
-    monkeypatch.setattr(H, "_ccw_winding_and_transport", recorded)
-    sizes = _spy_sample_sizes(monkeypatch)
+    monkeypatch.setattr(H, "_ccw_windings", recorded)
+    shapes = _spy_sample_shapes(monkeypatch)
     for fam in [sample_family(nf) for nf in range(5)] + [coalesced_family(), isotrivial_family()]:
         roots = find_singular_fibers(fam)
-        expected += [H._node_loop(fam, z) for z, _ in roots] + [H._infinity_loop(roots)]
+        expected += [[H._node_loop(fam, z) for z, _ in roots], [H._infinity_loop(roots)]]
+        points += [64 * len(roots)] * 2 + [64] * 2
         H._fiber_rows(fam)
-    # one loop a row, each the node or infinity loop, each at the 64-sample floor
-    assert integrated == [(loop, 64) for loop in expected]
-    assert sizes == [64] * (2 * len(expected))  # Delta and Delta' of each loop, once
+    # one call per chart: the node loops of the u-chart together, then the infinity loop;
+    # one row a loop, each at the 64-sample floor
+    assert integrated == [[(loop, 64) for loop in loops] for loops in expected]
+    # Delta and Delta' once over each chart's points
+    assert [k * n for k, n in shapes] == points
 
 
 def test_unresolvable_loop_is_refused_before_sampling(monkeypatch):
     # radius 1.00001 around the nodes at +-1 of nf0: rho = 1/1.00001 needs
     # ~2.6 million samples, more than _MAX_SAMPLES
-    sizes = _spy_sample_sizes(monkeypatch)
+    shapes = _spy_sample_shapes(monkeypatch)
     with pytest.raises(LoopTooCloseToSingularity, match=r"passes 1.00e-05 from the zero at .*samples"):
         holonomy(Operator.SIGNATURE, sample_family(0), _node_loop(0.0, 1.00001))
-    assert sizes == []
+    assert shapes == []
 
 
 @pytest.mark.parametrize("fam", _PASS_FAMILIES, ids=[f.name for f in _PASS_FAMILIES])

@@ -140,13 +140,39 @@ def test_np_roots_only_in_the_root_finders():
     assert [name for name in found if name in ("eigvals", "np.roots")] == []
 
 
-def test_the_period_solve_imports_no_numpy():
-    # the period solve is scalar Python: cmath and math only
-    tree = ast.parse((SRC / "periods.py").read_text(encoding="utf-8"))
+def _numpy_imports(name: str) -> list:
+    tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
     modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
                for alias in node.names]
     modules += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
-    assert [m for m in modules if m and m.split(".")[0] == "numpy"] == []
+    return [m for m in modules if m and m.split(".")[0] == "numpy"]
+
+
+def test_the_period_solve_imports_no_numpy():
+    # the period solve is scalar Python: cmath and math only
+    assert _numpy_imports("periods.py") == []
+
+
+def test_the_curves_module_imports_no_numpy():
+    # polynomials and families are scalar Python; the array Horner of contour sampling
+    # lives with its one caller, holonomy
+    assert _numpy_imports("curves.py") == []
+
+
+def test_the_contour_integral_has_one_home():
+    # holonomy._ccw_windings samples every loop, alone or in a batch: it alone calls the
+    # array Horner and the cached unit circle, and nothing else builds a circle of samples
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        homes = {node.name: range(node.lineno, node.end_lineno + 1) for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+        for name, line in _names(tree):
+            home = {"_horner": "_ccw_windings", "_rim": "_ccw_windings",
+                    "linspace": "_rim"}.get(name)
+            if home and (path.name != "holonomy.py" or line not in homes[home]):
+                found.append(f"{path.name}:{line} {name}")
+    assert found == []
 
 
 def test_no_two_argument_round_in_src():
