@@ -194,9 +194,10 @@ def _cmd_holonomy(args) -> dict:
 
 def _cmd_signature(args) -> dict:
     family = load_family(args.family)
-    # the signature and the ledger read the family's fiber rows, integrated once
-    report = kodaira.surface_report(family)
-    sig = signature_from_monodromy(family, report=report)
+    # the signature and the ledger read the family's fiber rows, integrated once, and
+    # the signature its surface report, built once
+    report = family.cached("report", kodaira.surface_report)
+    sig = signature_from_monodromy(family)
     ledger = curvature_ledger(family)
     return {
         "family": family.name,

@@ -75,24 +75,18 @@ class ComplexPoly:
         return ComplexPoly.of([k * c for k, c in enumerate(self.coeffs)][1:])
 
     def taylor_at(self, u0: complex) -> tuple:
-        """Coefficients of p(u0 + t) in t, by repeated synthetic division."""
-        work = list(self.coeffs)
-        out = []
-        for _ in range(len(self.coeffs)):
-            # divide by (u - u0): synthetic division, quotient replaces work
-            quo = []
-            acc = 0j
-            for c in reversed(work):
-                acc = acc * u0 + c
-                quo.append(acc)
-            out.append(acc)  # the remainder, work(u0)
-            work = list(reversed(quo[:-1]))
-            if not work:
-                break
-        return tuple(out)
+        """Coefficients of p(u0 + t) in t, by the Horner (Taylor) shift in place.
 
-    def order_at(self, u0: complex, rho: float = 1.0, rel_tol: float = 1e-8) -> int:
-        """Vanishing order at u0: the first k with |t_k| rho^k above rel_tol times the
+        It forms the products and sums of repeated synthetic division by u - u0 in the
+        same order, so the values are the same; only the sign of a zero can differ."""
+        a, n = list(self.coeffs), len(self.coeffs) - 1
+        for k in range(n):
+            for j in range(n - 1, k - 1, -1):
+                a[j] += u0 * a[j + 1]
+        return tuple(a)
+
+    def order_at(self, u0: complex, rho: float = 1.0) -> int:
+        """Vanishing order at u0: the first k with |t_k| rho^k above _ORDER_RTOL times the
         largest such term, t_k the Taylor coefficients of p(u0 + t).
 
         rho is the unit of length the tolerance is read in.  The t_k depend only on
@@ -105,12 +99,14 @@ class ComplexPoly:
         weighed = [abs(t) * rho**k for k, t in enumerate(self.taylor_at(u0))]
         scale = max(weighed)
         for k, w in enumerate(weighed):
-            if w > rel_tol * scale:
+            if w > _ORDER_RTOL * scale:
                 return k
         return ORDER_INFINITE
 
 
 ORDER_INFINITE = 10**6  # stand-in vanishing order of the zero polynomial
+#: a Taylor coefficient (times rho^k) at or below this fraction of the largest reads as zero
+_ORDER_RTOL = 1e-8
 
 
 def convolve(a, b) -> list:
@@ -216,9 +212,6 @@ class CurveFamily:
 
     def curve_at(self, u: complex) -> WeierstrassCurve:
         return WeierstrassCurve(self.g2_poly(u), self.g3_poly(u))
-
-    def delta_at(self, u: complex) -> complex:
-        return discriminant(self.curve_at(u))
 
 
 def expand_discriminant(family: CurveFamily) -> ComplexPoly:

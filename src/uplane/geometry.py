@@ -44,6 +44,10 @@ from .spectral import det_prime_laplacian, fiber_volume
 
 #: (Laplace-Beltrami of F1) / (scalar curvature), pinned pre-build (see above).
 ANOMALY_RATIO = 2.0
+#: `near_singular_fiber` tolerance of a finite-difference stencil point
+_STENCIL_RTOL = 1e-9
+#: largest coefficient of W, relative to its terms', of an isotrivial family
+_ISOTRIVIAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -70,9 +74,9 @@ def _step(u: complex, h: float = None) -> float:
     return 1e-4 * (1.0 + abs(u)) if h is None else h
 
 
-def _check_stencil(family: CurveFamily, points, rel_tol: float = 1e-9):
+def _check_stencil(family: CurveFamily, points):
     for z in points:
-        if near_singular_fiber(family, z, rel_tol):
+        if near_singular_fiber(family, z, _STENCIL_RTOL):
             raise StencilCrossesSingularity(f"stencil point {z} is on a singular fiber")
 
 
@@ -84,14 +88,14 @@ def _j_numerator(family: CurveFamily):
     return ComplexPoly.of(difference(a, b)), max(abs(c) for c in a + b)
 
 
-def is_isotrivial(family: CurveFamily, tol: float = 1e-10) -> bool:
+def is_isotrivial(family: CurveFamily) -> bool:
     """True when j is constant in u: W = 2 g2 g3' - 3 g2' g3 vanishes identically.
 
-    Every coefficient of W must be below tol times the largest coefficient of
-    its two terms; g2 = 0 or g3 = 0 identically (j = 1728 or j = 0) count too.
+    Every coefficient of W must be at most _ISOTRIVIAL_TOL times the largest coefficient
+    of its two terms; g2 = 0 or g3 = 0 identically (j = 1728 or j = 0) count too.
     """
     w, scale = family.cached("j_numerator", _j_numerator)
-    return all(abs(c) <= tol * scale for c in w.coeffs)
+    return all(abs(c) <= _ISOTRIVIAL_TOL * scale for c in w.coeffs)
 
 
 def kaehler_coefficient(family: CurveFamily, u: complex) -> float:

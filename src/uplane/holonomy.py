@@ -17,14 +17,14 @@ carries the mod-4 classes -1/3 and -(10-nf)/3, reported as the representative
 in (-4, 0].
 """
 
+from __future__ import annotations
+
 import cmath
 import enum
 import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-
-import numpy as np
 
 from .curves import (ComplexPoly, CurveFamily, discriminant_poly, near_singular_fiber,
                      order_at_infinity, to_v_chart)
@@ -34,6 +34,7 @@ from .errors import (
     NonIntegerWinding,
     SingularFiber,
 )
+from . import kodaira
 from .kodaira import AT_INFINITY, find_singular_fibers, node_gap
 
 #: sample counts a loop may be integrated at; a loop that needs more is refused
@@ -156,6 +157,8 @@ def _horner(poly: ComplexPoly, z: np.ndarray) -> np.ndarray:
     `ComplexPoly.__call__` run elementwise: reproducible from run to run and free of the
     array's shape, length and order, but it may differ from the scalar path by a
     rounding (about 3e-16 relative)."""
+    import numpy as np
+
     acc = np.zeros_like(z)
     for c in reversed(poly.coeffs):
         acc = acc * z + c
@@ -165,6 +168,8 @@ def _horner(poly: ComplexPoly, z: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=_RIMS)
 def _rim(n: int) -> np.ndarray:
     """The n points exp(2 pi i k / n) of the unit circle, read-only, built once per n."""
+    import numpy as np
+
     rim = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, n, endpoint=False))
     rim.flags.writeable = False
     return rim
@@ -182,6 +187,8 @@ def _ccw_windings(family: CurveFamily, loops) -> list:
     integral / (2 pi i) (within _INTEGRAL_TOL of it); else NonIntegerWinding.  An
     operator's transport is its coefficient times the integral.
     """
+    import numpy as np
+
     chart = loops[0].chart
     delta = _chart_delta(family, chart)
     zeros = _chart_zeros(family, chart)
@@ -315,25 +322,21 @@ def curvature_ledger(
     return CurvatureLedger(residues=residues, total=total)
 
 
-def signature_from_monodromy(family: CurveFamily, report=None) -> int:
+def signature_from_monodromy(family: CurveFamily) -> int:
     """Signature of the fibered surface from exact signature log-monodromies.
 
     sum_n eta0[gamma_n] - (1/2) eta0[gamma_inf] - 2, with gamma_n clockwise
     around each node in the u-chart and gamma_inf clockwise around v = 0; a
     clockwise loop of ccw winding k has eta0 = -(2/3) k.
-    Cross-checked against the Euler-number route of the surface report
-    (`report`, when the caller already has the family's surface_report);
-    a disagreement raises CrossCheckFailed.
+    Cross-checked against the Euler-number route of the family's surface report,
+    built once per family; a disagreement raises CrossCheckFailed.
     """
-    from .kodaira import surface_report  # local import avoids a cycle at import time
-
     eta0 = [Fraction(-2, 3) * w for _, _, w in _fiber_rows(family)]
     sig = sum(eta0[:-1]) - Fraction(1, 2) * eta0[-1] - 2
     if sig.denominator != 1:
         raise CrossCheckFailed("signature from monodromy is an integer", sig, round(sig), 0.0)
     sig = int(sig)
-    if report is None:
-        report = surface_report(family)
+    report = family.cached("report", kodaira.surface_report)
     if sig != report.sign_z:
         raise CrossCheckFailed(
             "signature: monodromy route vs Euler-number route", sig, report.sign_z, 0.0

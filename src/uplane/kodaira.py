@@ -12,8 +12,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .curves import (CurveFamily, WeierstrassCurve, discriminant_poly, discriminant_scale,
                      order_at_infinity)
 from .errors import (
@@ -142,6 +140,8 @@ def _roots(coeffs) -> list:
     wrapper: the eigenvalues of np.roots' own companion matrix (first row -p[1:] / p[0] in
     numpy's complex division, ones below the diagonal) of the polynomial stripped of its k
     zero low-order coefficients, then k exact zeros."""
+    import numpy as np
+
     k = 0
     while coeffs[k] == 0:
         k += 1

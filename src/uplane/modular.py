@@ -11,12 +11,12 @@ transform split), never through the eta/theta closed forms.  That makes it an
 independent check of those closed forms rather than a restatement of them.
 """
 
+from __future__ import annotations
+
 import cmath
 import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ConvergenceFailure, CrossCheckFailed
 
@@ -290,6 +290,8 @@ def _lattice_grids(nu: SpinStructure, tau: complex):
     its phase cos(2 pi k.h).  Masked entries of Q and r are 1, so both grids
     can be divided by and raised to any power; sums take where=mask.
     """
+    import numpy as np
+
     imt = tau.imag
     # smallest eigenvalue of [[|tau|^2, -Re tau], [-Re tau, 1]]
     tr, det = abs(tau) ** 2 + 1.0, imt * imt
@@ -325,6 +327,8 @@ def _exp1_rules() -> tuple:
     (k+1) L_{k+1} = (2k+1-u) L_k - k L_{k-1}, given one Newton step on L_40; the
     weights are the Christoffel numbers 1 / sum_{k<40} L_k(u)^2.
     """
+    import numpy as np
+
     n = 40
     u = np.linalg.eigvalsh(np.diag(2.0 * np.arange(n) + 1.0) + np.diag(np.arange(1.0, n), -1))
     for polish in (True, False):
@@ -347,6 +351,8 @@ def _exp1(x: np.ndarray) -> np.ndarray:
     Against mpmath the absolute error is below 1.5e-15 and the relative below 3e-14.
     Raises ConvergenceFailure on a non-finite or non-positive entry, where E1 has no value.
     """
+    import numpy as np
+
     ok = (x > 0.0) & (x < np.inf)
     if not ok.all():
         raise ConvergenceFailure(f"E1 needs finite arguments > 0, got {float(x[~ok][0])!r}")
@@ -362,6 +368,8 @@ def _exp1(x: np.ndarray) -> np.ndarray:
 
 
 def _zeta_sums_at_zero(nu: SpinStructure, tau: complex):
+    import numpy as np
+
     imt = tau.imag
     qf, mask, r, kmask, phase = _lattice_grids(nu, tau)
     direct = float(np.sum(_exp1(math.pi * qf / imt), where=mask))

@@ -1,3 +1,5 @@
+import cmath
+import math
 from itertools import zip_longest
 
 import numpy as np
@@ -209,6 +211,40 @@ def test_fixture_expansions_are_the_product_route(fam):
     assert _j_numerator(fam) == (w, scale)
 
 
+def _synthetic_division_taylor(coeffs, u0) -> tuple:
+    """Coefficients of p(u0 + t) by repeated synthetic division by u - u0: each remainder
+    is the next coefficient, and the quotient is divided again."""
+    work, out = list(coeffs), []
+    while work:
+        quo, acc = [], 0j
+        for c in reversed(work):
+            acc = acc * u0 + c
+            quo.append(acc)
+        out.append(acc)
+        work = list(reversed(quo[:-1]))
+    return tuple(out)
+
+
+#: shifts of modulus 1e-3 .. 1e3: real, complex at any angle, or small integers
+_SHIFT = st.one_of(
+    st.sampled_from([1, -1, 2, -3]),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(-10.0, 10.0).filter(lambda m: abs(m) >= 1.0),
+              st.integers(-3, 2)),
+    st.builds(lambda m, e, t: cmath.rect(m * 10.0**e, t), st.floats(1.0, 10.0),
+              st.integers(-3, 2), st.floats(-math.pi, math.pi)),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(coeffs=st.lists(_MIXED, min_size=1, max_size=7), u0=_SHIFT)
+def test_taylor_shift_is_repeated_synthetic_division(coeffs, u0):
+    # the in-place Horner shift forms the products and sums of synthetic division in its
+    # order (IEEE * and + commute), so every coefficient is equal; == lets the sign of a
+    # zero differ, which order_at reads through abs
+    p = ComplexPoly.of(coeffs)
+    assert p.taylor_at(u0) == _synthetic_division_taylor(p.coeffs, u0)
+
+
 def test_horner_is_deterministic():
     p = ComplexPoly.of([0.1 + 0.2j, -0.7, 3.1 - 0.4j, 0.05j])
     vals = {p(0.3 + 0.7j) for _ in range(100)}
@@ -245,8 +281,8 @@ def _moves_alike(fam, moved, must_pass):
     (Euler numbers and monodromy), or raises a typed UPlaneError, unless must_pass."""
     want = [f.kodaira for f in surface_report(fam).fibers]
     try:
-        report = surface_report(moved)
-        sig = signature_from_monodromy(moved, report=report)
+        report = moved.cached("report", surface_report)
+        sig = signature_from_monodromy(moved)
     except UPlaneError:
         if must_pass:
             raise

@@ -468,9 +468,14 @@ def test_signature_command_integrates_each_loop_once(monkeypatch, tmp_path):
 
     monkeypatch.setattr(H, "_ccw_windings", counted_integrate)
     monkeypatch.setattr(sys.modules["uplane.kodaira"], "surface_report", counted_report)
-    assert main(["signature", "--family", str(path), "--out", str(tmp_path / "o.json")]) == 0
-    # one call per chart: the 5 node loops together, then the loop around v = 0
-    assert counts == {"calls": 2, "loops": 5 + 1, "reports": 1}
+    for request in (1, 2):
+        assert main(["signature", "--family", str(path), "--out", str(tmp_path / "o.json")]) == 0
+        # one call per chart: the 5 node loops together, then the loop around v = 0; and
+        # one surface report, which the signature's cross-check reads from the family
+        assert counts == {"calls": 2 * request, "loops": 6 * request, "reports": request}
+    fam = sample_family(3)  # the library route builds the report once per family as well
+    assert signature_from_monodromy(fam) == signature_from_monodromy(fam) == -3
+    assert counts == {"calls": 6, "loops": 18, "reports": 3}
 
 
 def _spy_sample_shapes(monkeypatch) -> list:

@@ -287,12 +287,12 @@ _SW_ROWS = [
     f"nf{nf}-" + ",".join(map(str, ms)) for nf, ms, _ in _SW_ROWS])
 def test_sw_mass_point_realizes_its_table_row(nf, masses, label):
     fam = _sw_family(nf, masses)
-    rep = surface_report(fam)
+    rep = fam.cached("report", surface_report)
     (row,) = [r for r in table1_expected(nf) if r.constraint_label == label]
     assert rep.fibers[-1].kodaira == row.fiber_at_infinity
     assert sorted(f.kodaira.label for f in rep.fibers[:-1]) == sorted(
         k.label for k in row.finite_fibers)
-    assert signature_from_monodromy(fam, report=rep) == rep.sign_z == -nf
+    assert signature_from_monodromy(fam) == rep.sign_z == -nf
     assert curvature_ledger(fam).total == 2
 
 

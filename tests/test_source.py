@@ -1,5 +1,11 @@
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+from uplane import family_to_dict, sample_family
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "uplane"
@@ -157,6 +163,32 @@ def test_the_curves_module_imports_no_numpy():
     # polynomials and families are scalar Python; the array Horner of contour sampling
     # lives with its one caller, holonomy
     assert _numpy_imports("curves.py") == []
+
+
+def test_scalar_commands_load_no_numpy(tmp_path):
+    # numpy is imported inside the functions that use it (root finding, contour sampling,
+    # the lattice-zeta oracle), so uplane.cli and the periods, determinants and anomaly
+    # requests leave it unloaded; classify, which finds roots, loads it
+    family = tmp_path / "nf0.json"
+    family.write_text(json.dumps(family_to_dict(sample_family(0))))
+    requests = [["periods", "--g2", "1,0.5", "--g3", "0.2,0"],
+                ["determinants", "--tau", "0.1,1.1", "--two-omega", "1,0"],
+                ["anomaly", "--family", str(family), "--at", "0.3,0.9"],
+                ["classify", "--family", str(family)]]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "import uplane.cli\n"
+        "loaded = ['numpy' in sys.modules]\n"
+        f"for argv in {requests!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        loaded.append((uplane.cli.main(argv), 'numpy' in sys.modules))\n"
+        "print(json.dumps(loaded))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [False, [0, False], [0, False], [0, False], [0, True]]
 
 
 def test_the_contour_integral_has_one_home():
