@@ -35,7 +35,6 @@ from .errors import (
     UPlaneError,
 )
 from .families import (
-    ALL_SAMPLE_FAMILIES,
     coalesced_family,
     isotrivial_family,
     sample_family,
@@ -48,7 +47,6 @@ from .geometry import (
     d_tau_du,
     f1,
     is_isotrivial,
-    kaehler_coefficient,
     scalar_curvature,
     uplane_point,
 )
@@ -60,7 +58,6 @@ from .holonomy import (
     Operator,
     Orientation,
     canonical_trivialization_check,
-    connection_form,
     curvature_ledger,
     signature_from_monodromy,
 )
@@ -85,7 +82,6 @@ from .modular import (
     epstein_zeta_logdet,
     epstein_zeta_prime0,
     j_from_tau,
-    lattice_g2_g3,
     reduce_tau,
     theta_ab,
 )
@@ -103,10 +99,8 @@ from .spectral import (
     det_dirichlet_flat,
     det_prime_laplacian,
     det_twisted,
-    fiber_volume,
     modular_discriminant,
     quillen_norm_from_periods,
-    quillen_norm_sigma,
     quillen_norm_sigma_hat,
 )
 

@@ -249,8 +249,12 @@ def discriminant_poly(family: CurveFamily) -> ComplexPoly:
     return d
 
 
-def near_singular_fiber(family: CurveFamily, u: complex, rel_tol: float) -> bool:
-    """Whether |Delta(u)| < rel_tol * sum_k |c_k| |u|^k.
+#: `near_singular_fiber` reads a fiber as singular below this fraction of Delta's terms
+_NEAR_NODE_RTOL = 1e-9
+
+
+def near_singular_fiber(family: CurveFamily, u: complex) -> bool:
+    """Whether |Delta(u)| < _NEAR_NODE_RTOL * sum_k |c_k| |u|^k.
 
     The right side is the size of the terms of the expanded discriminant that
     cancel at a node, so the test is scale-free in u and in the coefficients.  It is
@@ -262,7 +266,7 @@ def near_singular_fiber(family: CurveFamily, u: complex, rel_tol: float) -> bool
         scale = scale * r + abs(c)
     if not scale < math.inf:
         raise ValueError(f"discriminant overflows at u={u}")
-    return abs(d(u)) < rel_tol * (scale + 1e-300)
+    return abs(d(u)) < _NEAR_NODE_RTOL * (scale + 1e-300)
 
 
 def poly_to_v_chart(p: ComplexPoly, weight: int) -> ComplexPoly:

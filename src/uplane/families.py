@@ -56,6 +56,3 @@ def coalesced_family() -> CurveFamily:
         name="nf2-coalesced",
         masses=(0j, 0j),
     )
-
-
-ALL_SAMPLE_FAMILIES = tuple(sample_family(nf) for nf in range(5))

@@ -1,5 +1,5 @@
-"""Kaehler geometry of the u-plane: metric coefficient, scalar curvature,
-the one-loop free energy F1 = -1/2 ln det', and the anomaly-equation check.
+"""Kaehler geometry of the u-plane: scalar curvature, the one-loop free energy
+F1 = -1/2 ln det', and the anomaly-equation check.
 
 d tau/du is closed-form.  Ramanujan's dj/dtau = -2 pi i j E6/E4 with
 g2 = (2 pi)^4 E4 / (12 (2 omega)^4), g3 = (2 pi)^6 E6 / (216 (2 omega)^6) and
@@ -18,8 +18,8 @@ differences with one Richardson level (default step 1e-4 * (1 + |u|)):
 `uplane_point`, the check route for the closed form, and the Laplacian of F1
 in `anomaly_check`, the independent side of the anomaly equation.  The
 d tau/du stencil continues the period frame from the stencil center, so tau
-never jumps lattice basis inside it.  F1 and 8 Im(tau) |omega|^2 are
-SL(2,Z)-invariant, so their evaluations need no seed.
+never jumps lattice basis inside it.  F1 is SL(2,Z)-invariant, so its
+evaluations need no seed.
 
 The anomaly ratio constant below was fixed by symbolic differentiation before
 anything here was implemented: with ln|Delta(u)| and ln|omega(u)|^2 harmonic
@@ -35,17 +35,16 @@ curvature S = |d tau/d a|^2 / (8 Im^3 tau):
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .curves import ComplexPoly, CurveFamily, convolve, difference, near_singular_fiber
 from .errors import DivisionByZero, StencilCrossesSingularity
 from .periods import Periods, periods_along_family
-from .spectral import det_prime_laplacian, fiber_volume
+from .spectral import det_prime_laplacian
 
 #: (Laplace-Beltrami of F1) / (scalar curvature), pinned pre-build (see above).
 ANOMALY_RATIO = 2.0
-#: `near_singular_fiber` tolerance of a finite-difference stencil point
-_STENCIL_RTOL = 1e-9
 #: largest coefficient of W, relative to its terms', of an isotrivial family
 _ISOTRIVIAL_TOL = 1e-10
 
@@ -68,15 +67,24 @@ class AnomalyRecord:
 
 
 def _step(u: complex, h: float = None) -> float:
-    """h, which must be finite and positive, or by default 1e-4 (1 + |u|)."""
-    if h is not None and not 0 < h < math.inf:
+    """h, or by default 1e-4 (1 + |u|).
+
+    ValueError unless h is finite and positive and the stencil keeps its points apart:
+    u + h/2 and u + i h/2 must differ from u, and (h/2)^2 must not underflow.
+    """
+    if h is None:
+        return 1e-4 * (1.0 + abs(u))
+    if not 0 < h < math.inf:
         raise ValueError(f"finite-difference step must be finite and positive, not {h}")
-    return 1e-4 * (1.0 + abs(u)) if h is None else h
+    if u + h / 2.0 == u or u + 0.5j * h == u or (h / 2.0) ** 2 < sys.float_info.min:
+        raise ValueError(f"finite-difference step {h} collapses the stencil at u={u}:"
+                         " u + h/2 or u + i h/2 rounds to u, or (h/2)^2 underflows")
+    return h
 
 
 def _check_stencil(family: CurveFamily, points):
     for z in points:
-        if near_singular_fiber(family, z, _STENCIL_RTOL):
+        if near_singular_fiber(family, z):
             raise StencilCrossesSingularity(f"stencil point {z} is on a singular fiber")
 
 
@@ -96,11 +104,6 @@ def is_isotrivial(family: CurveFamily) -> bool:
     """
     w, scale = family.cached("j_numerator", _j_numerator)
     return all(abs(c) <= _ISOTRIVIAL_TOL * scale for c in w.coeffs)
-
-
-def kaehler_coefficient(family: CurveFamily, u: complex) -> float:
-    """Coefficient of i du ^ dubar in the Kaehler form: 8 Im(tau) |omega|^2."""
-    return 2.0 * fiber_volume(periods_along_family(family, u))
 
 
 def uplane_point(family: CurveFamily, u: complex, h: float = None) -> UPlanePoint:

@@ -26,14 +26,8 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .curves import (ComplexPoly, CurveFamily, discriminant_poly, near_singular_fiber,
-                     order_at_infinity, to_v_chart)
-from .errors import (
-    CrossCheckFailed,
-    LoopTooCloseToSingularity,
-    NonIntegerWinding,
-    SingularFiber,
-)
+from .curves import ComplexPoly, CurveFamily, discriminant_poly, order_at_infinity, to_v_chart
+from .errors import CrossCheckFailed, LoopTooCloseToSingularity, NonIntegerWinding
 from . import kodaira
 from .kodaira import AT_INFINITY, find_singular_fibers, node_gap
 
@@ -102,14 +96,6 @@ class CurvatureLedger:
 
 def _chart_delta(family: CurveFamily, chart: Chart) -> ComplexPoly:
     return discriminant_poly(family) if chart is Chart.U else to_v_chart(family)
-
-
-def connection_form(operator: Operator, family: CurveFamily, u: complex) -> complex:
-    """du-coefficient of the flat connection: (1/12 or 1/6) Delta'(u)/Delta(u)."""
-    if near_singular_fiber(family, u, 1e-12):
-        raise SingularFiber(f"fiber at u={u} is singular")
-    d = discriminant_poly(family)
-    return float(_COEFF[operator]) * d.derivative()(u) / d(u)
 
 
 def _chart_zeros(family: CurveFamily, chart: Chart) -> tuple:

@@ -249,11 +249,6 @@ def g2_g3_from_forms(e4: complex, e6: complex, omega: complex) -> tuple:
     return TWO_PI**4 * e4 / (12.0 * two_w**4), TWO_PI**6 * e6 / (216.0 * two_w**6)
 
 
-def lattice_g2_g3(tau, omega: complex) -> tuple:
-    """Weierstrass invariants of the lattice spanned by 2*omega, 2*omega*tau."""
-    return g2_g3_from_forms(*_eisenstein(tau), omega)
-
-
 # ---------------------------------------------------------------------------
 # Lattice zeta continuation.
 #

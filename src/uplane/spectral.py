@@ -25,7 +25,6 @@ import cmath
 import math
 from typing import TYPE_CHECKING
 
-from .curves import WeierstrassCurve, discriminant
 from .errors import CrossCheckFailed, OddStructure
 from .modular import _EDGE, TWO_PI, SpinStructure, theta_ab
 
@@ -42,11 +41,6 @@ CONTINUATION_OVER_CLOSED_FORM = TWO_PI**2
 
 #: lowest Im tau on F, less reduce_tau's boundary slack
 _F_FLOOR = math.sqrt(3.0) / 2.0 - _EDGE
-
-
-def fiber_volume(p: Periods) -> float:
-    """vol(E) = 4 Im(tau) |omega|^2 in the metric dz.dzbar."""
-    return 4.0 * p.tau.imag * abs(p.omega) ** 2
 
 
 def modular_discriminant(p: Periods) -> complex:
@@ -97,15 +91,6 @@ def det_twisted(nu: SpinStructure, p: Periods) -> float:
         raise CrossCheckFailed("twisted determinant: eta quotient vs theta series",
                                primary, alt, 1e-10)
     return primary
-
-
-def quillen_norm_sigma(curve: WeierstrassCurve) -> float:
-    """||sigma||_Q = |Delta|^{1/12} for the section sigma = (dz)^{-1}.
-
-    Defined (and zero) at nodes.  Real absolute values only; no fractional
-    complex root is ever taken.
-    """
-    return abs(discriminant(curve)) ** (1.0 / 12.0)
 
 
 def quillen_norm_from_periods(p: Periods) -> float:

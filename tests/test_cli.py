@@ -150,6 +150,19 @@ def test_anomaly_bad_step_exit_2(capsys, family_file, step):
     assert "step" in err
 
 
+@pytest.mark.parametrize("at, step", [("0.3,0.7", "1e-17"), ("0.3,0.7", "1e-100"),
+                                      ("0,0.5", "1e-170"), ("0.3,0.7", "1e-200"),
+                                      ("0.3,0", "1e-17"), ("0,0", "1e-170")])
+def test_anomaly_collapsed_step_exit_2(capsys, family_file, at, step):
+    # a stencil whose points round together is a caller error, not a ratio 0 at exit 0
+    # or a ZeroDivisionError (which would propagate out of main here)
+    code, out, err = _run(
+        capsys, ["anomaly", "--family", family_file(0), "--at", at, "--step", step]
+    )
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: finite-difference step {float(step)} collapses the stencil")
+
+
 def test_anomaly_command(capsys, family_file):
     code, out, _ = _run(
         capsys, ["anomaly", "--family", family_file(0), "--at", "0.3,0.9"]

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from uplane import (
     find_singular_fibers,
     is_isotrivial,
     isotrivial_family,
-    kaehler_coefficient,
     sample_family,
     scalar_curvature,
     uplane_point,
@@ -26,7 +26,6 @@ from uplane import (
 from uplane.curves import discriminant_poly
 from uplane.geometry import _check_stencil, _j_numerator
 from uplane.periods import periods_along_family
-from uplane.spectral import fiber_volume
 
 POINTS = [0.3 + 0.9j, -1.2 + 0.7j, 2.0 + 1.0j, 0.1 - 1.5j, -0.6 - 0.8j]
 
@@ -58,22 +57,6 @@ def test_isotrivial_when_g2_or_g3_vanishes():
     pure_g2 = CurveFamily(ComplexPoly.of([1.0, 0.0, 1.0]), ComplexPoly.of([0.0]), nf=4)
     assert is_isotrivial(pure_g3)
     assert is_isotrivial(pure_g2)
-
-
-def test_kaehler_coefficient_positive_and_volume_relation():
-    fam = sample_family(0)
-    for u in POINTS:
-        coeff = kaehler_coefficient(fam, u)
-        assert coeff > 0
-        p = periods_along_family(fam, u)
-        assert abs(coeff - 2.0 * fiber_volume(p)) <= 1e-12 * coeff
-
-
-def test_kaehler_coefficient_singular_fiber():
-    from uplane import SingularFiber
-
-    with pytest.raises(SingularFiber):
-        kaehler_coefficient(sample_family(0), 1.0)
 
 
 def test_uplane_point_richardson_consistency():
@@ -256,7 +239,8 @@ def test_f1_closed_form_in_volume_and_discriminant(nf):
     fam = sample_family(nf)
     for u in POINTS:
         p = periods_along_family(fam, u)
-        lhs = f1(fam, u) + math.log(fiber_volume(p)) + math.log(abs(fam.delta_poly(u))) / 12
+        vol = 4.0 * p.tau.imag * abs(p.omega) ** 2
+        lhs = f1(fam, u) + math.log(vol) + math.log(abs(fam.delta_poly(u))) / 12
         assert abs(lhs - 2.0 * math.log(2.0 * math.pi)) <= 1e-13
 
 
@@ -303,6 +287,20 @@ def test_finite_difference_step_must_be_finite_and_positive(h):
         anomaly_check(fam, 0.3 + 0.9j, h=h)
     with pytest.raises(ValueError, match="step"):
         uplane_point(fam, 0.3 + 0.9j, h=h)
+
+
+#: (u, h) whose stencil collapses: u + h/2 or u + i h/2 rounds to u, or (h/2)^2 underflows
+COLLAPSED_STENCILS = [(0.3 + 0.7j, 1e-17), (0.3 + 0.7j, 1e-100), (0.5j, 1e-170),
+                      (0.3 + 0.7j, 1e-200), (0.3 + 0j, 1e-17), (0j, 1e-170)]
+
+
+@pytest.mark.parametrize("u, h", COLLAPSED_STENCILS)
+def test_a_collapsed_stencil_is_refused(u, h):
+    # unrefused, these read lhs = 0 and ratio 0, d tau/du = 0, or divided by zero
+    fam = sample_family(0)
+    for check in (anomaly_check, uplane_point):
+        with pytest.raises(ValueError, match=re.escape(f"step {h} collapses the stencil")):
+            check(fam, u, h=h)
 
 
 def test_anomaly_step_refinement():

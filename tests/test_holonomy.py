@@ -26,11 +26,8 @@ from uplane import (
     NonIntegerWinding,
     Operator,
     Orientation,
-    SingularFiber,
     canonical_trivialization_check,
-    connection_form,
     curvature_ledger,
-    discriminant_poly,
     family_to_dict,
     find_singular_fibers,
     sample_family,
@@ -44,35 +41,6 @@ from uplane.holonomy import holonomy
 
 def _node_loop(center, radius, orientation=Orientation.CLOCKWISE, samples=1024):
     return LoopSpec(center=center, radius=radius, orientation=orientation, samples=samples)
-
-
-def test_connection_form_formula():
-    fam = sample_family(1)  # Delta = -108 (u^3 + 1)
-    d = discriminant_poly(fam)
-    dp = d.derivative()
-    for u in (2.0 + 0.0j, 0.5 + 1.2j):
-        expect = dp(u) / d(u) / 12.0
-        assert abs(connection_form(Operator.DBAR, fam, u) - expect) < 1e-12 * abs(expect)
-        assert (
-            abs(connection_form(Operator.SIGNATURE, fam, u) - 2.0 * expect)
-            < 1e-12 * abs(expect)
-        )
-
-
-def test_connection_form_singular():
-    with pytest.raises(SingularFiber):
-        connection_form(Operator.DBAR, sample_family(0), 1.0)
-
-
-@pytest.mark.parametrize("direction", [1.0, -1.0, 1j])
-def test_connection_form_screen_threshold(direction):
-    # |u^2 - 1| / (1 + |u|^2) = |u - 1| to first order near the node u = 1 of nf0
-    fam = sample_family(0)
-    with pytest.raises(SingularFiber):
-        connection_form(Operator.DBAR, fam, 1.0 + direction * 0.5e-12)
-    u = 1.0 + direction * 2e-12
-    expect = 2.0 * u / (u * u - 1.0) / 12.0
-    assert abs(connection_form(Operator.DBAR, fam, u) - expect) < 1e-3 * abs(expect)
 
 
 def test_import_names_the_holonomy_module():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from uplane import (
     ComplexPoly,
     CurveFamily,
     DegreeMismatch,
+    EulerMismatch,
     IdenticallySingular,
     KodairaType,
     NonMinimal,
@@ -17,6 +20,7 @@ from uplane import (
     classify_fiber,
     curvature_ledger,
     discriminant_poly,
+    family_to_dict,
     find_singular_fibers,
     isotrivial_family,
     sample_family,
@@ -25,6 +29,7 @@ from uplane import (
     table1_expected,
     to_v_chart,
 )
+from uplane.cli import main
 
 
 def test_euler_numbers():
@@ -149,6 +154,25 @@ def test_surface_report_isotrivial():
     assert rep.sign_zbar == -8
     assert rep.sign_z == -4
     assert sorted(f.kodaira.label for f in rep.fibers) == ["I0*", "I0*"]
+
+
+def test_euler_mismatch(monkeypatch, tmp_path, capsys):
+    # the simple zero of Delta at nf0's node u = 1 read as a double one makes that fiber
+    # I2, so the Euler numbers 1 + 2 + 10 sum to 13; the library raises and the CLI exits 1
+    order_at = ComplexPoly.order_at
+
+    def misread(poly, u0, rho=1.0):
+        k = order_at(poly, u0, rho)
+        return 2 if k == 1 and abs(u0 - 1.0) < 1e-9 else k
+
+    monkeypatch.setattr(ComplexPoly, "order_at", misread)
+    message = "fiber Euler numbers sum to 13, expected 12"
+    with pytest.raises(EulerMismatch, match=message):
+        surface_report(sample_family(0))
+    path = tmp_path / "nf0.json"
+    path.write_text(json.dumps(family_to_dict(sample_family(0))))
+    assert main(["classify", "--family", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_coalesced_family_multiplicity_two():

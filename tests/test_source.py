@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -218,3 +219,47 @@ def test_no_two_argument_round_in_src():
         and node.func.id == "round" and len(node.args) + len(node.keywords) > 1
     ]
     assert found == []
+
+
+def _library_api_names() -> list:
+    """The names the README's "Library API" subsection keeps, each on a bullet
+    "- `name`: reason"."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n### Library API\n", 1)[1].split("\n#", 1)[0]
+    return re.findall(r"^- `(\w+)`: \S", section, re.M)
+
+
+def test_every_public_name_is_reached():
+    # one route per quantity: a public module-level name of src stays if a demo, the
+    # benchmark tracer's TRACED table or the README's "Library API" list reaches it,
+    # directly or through the code of the names they reach; __init__ only re-exports
+    if str(ROOT) not in sys.path:
+        sys.path.insert(0, str(ROOT))
+    from bench.tracer import TRACED
+
+    defs = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                defs.setdefault(name, []).append(node)
+    kept = _library_api_names()
+    assert kept and sorted(set(kept) - set(defs)) == []
+    reached = {name for names in TRACED.values() for name in names} | set(kept)
+    for path in sorted((ROOT / "demos").glob("*.py")):
+        reached |= {name for name, _ in _names(ast.parse(path.read_text(encoding="utf-8")))}
+    todo = list(reached)
+    while todo:
+        for node in defs.get(todo.pop(), ()):
+            new = {name for name, _ in _names(node)} - reached
+            reached |= new
+            todo += new
+    assert sorted(name for name in defs if not name.startswith("_") and name not in reached) == []

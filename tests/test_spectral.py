@@ -25,9 +25,7 @@ from uplane import (
     det_twisted,
     discriminant,
     epstein_zeta_logdet,
-    fiber_volume,
     quillen_norm_from_periods,
-    quillen_norm_sigma,
     quillen_norm_sigma_hat,
     reduce_periods,
     sample_family,
@@ -105,8 +103,9 @@ def test_continuation_oracle_vs_closed_forms_up_the_fundamental_domain(tau):
 
 
 def test_quillen_norm_examples():
-    assert abs(quillen_norm_sigma(WeierstrassCurve(4, 0)) - math.sqrt(2)) < 1e-14
-    assert quillen_norm_sigma(WeierstrassCurve(3, 1)) == 0.0
+    # ||sigma||_Q = |Delta|^{1/12}, zero at a node
+    assert abs(abs(discriminant(WeierstrassCurve(4, 0))) ** (1 / 12) - math.sqrt(2)) < 1e-14
+    assert abs(discriminant(WeierstrassCurve(3, 1))) ** (1 / 12) == 0.0
 
 
 def test_quillen_norm_chart_change():
@@ -126,9 +125,11 @@ def test_quillen_norm_consistency_with_det_prime():
     g2, g3 = 2.0 + 0.7j, -0.4 + 0.3j
     curve = WeierstrassCurve(g2, g3)
     p = compute_periods(curve)
-    lhs = (2 * math.pi) ** 2 * math.sqrt(det_prime_laplacian(p)) / fiber_volume(p)
-    assert abs(lhs - quillen_norm_sigma(curve)) <= 1e-10 * lhs
-    assert abs(quillen_norm_from_periods(p) - quillen_norm_sigma(curve)) <= 1e-9 * lhs
+    vol = 4 * p.tau.imag * abs(p.omega) ** 2
+    lhs = (2 * math.pi) ** 2 * math.sqrt(det_prime_laplacian(p)) / vol
+    norm = abs(discriminant(curve)) ** (1 / 12)
+    assert abs(lhs - norm) <= 1e-10 * lhs
+    assert abs(quillen_norm_from_periods(p) - norm) <= 1e-9 * lhs
 
 
 def test_dirichlet_squared_is_det_prime():
@@ -230,7 +231,7 @@ def test_quillen_asymptotics_slope():
     for r in radii:
         u = node + r * angle
         xs.append(math.log(r))
-        ys.append(math.log(quillen_norm_sigma(fam.curve_at(u))))
+        ys.append(math.log(abs(discriminant(fam.curve_at(u))) ** (1 / 12)))
     slope = np.polyfit(xs, ys, 1)[0]
     assert abs(slope - 1.0 / 12.0) < 1e-3
 

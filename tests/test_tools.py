@@ -15,13 +15,17 @@ def _digest_lines(tmp_path) -> list:
 def test_outputs_digest_repeats_on_one_tree(tmp_path):
     # cycle 0 of seed 1 is 65 requests: 5 scan tiles, 24 signature-workload requests,
     # 12 anomaly points and 24 fiber requests; each run writes its families to a new
-    # directory, which the lines name as $DIR
+    # directory, which the lines name as $DIR.  One line per demo script follows
+    demos = sorted(path.name for path in (ROOT / "demos").glob("*.py"))
     first, second = _digest_lines(tmp_path), _digest_lines(tmp_path)
     assert first == second
-    assert len(first) == 65
+    assert len(first) == 65 + len(demos) == 70
     assert [line.split("\t")[0] for line in first] == (
-        ["scan"] * 5 + ["signature"] * 24 + ["anomaly"] * 12 + ["fiber"] * 24)
-    for line in first:
+        ["scan"] * 5 + ["signature"] * 24 + ["anomaly"] * 12 + ["fiber"] * 24 + ["demo"] * 5)
+    for line in first[:65]:
         workload, seed, cycle, argv, rc, out, err = line.split("\t")
         assert (seed, cycle, rc) == ("1", "0", "0") and len(out) == len(err) == 16
         assert "$DIR/" in argv or workload == "fiber"
+    for line, name in zip(first[65:], demos):
+        _, script, rc, out, err = line.split("\t")
+        assert (script, rc) == (name, "0") and len(out) == len(err) == 16

@@ -1,4 +1,4 @@
-"""One line per benchmark workload request: argv, exit code and digests of stdout and stderr.
+"""One line per benchmark workload request and per demo: exit code and digests of the output.
 
     python3 tools/outputs_digest.py > change.txt
     python3 tools/outputs_digest.py --root ../parent > parent.txt
@@ -13,6 +13,10 @@ as `$DIR`, so two checkouts print the same line for the same output.  A line is
 tab-separated: workload, seed, cycle, argv as JSON, exit code, and the first 16 hex
 digits of the SHA-256 of stdout and of stderr.  A request that raises prints the
 exception's type as its exit code and digests its message as stderr.
+
+Then each `<root>/demos/*.py` script runs in this process too, after the requests, and
+prints one line: "demo", the script's file name, its exit code and the digests of its
+stdout and stderr, in which the root reads as `$ROOT`.
 """
 
 import argparse
@@ -21,6 +25,7 @@ import hashlib
 import io
 import json
 import os
+import runpy
 import sys
 import tempfile
 from pathlib import Path
@@ -32,18 +37,24 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-def _run(main, argv: list) -> tuple:
-    """(exit code, stdout, stderr) of one in-process CLI request."""
+def _run(main, arg) -> tuple:
+    """(exit code, stdout, stderr) of main(arg): an in-process CLI request or demo."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            rc = main(argv)
-        except SystemExit as exc:  # argparse rejects the argv
+            rc = main(arg)
+        except SystemExit as exc:  # argparse rejects the argv, or a demo exits
             rc = exc.code
         except Exception as exc:  # a crash is an output too
             rc = type(exc).__name__
             err.write(str(exc))
     return rc, out.getvalue(), err.getvalue()
+
+
+def _demo(path: Path) -> int:
+    """Run one demo script as __main__; 0 unless it exits otherwise."""
+    runpy.run_path(str(path), run_name="__main__")
+    return 0
 
 
 def main(argv=None) -> int:
@@ -76,6 +87,10 @@ def main(argv=None) -> int:
                         shown = json.dumps(req["argv"]).replace(tmp, "$DIR")
                         print(workload, seed, k, shown, rc, _digest(out.replace(tmp, "$DIR")),
                               _digest(err.replace(tmp, "$DIR")), sep="\t")
+    for path in sorted((root / "demos").glob("*.py")):
+        rc, out, err = _run(_demo, path)
+        print("demo", path.name, rc, _digest(out.replace(str(root), "$ROOT")),
+              _digest(err.replace(str(root), "$ROOT")), sep="\t")
     return 0
 
 
