@@ -145,7 +145,7 @@ def _fiber_dict(r) -> dict:
 
 def _cmd_classify(args) -> dict:
     family = load_family(args.family)
-    report = kodaira.surface_report(family)
+    report = family.cached("report", kodaira.surface_report)
     return {
         "family": family.name,
         "nf": family.nf,

@@ -7,6 +7,7 @@ which g2, g3 and the discriminant pick up weights 4, 6 and 12.
 """
 
 import cmath
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -324,10 +325,13 @@ def _complex_list(val, key: str):
         if (
             not isinstance(item, (list, tuple))
             or len(item) != 2
-            or not all(isinstance(x, (int, float)) for x in item)
+            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in item)
         ):
             raise SchemaError(f"field '{key}' must contain [re, im] number pairs")
-        z = complex(item[0], item[1])
+        try:
+            z = complex(item[0], item[1])
+        except OverflowError:  # an integer beyond the double range
+            z = cmath.inf
         if not cmath.isfinite(z):
             raise SchemaError(f"field '{key}' must contain finite numbers, got {list(item)}")
         out.append(z)
@@ -377,11 +381,23 @@ def family_to_dict(family: CurveFamily) -> dict:
 
 
 def load_family(path: str) -> CurveFamily:
+    """The family in the JSON file at path, shared by every call that reads the same text.
+
+    The file is read on each call and the family is looked up by its content, so a
+    rewritten file is never served stale and the family's memo (`CurveFamily.cached`)
+    lives for the process.  A file that fails to parse or validate raises every time."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            text = fh.read()
     except OSError as exc:
         raise SchemaError(f"cannot read family file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    return _family_from_text(text)
+
+
+@functools.lru_cache(maxsize=16)
+def _family_from_text(text: str) -> CurveFamily:
+    try:
+        data = json.loads(text)
+    except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
         raise SchemaError(f"malformed JSON in family file: {exc}") from exc
     return family_from_dict(data)

@@ -225,6 +225,26 @@ def test_non_finite_family_coefficient_exit_2(tmp_path, capsys, field, value):
     assert "deg(discriminant)" not in err
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("[-1.0, 0.0]", "[1" + "0" * 400 + ", 0.0]", "must contain finite numbers"),
+    ('"g2": [[-1.0, 0.0], [0.0, 0.0]', '"g2": [[-1.0, false], [false, 0.0]',
+     "must contain [re, im] number pairs"),
+], ids=["huge", "boolean"])
+def test_family_coefficient_beyond_double_or_boolean_exit_2(family_file, capsys, old, new,
+                                                            message):
+    # an over-range integer ended in an OverflowError traceback at exit 1, and JSON
+    # booleans were read as 1.0 and 0.0, so the copy of nf0 printed a signature
+    path = Path(family_file(0))
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new, 1))
+    for argv in (["classify", "--family", str(path)], ["signature", "--family", str(path)]):
+        code, out, err = _run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: field 'g2' {message}")
+
+
 def test_invalid_tau_exit_2(capsys):
     code, out, err = _run(capsys, ["determinants", "--tau", "0,-1", "--two-omega", "1,0"])
     assert code == 2

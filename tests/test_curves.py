@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 from itertools import zip_longest
 
@@ -22,6 +23,7 @@ from uplane import (
     family_to_dict,
     isotrivial_family,
     j_invariant,
+    load_family,
     sample_family,
     signature_from_monodromy,
     surface_report,
@@ -372,3 +374,26 @@ def test_family_json_rejects_bad_degree():
     d = {"name": "x", "nf": 2, "g2": [[3.0, 0.0]], "g3": [[0.0, 0.0], [1.0, 0.0]]}
     with pytest.raises(SchemaError):
         family_from_dict(d)
+
+
+_HUGE = "1" + "0" * 400  # an integer beyond the double range, as JSON may write it
+
+
+@pytest.mark.parametrize("field", ["g2", "g3", "masses"])
+@pytest.mark.parametrize("pair, message", [
+    ([_HUGE, "0.0"], "must contain finite numbers"),  # was an OverflowError
+    (["0.0", "-" + _HUGE], "must contain finite numbers"),
+    (["true", "0.0"], r"must contain \[re, im\] number pairs"),  # was read as 1.0
+    (["0.0", "false"], r"must contain \[re, im\] number pairs"),
+], ids=["huge-re", "huge-im", "true", "false"])
+def test_family_json_refuses_huge_integers_and_booleans(tmp_path, field, pair, message):
+    doc = family_to_dict(sample_family(2))
+    doc["masses"] = [[0.5, 0.0], [-0.5, 0.0]]
+    doc[field][-1] = "PAIR"
+    text = json.dumps(doc).replace('"PAIR"', "[" + ", ".join(pair) + "]")
+    with pytest.raises(SchemaError, match=f"field '{field}' {message}"):
+        family_from_dict(json.loads(text))
+    path = tmp_path / "fam.json"
+    path.write_text(text)
+    with pytest.raises(SchemaError, match=f"field '{field}' {message}"):
+        load_family(str(path))

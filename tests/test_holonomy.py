@@ -436,14 +436,20 @@ def test_signature_command_integrates_each_loop_once(monkeypatch, tmp_path):
 
     monkeypatch.setattr(H, "_ccw_windings", counted_integrate)
     monkeypatch.setattr(sys.modules["uplane.kodaira"], "surface_report", counted_report)
-    for request in (1, 2):
-        assert main(["signature", "--family", str(path), "--out", str(tmp_path / "o.json")]) == 0
+    argv = ["signature", "--family", str(path), "--out", str(tmp_path / "o.json")]
+    for _ in range(2):
+        assert main(argv) == 0
         # one call per chart: the 5 node loops together, then the loop around v = 0; and
-        # one surface report, which the signature's cross-check reads from the family
-        assert counts == {"calls": 2 * request, "loops": 6 * request, "reports": request}
+        # one surface report, which the signature's cross-check reads from the family.
+        # The second request reads the same file content, so it shares the family and
+        # builds nothing
+        assert counts == {"calls": 2, "loops": 6, "reports": 1}
+    path.write_text(json.dumps(family_to_dict(sample_family(1))))  # 3 nodes: built anew
+    assert main(argv) == 0
+    assert counts == {"calls": 4, "loops": 10, "reports": 2}
     fam = sample_family(3)  # the library route builds the report once per family as well
     assert signature_from_monodromy(fam) == signature_from_monodromy(fam) == -3
-    assert counts == {"calls": 6, "loops": 18, "reports": 3}
+    assert counts == {"calls": 6, "loops": 16, "reports": 3}
 
 
 def _spy_sample_shapes(monkeypatch) -> list:

@@ -14,6 +14,10 @@ tab-separated: workload, seed, cycle, argv as JSON, exit code, and the first 16 
 digits of the SHA-256 of stdout and of stderr.  A request that raises prints the
 exception's type as its exit code and digests its message as stderr.
 
+All requests share one process, so where `uplane.curves.load_family` keeps one family
+per file content, every request after a family's first runs warm; a checkout without
+that cache runs each cold, and a diff of the two compares warm outputs against cold.
+
 Then each `<root>/demos/*.py` script runs in this process too, after the requests, and
 prints one line: "demo", the script's file name, its exit code and the digests of its
 stdout and stderr, in which the root reads as `$ROOT`.
