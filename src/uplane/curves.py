@@ -321,7 +321,7 @@ def _complex_list(val, key: str):
     if not isinstance(val, list):
         raise SchemaError(f"field '{key}' must be a list of [re, im] pairs")
     out = []
-    for item in val:
+    for index, item in enumerate(val):
         if (
             not isinstance(item, (list, tuple))
             or len(item) != 2
@@ -333,7 +333,8 @@ def _complex_list(val, key: str):
         except OverflowError:  # an integer beyond the double range
             z = cmath.inf
         if not cmath.isfinite(z):
-            raise SchemaError(f"field '{key}' must contain finite numbers, got {list(item)}")
+            raise SchemaError(f"field '{key}' must contain finite numbers; its pair {index} "
+                              "(counted from 0) is not")
         out.append(z)
     if not out:
         raise SchemaError(f"field '{key}' must be non-empty")

@@ -161,58 +161,38 @@ def _rim(n: int) -> np.ndarray:
     return rim
 
 
-def _ccw_windings(family: CurveFamily, loops) -> list:
-    """(loop at the sample count used, ccw winding of Delta, integral of Delta'/Delta dz)
-    of each loop, in order; the loops share one chart.
+def _ccw_winding(family: CurveFamily, loop: LoopSpec) -> tuple:
+    """(loop at the sample count used, ccw winding of Delta, integral of Delta'/Delta dz).
 
-    One trapezoid rule per loop in that chart, at the `_sample_count` of its
-    `_chart_zeros`, taken for every loop before any is sampled.  The loops that share a
-    count are sampled as the rows of one array, and each row's values are those of its
-    loop sampled alone.  The one winding check, row by row in loop order: the winding
-    is read from the unwrapped argument of Delta (within 1e-8 of an integer) and as
-    integral / (2 pi i) (within _INTEGRAL_TOL of it); else NonIntegerWinding.  An
-    operator's transport is its coefficient times the integral.
+    One trapezoid rule in the loop's chart, at the `_sample_count` of its `_chart_zeros`.
+    The one winding check: the winding is read from the unwrapped argument of Delta
+    (within 1e-8 of an integer) and as integral / (2 pi i) (within _INTEGRAL_TOL of it);
+    else NonIntegerWinding.  An operator's transport is its coefficient times the integral.
     """
     import numpy as np
 
-    chart = loops[0].chart
-    delta = _chart_delta(family, chart)
-    zeros = _chart_zeros(family, chart)
-    counts = [_sample_count(zeros, loop) for loop in loops]
-    rows = {}
-    for n in dict.fromkeys(counts):
-        batch = [loop for loop, c in zip(loops, counts) if c == n]
-        if len(batch) == 1:  # scalars: a (1, 1) array costs more to broadcast
-            center, radius = batch[0].center, batch[0].radius
-        else:
-            center, radius = np.array([(loop.center, loop.radius) for loop in batch],
-                                      dtype=complex).T[..., None]  # (loops, 1) columns
-        rim, shape = _rim(n), (len(batch), n)
-        z = (center + radius * rim).reshape(shape)
-        dz = (1j * radius * rim * (2.0 * math.pi / n)).reshape(shape)
-        # a row through a zero or with a non-finite integral is refused below
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            vals = _horner(delta, z)
-            dvals = _horner(delta.derivative(), z)
-            integrals = (dvals / vals * dz).sum(axis=-1)
-        args = np.angle(vals)
-        jumps = np.concatenate([args[:, 1:], args[:, :1]], axis=-1) - args
-        jumps = (jumps + math.pi) % (2.0 * math.pi) - math.pi
-        windings = jumps.sum(axis=-1) / (2.0 * math.pi)
-        rows[n] = zip((vals == 0.0).any(axis=-1).tolist(), integrals, windings.tolist())
-    out = []
-    for loop, n in zip(loops, counts):
-        hit, integral, winding = next(rows[n])  # a batch's rows are in loop order
-        if hit:
-            raise LoopTooCloseToSingularity("contour hits a discriminant zero")
-        if not cmath.isfinite(integral):
-            raise NonIntegerWinding(f"contour integral is not finite at {n} samples")
-        k = round(winding)
-        if abs(winding - k) > 1e-8 or abs(integral / (2j * math.pi) - k) > _INTEGRAL_TOL:
-            raise NonIntegerWinding(f"winding {winding} (integral {integral / (2j * math.pi)}) "
-                                    f"not integral at {n} samples")
-        out.append((loop if n == loop.samples else replace(loop, samples=n), k, integral))
-    return out
+    delta = _chart_delta(family, loop.chart)
+    n = _sample_count(_chart_zeros(family, loop.chart), loop)
+    rim = _rim(n)
+    z = loop.center + loop.radius * rim
+    dz = 1j * loop.radius * rim * (2.0 * math.pi / n)
+    # a loop through a zero or with a non-finite integral is refused below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        vals = _horner(delta, z)
+        dvals = _horner(delta.derivative(), z)
+        integral = (dvals / vals * dz).sum()
+    if (vals == 0.0).any():
+        raise LoopTooCloseToSingularity("contour hits a discriminant zero")
+    if not cmath.isfinite(integral):
+        raise NonIntegerWinding(f"contour integral is not finite at {n} samples")
+    args = np.angle(vals)
+    jumps = (np.concatenate([args[1:], args[:1]]) - args + math.pi) % (2.0 * math.pi) - math.pi
+    winding = float(jumps.sum() / (2.0 * math.pi))
+    k = round(winding)
+    if abs(winding - k) > 1e-8 or abs(integral / (2j * math.pi) - k) > _INTEGRAL_TOL:
+        raise NonIntegerWinding(f"winding {winding} (integral {integral / (2j * math.pi)}) "
+                                f"not integral at {n} samples")
+    return (loop if n == loop.samples else replace(loop, samples=n)), k, integral
 
 
 def _holonomy_result(
@@ -244,7 +224,7 @@ def holonomy(operator: Operator, family: CurveFamily, loop: LoopSpec) -> Holonom
     signature operator.  The numeric phase exp(-c contour integral), c = 1/12
     or 1/6, is within 2 pi c _INTEGRAL_TOL of exp(-i pi/2 * log_monodromy).
     """
-    return _holonomy_result(operator, *_ccw_windings(family, [loop])[0])
+    return _holonomy_result(operator, *_ccw_winding(family, loop))
 
 
 def canonical_trivialization_check(family: CurveFamily, loop: LoopSpec) -> bool:
@@ -274,15 +254,14 @@ def _fiber_rows(family: CurveFamily) -> tuple:
     """(location, order of Delta, ccw winding) of each singular fiber, AT_INFINITY last.
 
     The windings are integrated on first use and kept: one loop around each finite
-    fiber in the u-chart, all sampled in one call, and one around v = 0.  Every other
+    fiber in the u-chart, each integrated alone, then one around v = 0.  Every other
     zero is >= 2.5 radii from a loop's center (rho <= 0.4), so 64 samples do.
     """
     def build(fam):
         roots = _chart_zeros(fam, Chart.U)  # deg Delta = nf + 2 >= 2: never empty
-        nodes = _ccw_windings(fam, [_node_loop(fam, z) for z, _ in roots])
-        (_, at_infinity, _), = _ccw_windings(fam, [_infinity_loop(roots)])
-        rows = [(z, m, k) for (z, m), (_, k, _) in zip(roots, nodes)]
-        return tuple(rows) + ((AT_INFINITY, order_at_infinity(fam.delta_poly, 12), at_infinity),)
+        rows = tuple((z, m, _ccw_winding(fam, _node_loop(fam, z))[1]) for z, m in roots)
+        _, at_infinity, _ = _ccw_winding(fam, _infinity_loop(roots))
+        return rows + ((AT_INFINITY, order_at_infinity(fam.delta_poly, 12), at_infinity),)
 
     return family.cached("fibers", build)
 

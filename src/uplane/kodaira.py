@@ -108,19 +108,21 @@ class SurfaceReport:
 def find_singular_fibers(family: CurveFamily):
     """Zeros of the discriminant with multiplicities, as a tuple of (location, mult).
 
-    The companion-matrix eigenvalues of Delta, taken as they are, linked within
-    1e-3 of their spread max |z - mean|.  A group no wider than that, and no wider
-    than rounding can split one zero (`_rounding_splits`), is one zero at its mean,
-    of multiplicity its size; any other group is split at its longest link, where
-    single linkage joins it last.  So distinct zeros stay apart down to the rounding,
-    and a scale of u leaves the grouping as it was.  Sorted by (Re, Im).  Callers
-    that want each family's roots once read them through
+    The companion-matrix eigenvalues of Delta that np.roots returns, taken as they
+    are, linked within 1e-3 of their spread max |z - mean|.  A group no wider than
+    that, and no wider than rounding can split one zero (`_rounding_splits`), is one
+    zero at its mean, of multiplicity its size; any other group is split at its
+    longest link, where single linkage joins it last.  So distinct zeros stay apart
+    down to the rounding, and a scale of u leaves the grouping as it was.  Sorted by
+    (Re, Im).  Callers that want each family's roots once read them through
     `family.cached("nodes", find_singular_fibers)`.  Raises IdenticallySingular when
     Delta is zero, and DegreeMismatch (`discriminant_poly`) unless deg Delta = nf + 2.
     """
+    import numpy as np
+
     if family.delta_poly.is_zero:
         raise IdenticallySingular("discriminant vanishes identically")
-    eig = _roots(discriminant_poly(family).coeffs)
+    eig = [complex(z) for z in np.roots(discriminant_poly(family).coeffs[::-1])]
     mean = sum(eig) / len(eig)
     cap = 1e-3 * max(abs(z - mean) for z in eig)
     groups, out = (_linked(eig, cap) if cap else [eig]), []
@@ -132,25 +134,6 @@ def find_singular_fibers(family: CurveFamily):
         else:
             groups += _linked(g, _longest_link(g))
     return tuple(sorted(out, key=lambda zm: (zm[0].real, zm[0].imag)))
-
-
-def _roots(coeffs) -> list:
-    """The zeros of the polynomial with complex ascending coefficients coeffs, the last
-    nonzero, as `[complex(z) for z in np.roots(coeffs[::-1])]` gives them, without np.roots'
-    wrapper: the eigenvalues of np.roots' own companion matrix (first row -p[1:] / p[0] in
-    numpy's complex division, ones below the diagonal) of the polynomial stripped of its k
-    zero low-order coefficients, then k exact zeros."""
-    import numpy as np
-
-    k = 0
-    while coeffs[k] == 0:
-        k += 1
-    p = np.array(coeffs[k:][::-1], dtype=complex)
-    if len(p) == 1:
-        return [0j] * k
-    companion = np.eye(len(p) - 1, k=-1, dtype=p.dtype)
-    companion[0] = -p[1:] / p[0]
-    return np.linalg.eigvals(companion).tolist() + [0j] * k
 
 
 def _rounding_splits(family: CurveFamily, group, eig, diam: float) -> bool:

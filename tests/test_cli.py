@@ -226,14 +226,18 @@ def test_non_finite_family_coefficient_exit_2(tmp_path, capsys, field, value):
 
 
 @pytest.mark.parametrize("old, new, message", [
-    ("[-1.0, 0.0]", "[1" + "0" * 400 + ", 0.0]", "must contain finite numbers"),
+    ("[-1.0, 0.0]", "[1" + "0" * 400 + ", 0.0]", "must contain finite numbers; its pair 0 "),
     ('"g2": [[-1.0, 0.0], [0.0, 0.0]', '"g2": [[-1.0, false], [false, 0.0]',
      "must contain [re, im] number pairs"),
-], ids=["huge", "boolean"])
+    ("[1.3333333333333333, 0.0]", "[1.3333333333333333, -1" + "0" * 4000 + "]",
+     "must contain finite numbers; its pair 2 "),
+], ids=["huge", "boolean", "huge-long"])
 def test_family_coefficient_beyond_double_or_boolean_exit_2(family_file, capsys, old, new,
                                                             message):
     # an over-range integer ended in an OverflowError traceback at exit 1, and JSON
-    # booleans were read as 1.0 and 0.0, so the copy of nf0 printed a signature
+    # booleans were read as 1.0 and 0.0, so the copy of nf0 printed a signature.  The
+    # message names the offending pair by its index: it once echoed the pair, so a
+    # 401-digit integer printed an error line of 460 characters
     path = Path(family_file(0))
     text = path.read_text()
     assert old in text
@@ -243,6 +247,7 @@ def test_family_coefficient_beyond_double_or_boolean_exit_2(family_file, capsys,
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: field 'g2' {message}")
+        assert _one_error_line(err) and len(err) < 120
 
 
 def test_invalid_tau_exit_2(capsys):

@@ -14,7 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from uplane import coalesced_family, family_to_dict, sample_family
+from uplane import coalesced_family, family_to_dict, holonomy, kodaira, sample_family
 from uplane.cli import main
 from uplane.curves import _family_from_text, load_family
 from uplane.errors import SchemaError
@@ -40,21 +40,27 @@ def _run(argv) -> tuple:
     return rc, out.getvalue(), err.getvalue()
 
 
-def test_warm_requests_print_what_cold_ones_do(tmp_path):
-    # cycle 0 of each benchmark stream, then requests that fail on a loaded family
-    # (exit 1: a stencil point on nf0's node, a loop that shrinks onto it) and on the
-    # input (exit 2: a collapsed step, a family file the loader refuses)
+def _cycle0_argvs(tmp_path) -> list:
+    """The argvs of cycle 0 of each benchmark stream at seed 1, its families in tmp_path."""
     families = workloads.fixture_families()
     paths = {}
     for name, fam in families.items():
         paths[name] = str(tmp_path / f"{name}.json")
         with open(paths[name], "w", encoding="utf-8") as fh:
             json.dump(fam, fh)
-    argvs = [req["argv"] for workload in workloads.WORKLOADS
-             for req in workloads.Stream(workload, 1, families, paths).cycle(0)]
-    bad = dict(families["nf0"], g2=[[-1.0, False], [False, 0.0], [4.0 / 3.0, 0.0]])
+    return [req["argv"] for workload in workloads.WORKLOADS
+            for req in workloads.Stream(workload, 1, families, paths).cycle(0)]
+
+
+def test_warm_requests_print_what_cold_ones_do(tmp_path):
+    # cycle 0 of each benchmark stream, then requests that fail on a loaded family
+    # (exit 1: a stencil point on nf0's node, a loop that shrinks onto it) and on the
+    # input (exit 2: a collapsed step, a family file the loader refuses)
+    argvs = _cycle0_argvs(tmp_path)
+    bad = dict(workloads.fixture_families()["nf0"],
+               g2=[[-1.0, False], [False, 0.0], [4.0 / 3.0, 0.0]])
     (tmp_path / "bad.json").write_text(json.dumps(bad))
-    nf0 = paths["nf0"]
+    nf0 = str(tmp_path / "nf0.json")
     argvs += [["anomaly", "--family", nf0, "--at", "1,0"],
               ["holonomy", "--family", nf0, "--center", "1,0", "--radius", "1e-12",
                "--operator", "dbar", "--orientation", "ccw"],
@@ -67,6 +73,38 @@ def test_warm_requests_print_what_cold_ones_do(tmp_path):
     assert {rc for rc, _, _ in cold} == {0, 1, 2}
     for _ in range(2):  # the first pass warms the cache as it goes; the second is all warm
         assert [_run(argv) for argv in argvs] == cold
+
+
+def test_warm_requests_find_no_roots_and_integrate_only_their_own_loop(tmp_path, monkeypatch):
+    # the premise of the simple per-loop integrator and the direct np.roots call: once
+    # cycle 0 of each benchmark stream has run, every family is warm, so the node roots
+    # and the fiber windings are never built again.  A holonomy request integrates its
+    # one loop and every other request integrates none
+    argvs = _cycle0_argvs(tmp_path)
+    for argv in argvs:
+        assert _run(argv)[0] == 0
+    counts = {"roots": 0, "loops": 0}
+    find, integrate = kodaira.find_singular_fibers, holonomy._ccw_winding
+
+    def counted_find(fam):
+        counts["roots"] += 1
+        return find(fam)
+
+    def counted_integrate(fam, loop):
+        counts["loops"] += 1
+        return integrate(fam, loop)
+
+    for module in (kodaira, holonomy):
+        monkeypatch.setattr(module, "find_singular_fibers", counted_find)
+    monkeypatch.setattr(holonomy, "_ccw_winding", counted_integrate)
+    loops = []
+    for argv in argvs:
+        before = counts["loops"]
+        assert _run(argv)[0] == 0
+        loops.append(counts["loops"] - before)
+    assert counts["roots"] == 0
+    assert loops == [int(argv[0] == "holonomy") for argv in argvs]
+    assert "holonomy" in {argv[0] for argv in argvs} and 0 in loops
 
 
 def test_a_rewritten_file_is_read_anew(tmp_path):

@@ -261,7 +261,7 @@ def test_signature_exact_arithmetic_nf0():
 
 
 # ---------------------------------------------------------------------------
-# The vectorized contour engine.
+# The contour engine.
 # ---------------------------------------------------------------------------
 
 
@@ -304,8 +304,8 @@ def test_rim_is_the_cached_read_only_unit_circle():
 
 
 def _parent_winding(family, loop):
-    """The single-loop contour integral the batched `_ccw_windings` must reproduce bit for
-    bit: one loop, its own unit circle, the Horner loop inline, the same checks in order."""
+    """The contour integral `_ccw_winding` must reproduce bit for bit: its own unit
+    circle, the Horner loop inline, the same checks in order."""
     delta = H._chart_delta(family, loop.chart)
     n = H._sample_count(H._chart_zeros(family, loop.chart), loop)
     rim = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, n, endpoint=False))
@@ -336,17 +336,10 @@ def _parent_winding(family, loop):
     return replace(loop, samples=n), k, integral
 
 
-def _first_failure_or_rows(family, loops):
-    """The parent's rows of loops integrated one at a time, or the first loop's error."""
+def _row_or_failure(integrate, family, loop):
+    """integrate(family, loop), or the type and message of the error it raises."""
     try:
-        return [_parent_winding(family, loop) for loop in loops]
-    except (LoopTooCloseToSingularity, NonIntegerWinding) as exc:
-        return type(exc), str(exc)
-
-
-def _batched_or_failure(family, loops):
-    try:
-        return H._ccw_windings(family, loops)
+        return integrate(family, loop)
     except (LoopTooCloseToSingularity, NonIntegerWinding) as exc:
         return type(exc), str(exc)
 
@@ -374,15 +367,17 @@ def test_a_batched_row_is_its_loop_sampled_alone(fam, chart, loops, raised, slac
     i, offset, angle = raised
     offset = max(offset, 0.05)
     specs.insert(at % (len(specs) + 1), loop(i, offset, angle, offset * (1.0 + slack), 64))
-    expect = _first_failure_or_rows(fam, specs)
-    assume(isinstance(expect, list))  # every loop passes alone
+    expect = [_row_or_failure(_parent_winding, fam, spec) for spec in specs]
+    assume(all(len(row) == 3 for row in expect))  # every loop passes
     assert max(loop.samples for loop, _, _ in expect) > 64
-    got = H._ccw_windings(fam, specs)
-    for (loop_a, k_a, int_a), (loop_b, k_b, int_b) in zip(got, expect, strict=True):
+    for spec, (loop_b, k_b, int_b) in zip(specs, expect, strict=True):
+        loop_a, k_a, int_a = H._ccw_winding(fam, spec)
         assert loop_a == loop_b and k_a == k_b and int_a == int_b
-    # at the floors alone most such loops fail the check: the first to fail raises
+    # at the floors most such loops fail the check, with the reference's error
     with patch.object(H, "_sample_count", lambda zeros, loop: loop.samples):
-        assert _batched_or_failure(fam, specs) == _first_failure_or_rows(fam, specs)
+        for spec in specs:
+            assert (_row_or_failure(H._ccw_winding, fam, spec)
+                    == _row_or_failure(_parent_winding, fam, spec))
 
 
 # signature of each family; the ledger totals are 2 (signature) and 1 (dbar)
@@ -423,37 +418,37 @@ def test_signature_command_integrates_each_loop_once(monkeypatch, tmp_path):
     path = tmp_path / "nf3.json"
     path.write_text(json.dumps(family_to_dict(fam)))
     counts = {"calls": 0, "loops": 0, "reports": 0}
-    integrate, report = H._ccw_windings, surface_report
+    integrate, report = H._ccw_winding, surface_report
 
-    def counted_integrate(fam, loops):
+    def counted_integrate(fam, loop):
         counts["calls"] += 1
-        counts["loops"] += len(loops)
-        return integrate(fam, loops)
+        counts["loops"] += 1
+        return integrate(fam, loop)
 
     def counted_report(*args, **kwargs):
         counts["reports"] += 1
         return report(*args, **kwargs)
 
-    monkeypatch.setattr(H, "_ccw_windings", counted_integrate)
+    monkeypatch.setattr(H, "_ccw_winding", counted_integrate)
     monkeypatch.setattr(sys.modules["uplane.kodaira"], "surface_report", counted_report)
     argv = ["signature", "--family", str(path), "--out", str(tmp_path / "o.json")]
     for _ in range(2):
         assert main(argv) == 0
-        # one call per chart: the 5 node loops together, then the loop around v = 0; and
-        # one surface report, which the signature's cross-check reads from the family.
+        # one call per loop: the 5 node loops, then the loop around v = 0; and one
+        # surface report, which the signature's cross-check reads from the family.
         # The second request reads the same file content, so it shares the family and
         # builds nothing
-        assert counts == {"calls": 2, "loops": 6, "reports": 1}
+        assert counts == {"calls": 6, "loops": 6, "reports": 1}
     path.write_text(json.dumps(family_to_dict(sample_family(1))))  # 3 nodes: built anew
     assert main(argv) == 0
-    assert counts == {"calls": 4, "loops": 10, "reports": 2}
+    assert counts == {"calls": 10, "loops": 10, "reports": 2}
     fam = sample_family(3)  # the library route builds the report once per family as well
     assert signature_from_monodromy(fam) == signature_from_monodromy(fam) == -3
-    assert counts == {"calls": 6, "loops": 16, "reports": 3}
+    assert counts == {"calls": 16, "loops": 16, "reports": 3}
 
 
 def _spy_sample_shapes(monkeypatch) -> list:
-    """Shape (loops, samples) of every array the contour Horner evaluates from now on."""
+    """Shape of every array the contour Horner evaluates from now on."""
     shapes = []
     horner = H._horner
 
@@ -476,7 +471,7 @@ def test_undersampled_loop_integrates_once_at_the_rule_count(monkeypatch):
     assert n > 64
     shapes = _spy_sample_shapes(monkeypatch)
     res = holonomy(Operator.SIGNATURE, fam, loop)
-    assert shapes == [(1, n), (1, n)]  # Delta and Delta' on one row, once each
+    assert shapes == [(n,), (n,)]  # Delta and Delta', once each
     assert res.loop.samples == n
     assert res.winding == -1 and res.log_monodromy == Fraction(-2, 3)
     # the rule's bound on integral / (2 pi i), times 2 pi / 6 for the phase
@@ -493,26 +488,25 @@ def test_integral_read_refuses_an_unresolved_loop(monkeypatch):
 
 
 def test_internal_pass_integrates_every_loop_at_64_samples(monkeypatch):
-    integrated, expected, points = [], [], []
-    integrate = H._ccw_windings
+    integrated, expected = [], []
+    integrate = H._ccw_winding
 
-    def recorded(fam, loops):
-        out = integrate(fam, loops)
-        integrated.append([(loop, row[0].samples) for loop, row in zip(loops, out, strict=True)])
+    def recorded(fam, loop):
+        out = integrate(fam, loop)
+        integrated.append((loop, out[0].samples))
         return out
 
-    monkeypatch.setattr(H, "_ccw_windings", recorded)
+    monkeypatch.setattr(H, "_ccw_winding", recorded)
     shapes = _spy_sample_shapes(monkeypatch)
     for fam in [sample_family(nf) for nf in range(5)] + [coalesced_family(), isotrivial_family()]:
         roots = find_singular_fibers(fam)
-        expected += [[H._node_loop(fam, z) for z, _ in roots], [H._infinity_loop(roots)]]
-        points += [64 * len(roots)] * 2 + [64] * 2
+        expected += [H._node_loop(fam, z) for z, _ in roots] + [H._infinity_loop(roots)]
         H._fiber_rows(fam)
-    # one call per chart: the node loops of the u-chart together, then the infinity loop;
-    # one row a loop, each at the 64-sample floor
-    assert integrated == [[(loop, 64) for loop in loops] for loops in expected]
-    # Delta and Delta' once over each chart's points
-    assert [k * n for k, n in shapes] == points
+    # one call per loop: the node loops of the u-chart in order, then the infinity loop,
+    # each at the 64-sample floor
+    assert integrated == [(loop, 64) for loop in expected]
+    # Delta and Delta' once over each loop's points
+    assert shapes == [(64,)] * (2 * len(expected))
 
 
 def test_unresolvable_loop_is_refused_before_sampling(monkeypatch):

@@ -126,25 +126,25 @@ def test_every_import_is_used():
 
 
 def test_np_roots_only_in_the_root_finders():
-    # kodaira finds a family's singular fibers once, by the eigenvalues of Delta's companion
-    # matrix in one helper (`_roots`); holonomy reads the zeros of either chart from the
-    # singular fibers, and periods takes a fiber's cubic roots in closed form.  np.roots and
-    # eigvals appear nowhere else (modular's Gauss-Laguerre nodes are eigvalsh's)
-    found, home_names = [], []
+    # kodaira finds a family's singular fibers once, by np.roots of Delta in
+    # `find_singular_fibers`; holonomy reads the zeros of either chart from the singular
+    # fibers, and periods takes a fiber's cubic roots in closed form.  np.roots appears
+    # nowhere else, and eigvals nowhere (modular's Gauss-Laguerre nodes are eigvalsh's)
+    found, home_calls = [], []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         home = range(0)
         if path.name == "kodaira.py":
-            helper = next(node for node in tree.body
-                          if isinstance(node, ast.FunctionDef) and node.name == "_roots")
-            home = range(helper.lineno, helper.end_lineno + 1)
-        for name, line in _names(tree):
-            (home_names if line in home else found).append(name)
-        found += ["np.roots" for node in ast.walk(tree)
-                  if isinstance(node, ast.Attribute) and node.attr == "roots"
-                  and isinstance(node.value, ast.Name) and node.value.id == "np"]
-    assert "eigvals" in home_names
-    assert [name for name in found if name in ("eigvals", "np.roots")] == []
+            finder = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                          and node.name == "find_singular_fibers")
+            home = range(finder.lineno, finder.end_lineno + 1)
+        found += [name for name, _ in _names(tree) if name == "eigvals"]
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "roots"
+                    and isinstance(node.value, ast.Name) and node.value.id == "np"):
+                (home_calls if node.lineno in home else found).append("np.roots")
+    assert home_calls == ["np.roots"]
+    assert found == []
 
 
 def _numpy_imports(name: str) -> list:
@@ -193,15 +193,15 @@ def test_scalar_commands_load_no_numpy(tmp_path):
 
 
 def test_the_contour_integral_has_one_home():
-    # holonomy._ccw_windings samples every loop, alone or in a batch: it alone calls the
-    # array Horner and the cached unit circle, and nothing else builds a circle of samples
+    # holonomy._ccw_winding samples every loop: it alone calls the array Horner and the
+    # cached unit circle, and nothing else builds a circle of samples
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         homes = {node.name: range(node.lineno, node.end_lineno + 1) for node in tree.body
                  if isinstance(node, ast.FunctionDef)}
         for name, line in _names(tree):
-            home = {"_horner": "_ccw_windings", "_rim": "_ccw_windings",
+            home = {"_horner": "_ccw_winding", "_rim": "_ccw_winding",
                     "linspace": "_rim"}.get(name)
             if home and (path.name != "holonomy.py" or line not in homes[home]):
                 found.append(f"{path.name}:{line} {name}")

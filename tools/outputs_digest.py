@@ -14,9 +14,12 @@ tab-separated: workload, seed, cycle, argv as JSON, exit code, and the first 16 
 digits of the SHA-256 of stdout and of stderr.  A request that raises prints the
 exception's type as its exit code and digests its message as stderr.
 
-All requests share one process, so where `uplane.curves.load_family` keeps one family
-per file content, every request after a family's first runs warm; a checkout without
-that cache runs each cold, and a diff of the two compares warm outputs against cold.
+Each request runs twice in a row.  The first run is cold: where the checkout has
+`uplane.curves._family_from_text` (one family per file content for the process), that
+cache is cleared first, so the family and everything derived from it is built anew.
+The second run is warm and reads what the first built.  The line digests the cold run;
+if the warm output differs from it, the request's workload, seed, cycle and argv are
+named on stderr and the script exits 1 after the last line.
 
 Then each `<root>/demos/*.py` script runs in this process too, after the requests, and
 prints one line: "demo", the script's file name, its exit code and the digests of its
@@ -71,11 +74,13 @@ def main(argv=None) -> int:
     root = args.root.resolve()
     sys.path[:0] = [str(root / "src"), str(root)]
     import uplane.cli
+    import uplane.curves
     from bench import workloads
 
     if not Path(uplane.cli.__file__).resolve().is_relative_to(root / "src"):
         sys.exit(f"uplane was imported from {uplane.cli.__file__}, not from {root / 'src'}")
-    families = workloads.fixture_families()
+    cache = getattr(uplane.curves, "_family_from_text", None)
+    families, status = workloads.fixture_families(), 0
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
         for name, fam in families.items():
@@ -87,15 +92,21 @@ def main(argv=None) -> int:
                 stream = workloads.Stream(workload, seed, families, paths)
                 for k in range(args.cycles):
                     for req in stream.cycle(k):
-                        rc, out, err = _run(uplane.cli.main, req["argv"])
+                        if cache is not None:
+                            cache.cache_clear()
+                        rc, out, err = cold = _run(uplane.cli.main, req["argv"])
                         shown = json.dumps(req["argv"]).replace(tmp, "$DIR")
+                        if _run(uplane.cli.main, req["argv"]) != cold:
+                            print(f"warm output differs from cold: {workload} {seed} {k} "
+                                  f"{shown}", file=sys.stderr)
+                            status = 1
                         print(workload, seed, k, shown, rc, _digest(out.replace(tmp, "$DIR")),
                               _digest(err.replace(tmp, "$DIR")), sep="\t")
     for path in sorted((root / "demos").glob("*.py")):
         rc, out, err = _run(_demo, path)
         print("demo", path.name, rc, _digest(out.replace(str(root), "$ROOT")),
               _digest(err.replace(str(root), "$ROOT")), sep="\t")
-    return 0
+    return status
 
 
 if __name__ == "__main__":
