@@ -22,7 +22,6 @@ from .errors import (
     DegreeMismatch,
     DivisionByZero,
     EulerMismatch,
-    IdenticallySingular,
     LoopTooCloseToSingularity,
     NonIntegerWinding,
     NonMinimal,

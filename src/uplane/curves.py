@@ -175,10 +175,10 @@ def j_invariant(curve: WeierstrassCurve) -> complex:
 class CurveFamily:
     """Polynomial Weierstrass family over the u-plane.
 
-    Degree bounds (deg g2 <= 2, deg g3 <= 3) and the flavor range are checked
-    at construction; the discriminant-degree contract deg = nf + 2 is checked
-    by discriminant_poly / the JSON loader, so invalid family files fail at
-    ingestion rather than deep inside a computation.
+    Construction checks the flavor range and the degree bounds (deg g2 <= 2,
+    deg g3 <= 3), then expands the discriminant once and requires deg Delta = nf + 2.
+    Every family is valid, so invalid family files fail at ingestion rather than
+    deep inside a computation.
     """
 
     g2_poly: ComplexPoly
@@ -194,6 +194,10 @@ class CurveFamily:
             raise DegreeMismatch(f"deg g2 = {self.g2_poly.degree} > 2")
         if self.g3_poly.degree > 3:
             raise DegreeMismatch(f"deg g3 = {self.g3_poly.degree} > 3")
+        d = self.cached("delta", expand_discriminant)
+        if d.degree != self.nf + 2:
+            raise DegreeMismatch(f"deg(discriminant) = {d.degree},"
+                                 f" expected nf + 2 = {self.nf + 2}")
 
     def cached(self, key: str, build):
         """build(self), computed on the first request for key and kept.
@@ -205,11 +209,6 @@ class CurveFamily:
         if key not in memo:
             memo[key] = build(self)
         return memo[key]
-
-    @property
-    def delta_poly(self) -> "ComplexPoly":
-        """expand_discriminant(self), without the degree check, expanded once."""
-        return self.cached("delta", expand_discriminant)
 
     def curve_at(self, u: complex) -> WeierstrassCurve:
         return WeierstrassCurve(self.g2_poly(u), self.g3_poly(u))
@@ -224,30 +223,29 @@ def expand_discriminant(family: CurveFamily) -> ComplexPoly:
     from the absolute values of the coefficients).  Leading coefficients at
     or below 1e-12 of it are trimmed, so the test is unchanged by a rescaling
     of u; if every coefficient is trimmed the discriminant is identically
-    zero and the zero polynomial is returned.
+    zero and the zero polynomial is returned.  Reads only g2_poly and g3_poly; ValueError
+    when a coefficient or its scale is not a finite double (g2^3 or g3^2 overflowed).
     """
     g2, g3 = family.g2_poly.coeffs, family.g3_poly.coeffs
     coeffs = difference(convolve(convolve(g2, g2), g2), [27.0 * c for c in convolve(g3, g3)])
-    a2, a3 = [abs(c) for c in g2], [abs(c) for c in g3]
+    try:
+        a2, a3 = [abs(c) for c in g2], [abs(c) for c in g3]
+    except OverflowError:  # |c| past the double range: its power in Delta overflowed too
+        a2 = a3 = [math.inf]
     scale = [x + 27.0 * y for x, y in zip_longest(convolve(convolve(a2, a2), a2),
                                                   convolve(a3, a3), fillvalue=0.0)]
+    if not all(cmath.isfinite(c) and cmath.isfinite(s) for c, s in zip(coeffs, scale)):
+        raise ValueError("the family's discriminant overflows: a coefficient of"
+                         " g2^3 - 27 g3^2 is beyond the double range")
     while coeffs and abs(coeffs[-1]) <= 1e-12 * abs(scale[len(coeffs) - 1]):
         coeffs.pop()
     return ComplexPoly.of(coeffs or [0.0])
 
 
 def discriminant_poly(family: CurveFamily) -> ComplexPoly:
-    """Coefficient-level expansion of g2^3 - 27 g3^2.
-
-    Raises DegreeMismatch unless the degree equals nf + 2, which is the
-    ingestion-level validity test for a family file.
-    """
-    d = family.delta_poly
-    if d.degree != family.nf + 2:
-        raise DegreeMismatch(
-            f"deg(discriminant) = {d.degree}, expected nf + 2 = {family.nf + 2}"
-        )
-    return d
+    """Coefficient-level expansion of g2^3 - 27 g3^2, of degree nf + 2: the one the
+    family expanded and checked at construction (`expand_discriminant`)."""
+    return family.cached("delta", expand_discriminant)
 
 
 #: `near_singular_fiber` reads a fiber as singular below this fraction of Delta's terms
@@ -298,10 +296,10 @@ def order_at_infinity(p: ComplexPoly, weight: int) -> int:
 def to_v_chart(family: CurveFamily) -> ComplexPoly:
     """Delta_v = v^12 Delta(-1/v), the discriminant in the chart at infinity.
 
-    It vanishes at v = 0 to order_at_infinity(Delta, 12) = 10 - nf for valid
-    families.  Built once per family object.
+    It vanishes at v = 0 to order_at_infinity(Delta, 12) = 10 - nf, as every
+    family has deg Delta = nf + 2.  Built once per family object.
     """
-    return family.cached("v_chart", lambda fam: poly_to_v_chart(fam.delta_poly, 12))
+    return family.cached("v_chart", lambda fam: poly_to_v_chart(discriminant_poly(fam), 12))
 
 
 # ---------------------------------------------------------------------------
@@ -356,17 +354,15 @@ def family_from_dict(d: dict) -> CurveFamily:
     if "masses" in d and d["masses"] is not None:
         masses = tuple(_complex_list(d["masses"], "masses"))
     try:
-        fam = CurveFamily(
+        return CurveFamily(
             g2_poly=ComplexPoly.of(g2),
             g3_poly=ComplexPoly.of(g3),
             nf=nf,
             name=name,
             masses=masses,
         )
-        discriminant_poly(fam)  # enforce deg = nf + 2 at ingestion
     except (BadNf, DegreeMismatch) as exc:
         raise SchemaError(str(exc)) from exc
-    return fam
 
 
 def family_to_dict(family: CurveFamily) -> dict:

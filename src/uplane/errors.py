@@ -42,11 +42,7 @@ class NotSingular(UPlaneError):
 
 
 class NonMinimal(UPlaneError):
-    """Vanishing orders (ord g2 >= 4, ord g3 >= 6) indicate a non-minimal model."""
-
-
-class IdenticallySingular(UPlaneError):
-    """The discriminant vanishes identically; every fiber is singular."""
+    """Vanishing orders that no row of Kodaira's table takes (a non-minimal model)."""
 
 
 class EulerMismatch(UPlaneError):

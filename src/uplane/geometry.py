@@ -38,7 +38,8 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .curves import ComplexPoly, CurveFamily, convolve, difference, near_singular_fiber
+from .curves import (ComplexPoly, CurveFamily, convolve, difference, discriminant_poly,
+                     near_singular_fiber)
 from .errors import DivisionByZero, StencilCrossesSingularity
 from .periods import Periods, periods_along_family
 from .spectral import det_prime_laplacian
@@ -69,13 +70,16 @@ class AnomalyRecord:
 def _step(u: complex, h: float = None) -> float:
     """h, or by default 1e-4 (1 + |u|).
 
-    ValueError unless h is finite and positive and the stencil keeps its points apart:
-    u + h/2 and u + i h/2 must differ from u, and (h/2)^2 must not underflow.
+    ValueError unless h is finite and positive, h^2 (the Laplacian divides by it) is finite,
+    and the stencil keeps its points apart: u + h/2 and u + i h/2 differ from u, (h/2)^2 is normal.
     """
     if h is None:
         return 1e-4 * (1.0 + abs(u))
     if not 0 < h < math.inf:
         raise ValueError(f"finite-difference step must be finite and positive, not {h}")
+    if not h * h < math.inf:  # a product, not h**2, which raises OverflowError
+        raise ValueError(f"finite-difference step {h} is too large: h^2, by which the"
+                         " Laplacian divides, overflows")
     if u + h / 2.0 == u or u + 0.5j * h == u or (h / 2.0) ** 2 < sys.float_info.min:
         raise ValueError(f"finite-difference step {h} collapses the stencil at u={u}:"
                          " u + h/2 or u + i h/2 rounds to u, or (h/2)^2 underflows")
@@ -134,11 +138,11 @@ def d_tau_du(family: CurveFamily, u: complex, p: Periods, delta: complex = None)
     """Closed-form d tau/du = (3 pi i / 4) W(u) / (omega^2 Delta(u)).
 
     p are the periods of the fiber at u; d tau/du is in their frame.  delta is
-    family.delta_poly(u), evaluated here unless the caller passes it.
+    discriminant_poly(family)(u), evaluated here unless the caller passes it.
     """
     w, _ = family.cached("j_numerator", _j_numerator)
     if delta is None:
-        delta = family.delta_poly(u)
+        delta = discriminant_poly(family)(u)
     return 0.75j * math.pi * w(u) / (p.omega**2 * delta)
 
 

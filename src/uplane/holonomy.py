@@ -108,7 +108,7 @@ def _chart_zeros(family: CurveFamily, chart: Chart) -> tuple:
     nodes = family.cached("nodes", find_singular_fibers)
     if chart is Chart.U:
         return nodes
-    at_zero = (0j, order_at_infinity(family.delta_poly, 12))
+    at_zero = (0j, order_at_infinity(discriminant_poly(family), 12))
     return tuple((-1.0 / z, m) for z, m in nodes if z != 0) + (at_zero,)
 
 
@@ -261,7 +261,7 @@ def _fiber_rows(family: CurveFamily) -> tuple:
         roots = _chart_zeros(fam, Chart.U)  # deg Delta = nf + 2 >= 2: never empty
         rows = tuple((z, m, _ccw_winding(fam, _node_loop(fam, z))[1]) for z, m in roots)
         _, at_infinity, _ = _ccw_winding(fam, _infinity_loop(roots))
-        return rows + ((AT_INFINITY, order_at_infinity(fam.delta_poly, 12), at_infinity),)
+        return rows + ((AT_INFINITY, order_at_infinity(discriminant_poly(fam), 12), at_infinity),)
 
     return family.cached("fibers", build)
 

@@ -17,7 +17,6 @@ from .curves import (CurveFamily, WeierstrassCurve, discriminant_poly, discrimin
 from .errors import (
     BadNf,
     EulerMismatch,
-    IdenticallySingular,
     NonMinimal,
     NotSingular,
 )
@@ -115,13 +114,11 @@ def find_singular_fibers(family: CurveFamily):
     longest link, where single linkage joins it last.  So distinct zeros stay apart
     down to the rounding, and a scale of u leaves the grouping as it was.  Sorted by
     (Re, Im).  Callers that want each family's roots once read them through
-    `family.cached("nodes", find_singular_fibers)`.  Raises IdenticallySingular when
-    Delta is zero, and DegreeMismatch (`discriminant_poly`) unless deg Delta = nf + 2.
+    `family.cached("nodes", find_singular_fibers)`.  Every family has deg Delta =
+    nf + 2 >= 2 (`CurveFamily`), so there are nf + 2 roots, counted with multiplicity.
     """
     import numpy as np
 
-    if family.delta_poly.is_zero:
-        raise IdenticallySingular("discriminant vanishes identically")
     eig = [complex(z) for z in np.roots(discriminant_poly(family).coeffs[::-1])]
     mean = sum(eig) / len(eig)
     cap = 1e-3 * max(abs(z - mean) for z in eig)
@@ -145,7 +142,8 @@ def _rounding_splits(family: CurveFamily, group, eig, diam: float) -> bool:
     z, m = sum(group) / len(group), len(group)
     n2, n3 = (sum(abs(a) * abs(z) ** k for k, a in enumerate(p.coeffs))
               for p in (family.g2_poly, family.g3_poly))
-    d = abs(family.delta_poly.coeffs[-1]) * math.prod([abs(z - w) for w in eig if w not in group])
+    d = abs(discriminant_poly(family).coeffs[-1]) * math.prod(
+        [abs(z - w) for w in eig if w not in group])
     return (diam / 10.0) ** m * d <= sys.float_info.epsilon * discriminant_scale(
         WeierstrassCurve(n2, n3))
 
@@ -177,10 +175,6 @@ def _classify_orders(a: int, b: int, d: int) -> KodairaType:
     """The vanishing-order table: a = ord g2, b = ord g3, d = ord Delta."""
     if d == 0:
         raise NotSingular("discriminant does not vanish here")
-    if a >= 4 and b >= 6:
-        raise NonMinimal(
-            f"ord g2 = {a} >= 4 and ord g3 = {b} >= 6: rescale the family"
-        )
     if a == 0:
         return KodairaType("I", d)
     if d == 6 or (a == 2 and b == 3 and d not in (2, 3, 4)):
@@ -204,7 +198,7 @@ def classify_fiber(family: CurveFamily, location) -> FiberReport:
     """Kodaira type, vanishing orders and Euler number of one singular fiber."""
     if location is AT_INFINITY:
         a, b, d = (order_at_infinity(p, w) for p, w in
-                   ((family.g2_poly, 4), (family.g3_poly, 6), (family.delta_poly, 12)))
+                   ((family.g2_poly, 4), (family.g3_poly, 6), (discriminant_poly(family), 12)))
     else:
         location = complex(location)
         rho = node_gap(family, location)

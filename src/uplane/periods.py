@@ -27,7 +27,7 @@ mistake.  The identity sees only omega^12 and so passes rotated lattices too;
 the canonical basis must also reproduce (g2, g3) from E4 and E6, summed in one
 loop from the nome q the basis already carries (`modular.eisenstein_in_f`), to
 1e-12 S^2 and 1e-12 S^3 with S = discriminant_scale^(1/6).  The identity reads
-eta through `Periods.eta`, which keeps it with the basis, so F1 and every closed
+eta through `Periods.eta`, computed with the basis, so F1 and every closed
 form of `spectral` read the eta that validated the solve.  A seeded solve
 then moves to the basis nearest the seed's, which keeps frames continuous
 along loops.  `reduce_periods` makes the same move for a basis given by hand.
@@ -36,7 +36,7 @@ along loops.  `reduce_periods` makes the same move for a basis given by hand.
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .curves import (
     CurveFamily,
@@ -78,34 +78,19 @@ CONTINUITY_STEP = 1e-3
 _CUBE_UNITS = (1.0, complex(-0.5, 0.5 * math.sqrt(3.0)), complex(-0.5, -0.5 * math.sqrt(3.0)))
 
 
-class _memo:
-    """functools.cached_property without the lock Python 3.11 takes on every first read (two
-    threads may both evaluate): the first read writes the value into the instance's __dict__."""
-
-    def __init__(self, fn):
-        self.fn, self.__doc__ = fn, fn.__doc__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.fn.__name__] = self.fn(obj)
-        return value
-
-
 @dataclass(frozen=True)
 class Periods:
-    """Half-periods (full periods are 2*omega, 2*omega_prime), tau and nome."""
+    """Half-periods (full periods are 2*omega, 2*omega_prime), tau, nome, and eta(tau), which
+    is computed with the basis (on a solved one, the eta of its validation, `_validated`)."""
 
     omega: complex
     omega_prime: complex
     tau: complex
     q: complex
+    eta: complex = field(init=False, repr=False, compare=False)
 
-    @_memo
-    def eta(self) -> complex:
-        """dedekind_eta(tau), evaluated on the first read and kept with the basis: on a
-        solved basis, the eta of its validation (`_validated`)."""
-        return dedekind_eta(self.tau)
+    def __post_init__(self):
+        object.__setattr__(self, "eta", dedekind_eta(self.tau))
 
     def eta_at(self, k: float) -> complex:
         """dedekind_eta(k tau), kept with the basis after the first read: the theta
@@ -254,7 +239,7 @@ def reduce_periods(p: Periods):
 def _validated(curve: WeierstrassCurve, delta: complex, scale: float, cands):
     """The canonical basis of the first candidate that, reduced, satisfies the eta^24
     identity and reproduces (g2, g3); None if none does.  delta and scale are the curve's
-    discriminant and discriminant_scale.  The identity memoises p.eta; E4 and E6 are the
+    discriminant and discriminant_scale.  The identity reads p.eta; E4 and E6 are the
     raw series of the basis' nome p.q."""
     n = 6 if curve.g2 == 0 else 4 if curve.g3 == 0 else 2
     s = scale ** (1.0 / 6.0)

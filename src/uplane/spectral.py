@@ -1,6 +1,6 @@
 """Closed-form regularized determinants, Quillen norms and the annulus (Dirichlet)
 determinants, each one expression on one eta value: the basis' own `Periods.eta`,
-evaluated at most once per basis and, on a solved basis, the eta that validated it.
+computed with the basis and, on a solved basis, the eta that validated it.
 
 eta's q-product is checked where it is computed, against Euler's pentagonal series
 (`modular.dedekind_eta`), so the closed forms here carry no second route of their own.

@@ -141,13 +141,15 @@ def test_holonomy_non_loop_exit_2(capsys, family_file, flag, value):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("step", ["0", "-0.01", "nan", "inf"])
+@pytest.mark.parametrize("step", ["0", "-0.01", "nan", "inf", "1e155", "1e300"])
 def test_anomaly_bad_step_exit_2(capsys, family_file, step):
+    # a step whose square overflows (the Laplacian divides by it) once ended in an
+    # OverflowError traceback at exit 1
     code, out, err = _run(
         capsys, ["anomaly", "--family", family_file(0), "--at", "0.3,0.9", "--step", step]
     )
     assert code == 2 and out == ""
-    assert "step" in err
+    assert "step" in err and _one_error_line(err)
 
 
 @pytest.mark.parametrize("at, step", [("0.3,0.7", "1e-17"), ("0.3,0.7", "1e-100"),
@@ -248,6 +250,26 @@ def test_family_coefficient_beyond_double_or_boolean_exit_2(family_file, capsys,
         assert out == ""
         assert err.startswith(f"error: field 'g2' {message}")
         assert _one_error_line(err) and len(err) < 120
+
+
+@pytest.mark.parametrize("scaled", [True, False], ids=["scaled", "modulus"])
+def test_overflowing_family_discriminant_exit_2(family_file, capsys, scaled):
+    # nf0 with the curve scaled by s = 1e100 (g2 by s^2, g3 by s^3): g2^3 overflows, and
+    # the NaN of inf - inf once survived the dust trim and read as a degree mismatch.  A
+    # coefficient whose modulus passes the double range ended in an OverflowError traceback
+    path = Path(family_file(0))
+    doc = json.loads(path.read_text())
+    if scaled:
+        for key, s in (("g2", 1e200), ("g3", 1e300)):
+            doc[key] = [[re * s, im * s] for re, im in doc[key]]
+    else:
+        doc["g2"][0] = [1.5e308, 1.5e308]
+    path.write_text(json.dumps(doc))
+    for argv in (["classify", "--family", str(path)], ["signature", "--family", str(path)]):
+        code, out, err = _run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: the family's discriminant overflows")
+        assert _one_error_line(err) and "deg(discriminant)" not in err
 
 
 def test_invalid_tau_exit_2(capsys):
@@ -500,7 +522,7 @@ def test_scan_solves_each_point_once(capsys, family_file, monkeypatch):
 def test_a_scan_point_evaluates_delta_once(capsys, family_file, monkeypatch):
     # per emitted point: g2 and g3 for the fiber's curve, W for d tau/du, and one Delta(u)
     # that the scalar curvature and the Quillen norm share
-    from uplane.curves import ComplexPoly
+    from uplane.curves import ComplexPoly, discriminant_poly
     from uplane.geometry import f1_from_periods, scalar_curvature
     from uplane.periods import periods_along_family
 
@@ -518,8 +540,8 @@ def test_a_scan_point_evaluates_delta_once(capsys, family_file, monkeypatch):
         x, y = (float(v) for v in row.split(",")[:2])
         u = complex(x, y)
         p = periods_along_family(fam, u)
-        expect = (x, y, p.tau.imag, f1_from_periods(p), abs(fam.delta_poly(u)) ** (1 / 12),
-                  scalar_curvature(fam, u, p))
+        expect = (x, y, p.tau.imag, f1_from_periods(p),
+                  abs(discriminant_poly(fam)(u)) ** (1 / 12), scalar_curvature(fam, u, p))
         assert row == ",".join(f"{v:.17e}" for v in expect)
 
 

@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 from itertools import zip_longest
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,18 +13,23 @@ from uplane import (
     ComplexPoly,
     CurveFamily,
     DegreeMismatch,
+    Periods,
     SchemaError,
     SingularCurve,
     UPlaneError,
     WeierstrassCurve,
     coalesced_family,
+    compute_periods,
+    dedekind_eta,
     discriminant,
     discriminant_poly,
     family_from_dict,
     family_to_dict,
+    find_singular_fibers,
     isotrivial_family,
     j_invariant,
     load_family,
+    reduce_periods,
     sample_family,
     signature_from_monodromy,
     surface_report,
@@ -47,12 +53,12 @@ def test_discriminant_poly_expansion():
 
 
 def test_discriminant_poly_degree_mismatch():
-    # g2 = u, g3 = 0: Delta = u^3, only nf = 1 is consistent
+    # g2 = u, g3 = 0: Delta = u^3, only nf = 1 is consistent; any other nf is refused
+    # at construction
     fam = CurveFamily(ComplexPoly.of([0, 1]), ComplexPoly.of([0]), nf=1)
     assert discriminant_poly(fam).coeffs == (0j, 0j, 0j, 1 + 0j)
-    bad = CurveFamily(ComplexPoly.of([0, 1]), ComplexPoly.of([0]), nf=2)
-    with pytest.raises(DegreeMismatch):
-        discriminant_poly(bad)
+    with pytest.raises(DegreeMismatch, match="deg\\(discriminant\\) = 3, expected nf \\+ 2 = 4"):
+        CurveFamily(ComplexPoly.of([0, 1]), ComplexPoly.of([0]), nf=2)
 
 
 def test_discriminant_poly_pure_g3():
@@ -70,7 +76,7 @@ def test_v_chart_examples():
     fam = CurveFamily(ComplexPoly.of([4]), ComplexPoly.of([0, 0, 0, 1]), nf=4)
     assert to_v_chart(fam).coeffs == (0j,) * 6 + (-27 + 0j,) + (0j,) * 5 + (64 + 0j,)
     assert [order_at_infinity(p, w) for p, w in
-            ((fam.g2_poly, 4), (fam.g3_poly, 6), (fam.delta_poly, 12))] == [4, 3, 6]
+            ((fam.g2_poly, 4), (fam.g3_poly, 6), (discriminant_poly(fam), 12))] == [4, 3, 6]
     # constant g2 = 4 becomes 4 v^4
     assert poly_to_v_chart(fam.g2_poly, 4).coeffs == (0j, 0j, 0j, 0j, 4 + 0j)
     # delta = u^2 + 1 -> v^10 (1 + v^2), order 10 at v = 0
@@ -88,9 +94,10 @@ def test_v_chart_examples():
 def test_v_chart_discriminant_degree_is_true(fam, degree):
     # deg Delta_v = 12 - ord_{u=0} Delta: the isotrivial Delta = 37 u^6 becomes 37 v^6
     dv = to_v_chart(fam)
-    assert dv.degree == degree == 12 - _first_nonzero(fam.delta_poly.coeffs)
+    delta = discriminant_poly(fam)
+    assert dv.degree == degree == 12 - _first_nonzero(delta.coeffs)
     assert dv.coeffs[-1] != 0
-    assert _first_nonzero(dv.coeffs) == order_at_infinity(fam.delta_poly, 12) == 10 - fam.nf
+    assert _first_nonzero(dv.coeffs) == order_at_infinity(delta, 12) == 10 - fam.nf
 
 
 _COEFFS = st.one_of(st.just(0j), st.complex_numbers(max_magnitude=1e8, allow_nan=False,
@@ -194,10 +201,12 @@ _MIXED = st.one_of(
 @given(g2=st.lists(_MIXED, min_size=1, max_size=3), g3=st.lists(_MIXED, min_size=1, max_size=4))
 def test_convolved_expansions_are_the_product_route(g2, g3):
     # expand_discriminant (with its trim) and W = 2 g2 g3' - 3 g2' g3 are plain coefficient
-    # convolutions, summed in the product route's order: equal coefficient tuples
+    # convolutions, summed in the product route's order: equal coefficient tuples.  Both
+    # read only g2_poly and g3_poly, so a stand-in carries polynomials of any degree
+    # that no CurveFamily would accept
     from uplane.geometry import _j_numerator
 
-    fam = CurveFamily(ComplexPoly.of(g2), ComplexPoly.of(g3), nf=0)
+    fam = SimpleNamespace(g2_poly=ComplexPoly.of(g2), g3_poly=ComplexPoly.of(g3))
     delta, w, scale = _product_route(fam)
     assert expand_discriminant(fam).coeffs == delta.coeffs
     assert _j_numerator(fam)[0].coeffs == w.coeffs and _j_numerator(fam)[1] == scale
@@ -209,7 +218,7 @@ def test_fixture_expansions_are_the_product_route(fam):
     from uplane.geometry import _j_numerator
 
     delta, w, scale = _product_route(fam)
-    assert fam.delta_poly.coeffs == delta.coeffs
+    assert discriminant_poly(fam).coeffs == delta.coeffs
     assert _j_numerator(fam) == (w, scale)
 
 
@@ -253,14 +262,56 @@ def test_horner_is_deterministic():
     assert len(vals) == 1
 
 
+#: small Gaussian integers: exact zeros and the exact cancellations of the degree contract
+#: (Delta = 0, or deg Delta = 5 for nf = 3) come up often, as no float draw makes them
+_SMALL = st.builds(complex, st.integers(-3, 3), st.integers(-1, 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(g2=st.lists(_SMALL, min_size=1, max_size=3), g3=st.lists(_SMALL, min_size=1, max_size=4),
+       nf=st.integers(0, 4), e=st.integers(-40, 40), x=st.floats(-2.0, 2.0),
+       y=st.floats(0.4, 3.0))
+@example(g2=[3], g3=[0, 1], nf=0, e=0, x=0.0, y=1.0)  # Delta = 27 - 27 u^2
+@example(g2=[4], g3=[1], nf=0, e=0, x=0.5, y=0.5)  # constant Delta
+@example(g2=[0, 0, 3], g3=[0, 0, 0, 1], nf=4, e=7, x=-1.5, y=0.4)  # Delta = 0
+@example(g2=[0, 1, 3], g3=[0, 0, 0, 1], nf=3, e=-9, x=0.0, y=1.0)  # deg Delta = 5
+def test_every_family_is_valid_and_every_basis_carries_its_eta(g2, g3, nf, e, x, y):
+    # construction refuses deg Delta != nf + 2, so a family that exists has nf + 2
+    # singular fibers, counted with multiplicity, and no accessor re-checks it.  The curve
+    # is scaled by 10^e (g2 by 10^2e, g3 by 10^3e), which leaves the nodes where they are
+    # and turns each exact cancellation into dust that the expansion must trim
+    s = 10.0**e
+    try:
+        fam = CurveFamily(ComplexPoly.of([s**2 * c for c in g2]),
+                          ComplexPoly.of([s**3 * c for c in g3]), nf=nf)
+    except DegreeMismatch as exc:
+        assert str(exc).endswith(f", expected nf + 2 = {nf + 2}")
+    else:
+        assert discriminant_poly(fam).degree == nf + 2
+        assert sum(m for _, m in find_singular_fibers(fam)) == nf + 2
+    # a basis carries eta(tau) bit for bit however it was built: by hand, reduced to F,
+    # solved from the lattice's (g2, g3), and solved with the hand-built basis as seed.
+    # Im tau >= 0.4 keeps the reduced Im tau <= 2.5, where the curve is far from singular
+    from uplane.modular import eisenstein_in_f, g2_g3_from_forms
+
+    tau = complex(x, y)
+    by_hand = Periods(omega=1.0, omega_prime=tau, tau=tau, q=cmath.exp(2j * math.pi * tau))
+    reduced, _ = reduce_periods(by_hand)
+    curve = WeierstrassCurve(*g2_g3_from_forms(*eisenstein_in_f(reduced.q), reduced.omega))
+    for p in (by_hand, reduced, compute_periods(curve), compute_periods(curve, seed=by_hand)):
+        assert p.eta == dedekind_eta(p.tau)
+
+
 def test_expansions_built_once_per_family(monkeypatch):
     import sys
 
     curves = sys.modules["uplane.curves"]
     calls = []
     expand = curves.expand_discriminant
+    data = family_to_dict(sample_family(2))
     monkeypatch.setattr(curves, "expand_discriminant", lambda f: calls.append(f) or expand(f))
-    fam = family_from_dict(family_to_dict(sample_family(2)))
+    fam = family_from_dict(data)
+    assert calls == [fam]  # expanded and checked at construction
     assert discriminant_poly(fam) is discriminant_poly(fam)
     assert to_v_chart(fam) is to_v_chart(fam)
     assert len(calls) == 1
@@ -305,7 +356,7 @@ def test_family_rescaled_in_u_loads_and_signs(nf, lam):
     for key in ("g2", "g3"):
         d[key] = [[re / lam**k, im / lam**k] for k, (re, im) in enumerate(d[key])]
     moved = family_from_dict(d)
-    assert discriminant_poly(moved).degree == fam.delta_poly.degree
+    assert discriminant_poly(moved).degree == discriminant_poly(fam).degree
     _moves_alike(fam, moved, must_pass=True)
 
 

@@ -10,7 +10,6 @@ from uplane import (
     CurveFamily,
     DegreeMismatch,
     EulerMismatch,
-    IdenticallySingular,
     KodairaType,
     NonMinimal,
     NotSingular,
@@ -55,17 +54,16 @@ def test_find_singular_fibers_multiplicity():
 
 
 def test_identically_singular():
-    # g2 = 3u^2, g3 = u^3 gives Delta = 27u^6 - 27u^6 = 0
-    fam = CurveFamily(ComplexPoly.of([0, 0, 3]), ComplexPoly.of([0, 0, 0, 1]), nf=4)
-    with pytest.raises(IdenticallySingular):
-        find_singular_fibers(fam)
+    # g2 = 3u^2, g3 = u^3 gives Delta = 27u^6 - 27u^6 = 0, of degree -1: refused at
+    # construction, so no family has every fiber singular
+    with pytest.raises(DegreeMismatch, match="deg\\(discriminant\\) = -1, expected nf \\+ 2 = 6"):
+        CurveFamily(ComplexPoly.of([0, 0, 3]), ComplexPoly.of([0, 0, 0, 1]), nf=4)
 
 
 def test_constant_discriminant_is_a_degree_mismatch():
     # Delta = 4^3 - 27 is a nonzero constant: no roots, and deg Delta != nf + 2
-    fam = CurveFamily(ComplexPoly.of([4]), ComplexPoly.of([1]), nf=0)
     with pytest.raises(DegreeMismatch, match="deg\\(discriminant\\) = 0, expected nf \\+ 2 = 2"):
-        surface_report(fam)
+        CurveFamily(ComplexPoly.of([4]), ComplexPoly.of([1]), nf=0)
 
 
 def test_root_residuals_small():
@@ -110,10 +108,17 @@ def test_classify_isotrivial_star_fibers():
 
 
 def test_classify_non_minimal_at_infinity():
-    # constant g2, g3: orders 4 and 6 at v = 0
-    fam = CurveFamily(ComplexPoly.of([4]), ComplexPoly.of([1]), nf=0)
-    with pytest.raises(NonMinimal):
-        classify_fiber(fam, AT_INFINITY)
+    # constant g2, g3 (orders 4 and 6 at v = 0) make Delta constant, for every nf: such a
+    # family is refused at construction, so no fiber at infinity reads as non-minimal;
+    # orders that fit no row of the table still do
+    from uplane.kodaira import _classify_orders
+
+    for nf in range(5):
+        expected = f"deg\\(discriminant\\) = 0, expected nf \\+ 2 = {nf + 2}"
+        with pytest.raises(DegreeMismatch, match=expected):
+            CurveFamily(ComplexPoly.of([4]), ComplexPoly.of([1]), nf=nf)
+    with pytest.raises(NonMinimal, match="unclassifiable vanishing orders"):
+        _classify_orders(1, 1, 5)
 
 
 def test_euler_ord_delta_match_for_multiplicative():
