@@ -4,7 +4,6 @@
 # forms are taken on the basis of the same lattice with tau in F, and the
 # oracle on the basis as given.
 
-import cmath
 import math
 
 from uplane import (
@@ -24,7 +23,7 @@ from uplane.spectral import CONTINUATION_OVER_CLOSED_FORM
 
 def fiber(tau, two_omega=1.0):
     w = two_omega / 2.0
-    return Periods(omega=w, omega_prime=tau * w, tau=tau, q=cmath.exp(2j * math.pi * tau))
+    return Periods(omega=w, omega_prime=tau * w, tau=tau)
 
 
 p = fiber(2.3 + 0.17j, 1.0 + 0.5j)

@@ -2,17 +2,21 @@
 
 Exit codes: 0 success, 1 domain errors (singular fibers, failed validation),
 2 input/schema errors.  All diagnostics go to stderr; the result goes to
---out or stdout and is byte-deterministic for identical inputs.  JSON encodes
-complex numbers as [re, im] and exact rationals as {"num": ..., "den": ...};
-CSV uses scientific notation with 17 digits after the point (18 significant
-digits), so doubles round-trip.
+--out or stdout and is byte-deterministic for identical inputs.  A JSON command's
+top-level dict holds library values as they are, and `_json` alone encodes them
+(complex numbers as [re, im], exact rationals as {"num": ..., "den": ...}, a dataclass
+field by field); CSV uses scientific notation with 17 digits after the point (18
+significant digits), so doubles round-trip.
 """
 
 import argparse
 import cmath
+import dataclasses
+import enum
 import json
 import math
 import sys
+from fractions import Fraction
 
 from . import geometry, kodaira, modular, spectral
 from .curves import WeierstrassCurve, discriminant, discriminant_poly, j_invariant, load_family
@@ -43,12 +47,21 @@ def _parse_complex(text: str, what: str) -> complex:
     return z
 
 
-def _c(z: complex):
-    return [z.real, z.imag]
-
-
-def _frac(f):
-    return {"num": f.numerator, "den": f.denominator}
+def _json(value):
+    """The JSON form of a library value json cannot write itself (`json.dumps`'s default=):
+    an enum is its value, a Kodaira type its label and AT_INFINITY "infinity"."""
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    if isinstance(value, Fraction):
+        return {"num": value.numerator, "den": value.denominator}
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, kodaira.KodairaType):
+        return value.label
+    if value is kodaira.AT_INFINITY:
+        return "infinity"
+    # a loop or a fiber report, in field order; fields() raises TypeError for the rest
+    return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
 
 
 #: the CSV rows of anomaly and scan, one %-format each: "%.17e" writes a float as
@@ -57,19 +70,17 @@ _ANOMALY_ROW, _SCAN_ROW = (",".join(["%.17e"] * fields) for fields in (5, 6))
 
 
 def _periods_from_tau(tau: complex, two_omega: complex):
-    """The basis (omega, tau omega), the basis of its lattice with tau in F, and the matrix
-    from the first to the second (`reduce_periods`)."""
-    if not tau.imag > 0:
-        raise ValueError(f"Im tau must be positive, got {tau}")
+    """The basis (omega, tau omega), whose eta refuses Im tau <= 0, the basis of its lattice
+    with tau in F, and the matrix from the first to the second (`reduce_periods`)."""
     omega = two_omega / 2.0
-    p = Periods(omega=omega, omega_prime=tau * omega, tau=tau, q=cmath.exp(2j * math.pi * tau))
+    p = Periods(omega=omega, omega_prime=tau * omega, tau=tau)
     reduced, matrix = reduce_periods(p)
     if reduced.tau.imag > 100.0:  # eta^24 ~ e^{-2 pi Im tau} nears underflow
         raise ValueError(f"tau = {tau} reduces into the fundamental domain above Im tau = 100;"
                          " determinants need 0 < Im tau <= 100 there")
     # (2 omega)^12 and (2 pi)^12 eta^24 / (2 omega)^12 stay normal doubles on F up to Im tau 100
     for basis, where in ((p, ""), (reduced, " on the reduced basis")):
-        if not 1e-20 <= abs(2.0 * basis.omega) <= 1e3:
+        if not 1e-20 <= 2.0 * abs(basis.omega) <= 1e3:  # |2 omega| may pass the double range
             raise ValueError(f"2 omega = {2.0 * basis.omega}{where} (tau = {basis.tau}) is outside"
                              " the supported range 1e-20 <= |2 omega| <= 1e3")
     return p, reduced, matrix
@@ -82,13 +93,13 @@ def _cmd_periods(args) -> dict:
     mod_delta = spectral.modular_discriminant(p)
     rel = abs(mod_delta - delta) / abs(delta)
     return {
-        "omega": _c(p.omega),
-        "omega_prime": _c(p.omega_prime),
-        "tau": _c(p.tau),
-        "q": _c(p.q),
+        "omega": p.omega,
+        "omega_prime": p.omega_prime,
+        "tau": p.tau,
+        "q": p.q,
         "eta_identity_rel_err": rel,
-        "j_curve": _c(j_invariant(curve)),
-        "j_tau": _c(modular.klein_j(modular.eisenstein_in_f(p.q)[0], p.eta)),
+        "j_curve": j_invariant(curve),
+        "j_tau": modular.klein_j(modular.eisenstein_in_f(p.q)[0], p.eta),
     }
 
 
@@ -96,8 +107,8 @@ def _cmd_determinants(args) -> dict:
     # det_dirichlet_flat depends on the basis and takes the given one; the rest take the reduced one
     p, reduced, matrix = _periods_from_tau(args.tau, args.two_omega)
     return {
-        "tau": _c(p.tau),
-        "q": _c(p.q),
+        "tau": p.tau,
+        "q": p.q,
         "det_prime": spectral.det_prime_laplacian(reduced),
         "det_twisted": [spectral.det_twisted(nu.moved(*matrix), reduced)
                         for nu in modular.EVEN_STRUCTURES],
@@ -120,7 +131,7 @@ def _cmd_zeta_oracle(args) -> dict:
         kind = "theta_over_eta_squared"
     det = math.exp(logdet)
     return {
-        "tau": _c(args.tau),
+        "tau": args.tau,
         "nu": [nu.nu1, nu.nu2],
         "log_det": logdet,
         "det": det,
@@ -130,26 +141,13 @@ def _cmd_zeta_oracle(args) -> dict:
     }
 
 
-def _fiber_dict(r) -> dict:
-    loc = "infinity" if r.location is kodaira.AT_INFINITY else _c(r.location)
-    return {
-        "location": loc,
-        "kodaira": r.kodaira.label,
-        "ord_g2": r.ord_g2,
-        "ord_g3": r.ord_g3,
-        "ord_delta": r.ord_delta,
-        "euler": r.euler,
-        "is_surface_singularity": r.is_surface_singularity,
-    }
-
-
 def _cmd_classify(args) -> dict:
     family = load_family(args.family)
     report = family.cached("report", kodaira.surface_report)
     return {
         "family": family.name,
         "nf": family.nf,
-        "fibers": [_fiber_dict(r) for r in report.fibers],
+        "fibers": report.fibers,
         "total_euler": report.total_euler,
         "sign_zbar": report.sign_zbar,
         "sign_z": report.sign_z,
@@ -166,29 +164,21 @@ def _cmd_anomaly(args) -> str:
 
 def _cmd_holonomy(args) -> dict:
     family = load_family(args.family)
-    op = Operator(args.operator)
-    res = holonomy(op, family, LoopSpec(
+    res = holonomy(Operator(args.operator), family, LoopSpec(
         center=args.center,
         radius=args.radius,
         samples=args.samples,
         orientation=Orientation(args.orientation),
         chart=Chart(args.chart),
     ))
-    loop = res.loop  # --samples is a floor; this is the count integrated
     return {
         "family": family.name,
-        "operator": op.value,
-        "loop": {
-            "center": _c(loop.center),
-            "radius": loop.radius,
-            "samples": loop.samples,
-            "orientation": loop.orientation.value,
-            "chart": loop.chart.value,
-        },
+        "operator": res.operator,
+        "loop": res.loop,  # --samples is a floor; this is the count integrated
         "winding": res.winding,
-        "log_monodromy": _frac(res.log_monodromy),
-        "phase": _c(res.phase),
-        "phase_exact": _c(res.phase_exact),
+        "log_monodromy": res.log_monodromy,
+        "phase": res.phase,
+        "phase_exact": res.phase_exact,
     }
 
 
@@ -205,7 +195,7 @@ def _cmd_signature(args) -> dict:
         "signature": sig,
         "sign_zbar": report.sign_zbar,
         "sign_z_surface": report.sign_z,
-        "curvature_total": _frac(ledger.total),
+        "curvature_total": ledger.total,
     }
 
 
@@ -219,6 +209,8 @@ def _cmd_scan(args) -> str:
             raise ValueError("grid counts must be positive")
         if not all(map(math.isfinite, (x0, x1, y0, y1))):
             raise ValueError("grid bounds must be finite")
+        if not all(math.hypot(x, y) < math.inf for x in (x0, x1) for y in (y0, y1)):
+            raise ValueError("a grid corner has a modulus beyond the double range")
     except ValueError as exc:
         raise SchemaError(f"bad --grid spec {args.grid!r}: {exc}") from exc
     if not 0.0 <= args.margin < math.inf:
@@ -341,7 +333,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(_join_flag_values(argv))
         text = args.func(args)
         if isinstance(text, dict):
-            text = json.dumps(text, indent=2) + "\n"
+            text = json.dumps(text, indent=2, default=_json) + "\n"
     except (SchemaError, ValueError) as exc:
         # ValueError covers input validation (e.g. tau outside the upper
         # half-plane, zero omega); both are caller errors, not domain errors

@@ -57,7 +57,6 @@ class UPlanePoint:
     u: complex
     periods: Periods
     d_tau_du: complex
-    d2_tau_du2: complex
 
 
 @dataclass(frozen=True)
@@ -68,12 +67,14 @@ class AnomalyRecord:
 
 
 def _step(u: complex, h: float = None) -> float:
-    """h, or by default 1e-4 (1 + |u|).
+    """h, or by default 1e-4 (1 + |u|), which needs |u| finite.
 
     ValueError unless h is finite and positive, h^2 (the Laplacian divides by it) is finite,
     and the stencil keeps its points apart: u + h/2 and u + i h/2 differ from u, (h/2)^2 is normal.
     """
     if h is None:
+        if not math.hypot(u.real, u.imag) < math.inf:
+            raise ValueError(f"base point u={u} has a modulus beyond the double range")
         return 1e-4 * (1.0 + abs(u))
     if not 0 < h < math.inf:
         raise ValueError(f"finite-difference step must be finite and positive, not {h}")
@@ -111,7 +112,7 @@ def is_isotrivial(family: CurveFamily) -> bool:
 
 
 def uplane_point(family: CurveFamily, u: complex, h: float = None) -> UPlanePoint:
-    """Periods at u plus Richardson-extrapolated d tau/du and d2 tau/du2.
+    """Periods at u plus Richardson-extrapolated d tau/du.
 
     Five period solves; the finite-difference check route for `d_tau_du`.
     """
@@ -127,11 +128,7 @@ def uplane_point(family: CurveFamily, u: complex, h: float = None) -> UPlanePoin
     d1_h = (tp - tm) / (2.0 * h)
     d1_h2 = (tp2 - tm2) / h
     d1 = (4.0 * d1_h2 - d1_h) / 3.0
-    t0 = center.tau
-    d2_h = (tp - 2.0 * t0 + tm) / h**2
-    d2_h2 = (tp2 - 2.0 * t0 + tm2) / (h / 2.0) ** 2
-    d2 = (4.0 * d2_h2 - d2_h) / 3.0
-    return UPlanePoint(u=u, periods=center, d_tau_du=d1, d2_tau_du2=d2)
+    return UPlanePoint(u=u, periods=center, d_tau_du=d1)
 
 
 def d_tau_du(family: CurveFamily, u: complex, p: Periods, delta: complex = None) -> complex:

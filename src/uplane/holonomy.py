@@ -71,6 +71,8 @@ class LoopSpec:
     def __post_init__(self):
         if not (cmath.isfinite(self.center) and 0 < self.radius < math.inf):
             raise ValueError("loop center must be finite and radius finite and positive")
+        if not math.hypot(self.center.real, self.center.imag) < math.inf:
+            raise ValueError(f"loop center {self.center} has a modulus beyond the double range")
         if not _MIN_SAMPLES <= self.samples <= _MAX_SAMPLES:
             raise ValueError(f"loop samples must be between {_MIN_SAMPLES} and {_MAX_SAMPLES}")
 
@@ -174,10 +176,11 @@ def _ccw_winding(family: CurveFamily, loop: LoopSpec) -> tuple:
     delta = _chart_delta(family, loop.chart)
     n = _sample_count(_chart_zeros(family, loop.chart), loop)
     rim = _rim(n)
-    z = loop.center + loop.radius * rim
     dz = 1j * loop.radius * rim * (2.0 * math.pi / n)
-    # a loop through a zero or with a non-finite integral is refused below
+    # a loop through a zero, past the double range or with a non-finite integral is
+    # refused below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        z = loop.center + loop.radius * rim
         vals = _horner(delta, z)
         dvals = _horner(delta.derivative(), z)
         integral = (dvals / vals * dz).sum()

@@ -116,20 +116,27 @@ def find_singular_fibers(family: CurveFamily):
     (Re, Im).  Callers that want each family's roots once read them through
     `family.cached("nodes", find_singular_fibers)`.  Every family has deg Delta =
     nf + 2 >= 2 (`CurveFamily`), so there are nf + 2 roots, counted with multiplicity.
+    ValueError when a node is beyond double precision: np.roots' companion matrix, or the
+    grouping's distances or rounding scale, overflow.
     """
     import numpy as np
 
-    eig = [complex(z) for z in np.roots(discriminant_poly(family).coeffs[::-1])]
-    mean = sum(eig) / len(eig)
-    cap = 1e-3 * max(abs(z - mean) for z in eig)
-    groups, out = (_linked(eig, cap) if cap else [eig]), []
-    while groups:
-        g = groups.pop()
-        diam = max(abs(z - w) for z in g for w in g)
-        if len(g) == 1 or diam <= cap and _rounding_splits(family, g, eig, diam):
-            out.append((sum(g) / len(g), len(g)))
-        else:
-            groups += _linked(g, _longest_link(g))
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            eig = [complex(z) for z in np.roots(discriminant_poly(family).coeffs[::-1])]
+        mean = sum(eig) / len(eig)
+        cap = 1e-3 * max(abs(z - mean) for z in eig)
+        groups, out = (_linked(eig, cap) if cap else [eig]), []
+        while groups:
+            g = groups.pop()
+            diam = max(abs(z - w) for z in g for w in g)
+            if len(g) == 1 or diam <= cap and _rounding_splits(family, g, eig, diam):
+                out.append((sum(g) / len(g), len(g)))
+            else:
+                groups += _linked(g, _longest_link(g))
+    except (FloatingPointError, OverflowError):
+        raise ValueError("the family's nodes are beyond double precision: finding or"
+                         " grouping them overflows") from None
     return tuple(sorted(out, key=lambda zm: (zm[0].real, zm[0].imag)))
 
 
@@ -195,16 +202,22 @@ def node_gap(family: CurveFamily, location: complex) -> float:
 
 
 def classify_fiber(family: CurveFamily, location) -> FiberReport:
-    """Kodaira type, vanishing orders and Euler number of one singular fiber."""
+    """Kodaira type, vanishing orders and Euler number of one singular fiber.
+
+    ValueError when a weight rho^k of the orders overflows: another node is too far off."""
     if location is AT_INFINITY:
         a, b, d = (order_at_infinity(p, w) for p, w in
                    ((family.g2_poly, 4), (family.g3_poly, 6), (discriminant_poly(family), 12)))
     else:
         location = complex(location)
         rho = node_gap(family, location)
-        a = family.g2_poly.order_at(location, rho)
-        b = family.g3_poly.order_at(location, rho)
-        d = discriminant_poly(family).order_at(location, rho)
+        try:
+            a = family.g2_poly.order_at(location, rho)
+            b = family.g3_poly.order_at(location, rho)
+            d = discriminant_poly(family).order_at(location, rho)
+        except OverflowError:
+            raise ValueError("the family's nodes are beyond double precision: the weights rho^k"
+                             f" of the orders at {location} overflow (rho = {rho:.3g})") from None
     kt = _classify_orders(a, b, d)
     return FiberReport(
         location=location,

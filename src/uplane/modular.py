@@ -94,6 +94,8 @@ def reduce_tau(tau) -> tuple:
         r = abs(t)
         if r < 1.0 - _EDGE or (r <= 1.0 + _EDGE and t.real < -_EDGE):
             t = -1.0 / t
+            if not cmath.isfinite(t):
+                raise ValueError(f"tau = {tau} is too close to the real axis: -1/tau overflows")
             a, b, c, d = -c, -d, a, b
         else:
             break
@@ -124,8 +126,10 @@ def _eta_multiplier(a: int, c: int, d: int) -> complex:
 
     eps is a 24th root of unity, so the phase, summed in floats, is rounded to the
     nearest multiple of 1/12; that is exact while its rounding error is below 1/24.
+    a + d enters mod 24c, which leaves eps as it is and keeps 12 phase a small float when
+    the matrix of a tau far along the real axis has a + d near the double range.
     """
-    phase = (a + d) / (12 * c)
+    phase = (a + d) % (24 * c) / (12 * c)
     sign = -1
     h, k = d % c, c
     while h:

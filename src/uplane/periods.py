@@ -80,17 +80,19 @@ _CUBE_UNITS = (1.0, complex(-0.5, 0.5 * math.sqrt(3.0)), complex(-0.5, -0.5 * ma
 
 @dataclass(frozen=True)
 class Periods:
-    """Half-periods (full periods are 2*omega, 2*omega_prime), tau, nome, and eta(tau), which
-    is computed with the basis (on a solved one, the eta of its validation, `_validated`)."""
+    """Half-periods (full periods are 2*omega, 2*omega_prime) and tau; eta(tau), then the nome
+    q = e^{2 pi i tau}, are computed with the basis (on a solved one, the eta of its
+    validation, `_validated`).  eta refuses Im tau <= 0, where q could overflow."""
 
     omega: complex
     omega_prime: complex
     tau: complex
-    q: complex
     eta: complex = field(init=False, repr=False, compare=False)
+    q: complex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "eta", dedekind_eta(self.tau))
+        object.__setattr__(self, "q", cmath.exp(2j * math.pi * self.tau))
 
     def eta_at(self, k: float) -> complex:
         """dedekind_eta(k tau), kept with the basis after the first read: the theta
@@ -200,8 +202,7 @@ def _candidate_params(roots):
 
 
 def _basis(w: complex, wp: complex) -> Periods:
-    tau = wp / w
-    return Periods(omega=w, omega_prime=wp, tau=tau, q=cmath.exp(2j * math.pi * tau))
+    return Periods(omega=w, omega_prime=wp, tau=wp / w)
 
 
 #: e^{-2 pi i / n}: the rotations that fix the square (n = 4) and hexagonal (n = 6) lattices
@@ -233,7 +234,7 @@ def reduce_periods(p: Periods):
     in F, and the matrix (a, b, c, d).  The closed forms of `spectral` are evaluated
     there; spin structures follow by `SpinStructure.moved`."""
     t, (w, wp), matrix = _canonical(p.omega, p.omega_prime, p.tau, 2)
-    return Periods(omega=w, omega_prime=wp, tau=t, q=cmath.exp(2j * math.pi * t)), matrix
+    return Periods(omega=w, omega_prime=wp, tau=t), matrix
 
 
 def _validated(curve: WeierstrassCurve, delta: complex, scale: float, cands):

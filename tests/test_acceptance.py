@@ -58,7 +58,7 @@ def _report(num: int, title: str, ok: bool, detail: str = ""):
 
 def _periods(tau: complex, two_omega: complex) -> Periods:
     omega = two_omega / 2.0
-    return Periods(omega=omega, omega_prime=tau * omega, tau=tau, q=cmath.exp(2j * math.pi * tau))
+    return Periods(omega=omega, omega_prime=tau * omega, tau=tau)
 
 
 def test_criterion_01_continuation_oracle_vs_closed_forms():

@@ -1,7 +1,10 @@
 import argparse
+import contextlib
+import io
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -98,6 +101,49 @@ def test_holonomy_command(capsys, family_file):
     doc = json.loads(out)
     assert doc["winding"] == -1
     assert doc["log_monodromy"] == {"num": -1, "den": 3}
+
+
+#: the keys of every JSON command, in the order they are written: the top level, and
+#: the nested objects of a holonomy loop and of a classified fiber
+_JSON_KEYS = {
+    "periods": ["omega", "omega_prime", "tau", "q", "eta_identity_rel_err", "j_curve", "j_tau"],
+    "determinants": ["tau", "q", "det_prime", "det_twisted", "det_dirichlet",
+                     "det_dirichlet_flat", "quillen_norm"],
+    "zeta-oracle": ["tau", "nu", "log_det", "det", "closed_form", "closed_form_kind",
+                    "rel_err_vs_closed"],
+    "classify": ["family", "nf", "fibers", "total_euler", "sign_zbar", "sign_z"],
+    "holonomy": ["family", "operator", "loop", "winding", "log_monodromy", "phase",
+                 "phase_exact"],
+    "signature": ["family", "nf", "signature", "sign_zbar", "sign_z_surface", "curvature_total"],
+    "loop": ["center", "radius", "samples", "orientation", "chart"],
+    "fiber": ["location", "kodaira", "ord_g2", "ord_g3", "ord_delta", "euler",
+              "is_surface_singularity"],
+}
+
+
+def test_json_key_order_is_pinned(capsys, family_file):
+    # nested objects are written field by field, so their key order is the order of the
+    # dataclass fields: a reordered field would reorder the output
+    path = family_file(0)
+    argvs = {
+        "periods": ["--g2", "4,0", "--g3", "0,1"],
+        "determinants": ["--tau", "0.3,1.7", "--two-omega", "1,0"],
+        "zeta-oracle": ["--tau", "0.3,1.7", "--nu1", "0", "--nu2", "1", "--two-omega", "1,0"],
+        "classify": ["--family", path],
+        "holonomy": ["--family", path, "--center", "1,0", "--radius", "0.5", "--operator",
+                     "dbar", "--orientation", "cw"],
+        "signature": ["--family", path],
+    }
+    for command, argv in argvs.items():
+        code, out, _ = _run(capsys, [command] + argv)
+        doc = json.loads(out)
+        assert code == 0 and list(doc) == _JSON_KEYS[command]
+        if command == "holonomy":
+            assert list(doc["loop"]) == _JSON_KEYS["loop"]
+            assert doc["operator"] == "dbar" and doc["loop"]["orientation"] == "cw"
+        if command == "classify":
+            assert [list(f) for f in doc["fibers"]] == [_JSON_KEYS["fiber"]] * 3
+            assert doc["fibers"][-1]["location"] == "infinity"
 
 
 def _holonomy_argv(path, center="0.5,0", radius="0.52", samples=None):
@@ -252,23 +298,39 @@ def test_family_coefficient_beyond_double_or_boolean_exit_2(family_file, capsys,
         assert _one_error_line(err) and len(err) < 120
 
 
-@pytest.mark.parametrize("scaled", [True, False], ids=["scaled", "modulus"])
-def test_overflowing_family_discriminant_exit_2(family_file, capsys, scaled):
+#: families that pass construction but whose nodes double precision cannot place: a node
+#: at -3.8e77, where the grouping's rounding scale overflows, and one at -1.5e310, where
+#: np.roots' companion matrix overflows.  Each once ended in an OverflowError traceback
+#: or in numpy RuntimeWarnings
+_NODES_BEYOND_DOUBLE = {
+    "far": {"name": "far", "nf": 4, "g2": [[0.0, 0.0]],
+            "g3": [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [2.6e-78, 0.0]]},
+    "subnormal": {"name": "subnormal", "nf": 2, "g2": [[0.0, 0.0], [1.0, 0.0], [2.2e-311, 0.0]],
+                  "g3": [[0.0, 0.0]]},
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", ["scaled", "modulus", "far", "subnormal"])
+def test_overflowing_family_discriminant_exit_2(family_file, capsys, case):
     # nf0 with the curve scaled by s = 1e100 (g2 by s^2, g3 by s^3): g2^3 overflows, and
     # the NaN of inf - inf once survived the dust trim and read as a degree mismatch.  A
-    # coefficient whose modulus passes the double range ended in an OverflowError traceback
+    # coefficient whose modulus passes the double range ended in an OverflowError traceback.
+    # The families of _NODES_BEYOND_DOUBLE pass construction, and their nodes overflow
     path = Path(family_file(0))
-    doc = json.loads(path.read_text())
-    if scaled:
+    doc = _NODES_BEYOND_DOUBLE.get(case) or json.loads(path.read_text())
+    if case == "scaled":
         for key, s in (("g2", 1e200), ("g3", 1e300)):
             doc[key] = [[re * s, im * s] for re, im in doc[key]]
-    else:
+    elif case == "modulus":
         doc["g2"][0] = [1.5e308, 1.5e308]
     path.write_text(json.dumps(doc))
+    message = ("error: the family's nodes are beyond double precision"
+               if case in _NODES_BEYOND_DOUBLE else "error: the family's discriminant overflows")
     for argv in (["classify", "--family", str(path)], ["signature", "--family", str(path)]):
         code, out, err = _run(capsys, argv)
         assert code == 2 and out == ""
-        assert err.startswith("error: the family's discriminant overflows")
+        assert err.startswith(message)
         assert _one_error_line(err) and "deg(discriminant)" not in err
 
 
@@ -393,6 +455,26 @@ def test_scan_skips_margin_rows(tmp_path, capsys, family_file):
     assert "skipping" in out.err
 
 
+def test_scan_skips_a_point_on_a_node(capsys, family_file):
+    # at margin 0 the nodes u = +-1 are grid points: each is skipped with the solve's
+    # reason, and the scan goes on
+    code, out, err = _run(
+        capsys, ["scan", "--family", family_file(0), "--grid", "-1,1,0,0,3,1", "--margin", "0"]
+    )
+    assert code == 0
+    assert err == (
+        "scan: skipping u=(-1+0j) (discriminant vanishes for g2=(0.33333333333333326+0j),"
+        " g3=(0.037037037037037035+0j) at u=(-1+0j))\n"
+        "scan: skipping u=(1+0j) (discriminant vanishes for g2=(0.33333333333333326+0j),"
+        " g3=(-0.037037037037037035+0j) at u=(1+0j))\n"
+    )
+    assert out == (
+        "u_re,u_im,im_tau,f1,quillen_norm,scalar_curvature\n"
+        "0.00000000000000000e+00,0.00000000000000000e+00,1.00000000000000000e+00,"
+        "1.05468828099567213e+00,1.00000000000000000e+00,7.59252853140870293e-03\n"
+    )
+
+
 def test_quillen_norm_drops_toward_node_in_scan(capsys, family_file):
     fam = family_file(0)
     code = main(["scan", "--family", fam, "--grid", "1.05,1.5,0,0,6,1", "--margin", "0.01"])
@@ -469,6 +551,16 @@ def test_scan_bad_margin_or_grid_exit_2(capsys, family_file, flag, value):
     # identity's (2 omega)^12 overflows
     (["periods", "--g2", "1.3e-102,2e-103", "--g3", "4e-154,-7e-154"], 2),
     (["periods", "--g2", "1.3e-104,2e-105", "--g3", "4e-157,-7e-157"], 2),
+    # a point whose modulus passes the double range ended in an OverflowError traceback:
+    # abs() of it, or of its distance to a node, raised; and -1/tau overflowed to inf
+    (["holonomy", "--family", None, "--center", "1.7e308,1.7e308", "--radius", "0.5",
+      "--operator", "dbar", "--orientation", "ccw"], 2),
+    (["anomaly", "--family", None, "--at", "1.7e308,1.7e308"], 2),
+    (["scan", "--family", None, "--grid", "1.7e308,1e200,1.7e308,1.7e308,2,2", "--margin", "1e8"],
+     2),
+    (["determinants", "--tau", "1e-320,1e-320", "--two-omega", "1,0"], 2),
+    (["zeta-oracle", "--tau", "1e-320,5e-324", "--two-omega", "1,0", "--nu1", "0", "--nu2", "0"],
+     2),
 ])
 def test_overflowing_input_is_one_error_line(capsys, family_file, argv, expected):
     code, out, err = _run(capsys, [family_file(0) if a is None else a for a in argv])
@@ -734,3 +826,92 @@ def test_a_csv_row_template_writes_each_field_as_format_does(row):
     # one %-format per row writes what a join of f"{x:.17e}" fields wrote
     assert cli._SCAN_ROW % tuple(row) == ",".join(f"{x:.17e}" for x in row)
     assert cli._ANOMALY_ROW % tuple(row[:5]) == ",".join(f"{x:.17e}" for x in row[:5])
+
+
+#: finite extremes of a double in both signs: zeros, subnormals, tiny, unit-sized and
+#: huge magnitudes up to 1.7e308
+_EXTREME = st.sampled_from([0.0, 5e-324, 1e-320, 1e-200, 1e-8, 0.5, 1.0, 3.0, 1e8, 1e200,
+                            1e308, 1.7e308]).flatmap(lambda x: st.sampled_from([x, -x]))
+_REAL = _EXTREME.map(repr)
+_PAIR = st.tuples(_EXTREME, _EXTREME).map(lambda z: f"{z[0]!r},{z[1]!r}")
+
+
+def _argvs(command, *options):
+    """argvs of one command; an option is (flag, strategy), and a None drawn leaves it out."""
+    parts = [values.map(lambda v, flag=flag: [] if v is None else [flag, v])
+             for flag, values in options]
+    return st.tuples(*parts).map(lambda drawn: [command] + [t for part in drawn for t in part])
+
+
+_FAMILY_OPTION = ("--family", st.sampled_from([f"@nf{nf}" for nf in range(5)]))
+_CONTRACT_ARGVS = st.one_of(
+    _argvs("periods", ("--g2", _PAIR), ("--g3", _PAIR)),
+    _argvs("determinants", ("--tau", _PAIR), ("--two-omega", _PAIR)),
+    _argvs("zeta-oracle", ("--tau", _PAIR), ("--two-omega", _PAIR),
+           ("--nu1", st.sampled_from("01")), ("--nu2", st.sampled_from("01"))),
+    _argvs("classify", _FAMILY_OPTION),
+    _argvs("signature", _FAMILY_OPTION),
+    _argvs("anomaly", _FAMILY_OPTION, ("--at", _PAIR), ("--step", st.none() | _REAL)),
+    _argvs("holonomy", _FAMILY_OPTION, ("--center", _PAIR), ("--radius", _REAL),
+           ("--operator", st.sampled_from(["dbar", "signature"])),
+           ("--orientation", st.sampled_from(["cw", "ccw"])),
+           ("--chart", st.sampled_from([None, "u", "v"])),
+           ("--samples", st.sampled_from([None, "-1", "0", "64", "1024", str((1 << 20) + 1)]))),
+    _argvs("scan", _FAMILY_OPTION,
+           ("--grid", st.tuples(_EXTREME, _EXTREME, _EXTREME, _EXTREME, st.integers(0, 3),
+                                st.integers(0, 3)).map(lambda g: ",".join(map(repr, g)))),
+           ("--margin", st.none() | _REAL)),
+)
+
+
+@pytest.fixture(scope="module")
+def contract_families(tmp_path_factory):
+    """'@name' -> the path of a family file: nf0..nf4, and the families of
+    _NODES_BEYOND_DOUBLE."""
+    root = tmp_path_factory.mktemp("families")
+    docs = {f"nf{nf}": family_to_dict(sample_family(nf)) for nf in range(5)}
+    docs.update(_NODES_BEYOND_DOUBLE)
+    paths = {}
+    for name, doc in docs.items():
+        paths["@" + name] = str(root / f"{name}.json")
+        Path(paths["@" + name]).write_text(json.dumps(doc))
+    return paths
+
+
+@settings(max_examples=150, deadline=None)
+@given(_CONTRACT_ARGVS)
+@example(["holonomy", "--family", "@nf0", "--center", "1.7e308,1.7e308", "--radius", "0.5",
+          "--operator", "dbar", "--orientation", "ccw"])
+@example(["anomaly", "--family", "@nf0", "--at", "1.7e308,1.7e308"])
+@example(["scan", "--family", "@nf0", "--grid", "1.7e308,1e200,1.7e308,1.7e308,2,2",
+          "--margin", "1e8"])
+@example(["determinants", "--tau", "1e-320,1e-320", "--two-omega", "1,0"])
+@example(["zeta-oracle", "--tau", "1e-320,5e-324", "--two-omega", "1,0", "--nu1", "0",
+          "--nu2", "0"])
+# the basis forms its eta before its nome: the eta multiplier of a tau this far out once
+# overflowed where the nome's "math domain error" had ended the request
+@example(["determinants", "--tau", "1.7976931348623157e+308,1e-200", "--two-omega", "1,0"])
+@example(["classify", "--family", "@far"])
+@example(["classify", "--family", "@subnormal"])
+def test_cli_contract(contract_families, argv):
+    # every argv ends in exit 0, 1 or 2, never in a traceback or a warning; a nonzero
+    # exit writes one error line last, after at most scan's skip lines.  argparse's own
+    # refusals print its usage text and exit 2.  Warnings are errors inside main only:
+    # the test runner's own warnings stay warnings
+    argv = [contract_families.get(a, a) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2
+            return
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2)
+    assert all(line.startswith("scan: skipping u=") for line in lines[:-1])
+    if code:
+        assert lines[-1].startswith("error: ") and out.getvalue() == ""
+    else:
+        assert not lines or lines[-1].startswith("scan: skipping u=")

@@ -289,17 +289,19 @@ def test_every_family_is_valid_and_every_basis_carries_its_eta(g2, g3, nf, e, x,
     else:
         assert discriminant_poly(fam).degree == nf + 2
         assert sum(m for _, m in find_singular_fibers(fam)) == nf + 2
-    # a basis carries eta(tau) bit for bit however it was built: by hand, reduced to F,
-    # solved from the lattice's (g2, g3), and solved with the hand-built basis as seed.
+    # a basis carries eta(tau) and the nome q = e^{2 pi i tau} bit for bit however it was
+    # built: by hand, reduced to F, solved from the lattice's (g2, g3), and solved with the
+    # hand-built basis as seed.
     # Im tau >= 0.4 keeps the reduced Im tau <= 2.5, where the curve is far from singular
     from uplane.modular import eisenstein_in_f, g2_g3_from_forms
 
     tau = complex(x, y)
-    by_hand = Periods(omega=1.0, omega_prime=tau, tau=tau, q=cmath.exp(2j * math.pi * tau))
+    by_hand = Periods(omega=1.0, omega_prime=tau, tau=tau)
     reduced, _ = reduce_periods(by_hand)
     curve = WeierstrassCurve(*g2_g3_from_forms(*eisenstein_in_f(reduced.q), reduced.omega))
     for p in (by_hand, reduced, compute_periods(curve), compute_periods(curve, seed=by_hand)):
         assert p.eta == dedekind_eta(p.tau)
+        assert p.q == cmath.exp(2j * math.pi * p.tau)
 
 
 def test_expansions_built_once_per_family(monkeypatch):

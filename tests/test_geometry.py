@@ -65,10 +65,6 @@ def test_uplane_point_richardson_consistency():
     a = uplane_point(fam, u, h=1e-4)
     b = uplane_point(fam, u, h=5e-5)
     assert abs(a.d_tau_du - b.d_tau_du) < 1e-8 * (1 + abs(a.d_tau_du))
-    # the second derivative has a 1/h^2 noise floor; compare at larger steps
-    c = uplane_point(fam, u, h=2e-3)
-    d = uplane_point(fam, u, h=1e-3)
-    assert abs(c.d2_tau_du2 - d.d2_tau_du2) < 1e-6 * (1 + abs(d.d2_tau_du2))
 
 
 def test_scalar_curvature_zero_for_isotrivial():
@@ -178,12 +174,11 @@ def test_f1_example_square_fiber():
     import mpmath as mp
 
     from uplane import Periods, det_prime_laplacian
-    import cmath
 
     mp.mp.dps = 30
     eta4 = float(mp.gamma(mp.mpf(1) / 4) / (2 * mp.pi ** mp.mpf(0.75))) ** 4
     target = -0.5 * math.log(eta4 / (4 * math.pi**2))
-    p = Periods(omega=0.5, omega_prime=0.5j, tau=1j, q=cmath.exp(-2 * math.pi))
+    p = Periods(omega=0.5, omega_prime=0.5j, tau=1j)
     val = -0.5 * math.log(det_prime_laplacian(p))
     assert abs(val - target) < 1e-12
     assert abs(val - 2.365) < 5e-4

@@ -21,6 +21,7 @@ from uplane import (
     isotrivial_family,
     Chart,
     ComplexPoly,
+    CrossCheckFailed,
     LoopSpec,
     LoopTooCloseToSingularity,
     NonIntegerWinding,
@@ -35,6 +36,7 @@ from uplane import (
     surface_report,
 )
 import uplane.holonomy as H
+import uplane.kodaira as K
 from uplane.cli import main
 from uplane.holonomy import holonomy
 
@@ -623,3 +625,49 @@ def test_cross_check_failure_exits_1_under_python_O(case, tmp_path):
     assert proc.stdout == ""
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def _first_winding_off_by_one(monkeypatch):
+    rows = H._fiber_rows
+
+    def off(family):
+        (z, k, w), *rest = rows(family)
+        return ((z, k, w + 1), *rest)
+
+    monkeypatch.setattr(H, "_fiber_rows", off)
+
+
+def test_ledger_refuses_a_winding_that_is_not_the_order(monkeypatch):
+    # nf0: I1 at u = -1 and u = 1, ord Delta = 10 at infinity; the loop around u = -1
+    # reads one winding too many
+    _first_winding_off_by_one(monkeypatch)
+    with pytest.raises(CrossCheckFailed) as info:
+        curvature_ledger(sample_family(0))
+    assert info.value.quantity == "contour windings vs discriminant orders"
+    assert (info.value.value, info.value.reference) == ([2, 1, 10], [1, 1, 10])
+
+
+def test_signature_refuses_a_fractional_monodromy_sum(monkeypatch):
+    # one winding too many adds -2/3 to the signature 0 of nf0
+    _first_winding_off_by_one(monkeypatch)
+    with pytest.raises(CrossCheckFailed) as info:
+        signature_from_monodromy(sample_family(0))
+    assert info.value.quantity == "signature from monodromy is an integer"
+    assert (info.value.value, info.value.reference) == (Fraction(-2, 3), -1)
+
+
+def test_signature_refuses_a_surface_report_that_disagrees(monkeypatch, tmp_path, capsys):
+    report = K.surface_report
+    monkeypatch.setattr(K, "surface_report",
+                        lambda family: replace(report(family), sign_z=report(family).sign_z + 1))
+    with pytest.raises(CrossCheckFailed) as info:
+        signature_from_monodromy(sample_family(0))
+    assert info.value.quantity == "signature: monodromy route vs Euler-number route"
+    assert (info.value.value, info.value.reference) == (0, 1)
+    path = tmp_path / "nf0.json"
+    path.write_text(json.dumps(family_to_dict(sample_family(0))))
+    assert main(["signature", "--family", str(path)]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == (
+        "error: signature: monodromy route vs Euler-number route: 0 disagrees with 1"
+        " (tolerance 0)\n")

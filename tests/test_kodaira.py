@@ -320,3 +320,30 @@ def test_sw_mass_point_realizes_its_table_row(nf, masses, label):
         k.label for k in row.finite_fibers)
     assert signature_from_monodromy(fam) == rep.sign_z == -nf
     assert curvature_ledger(fam).total == 2
+
+
+@pytest.mark.parametrize("g2, g3, nf, at_zero, at_infinity", [
+    ([0, 1], [0, 1, 0, 1], 4, "II", "I0*"),
+    ([0, 1], [0, 0, 1], 2, "III", "IV*"),
+    ([0, 0, 1], [0, 0, 1], 4, "IV", "I0*"),
+    ([0], [0, 1], 0, "II", "II*"),
+    ([0, 1], [0], 1, "III", "III*"),
+])
+def test_additive_fibers_through_the_cli(tmp_path, capsys, g2, g3, nf, at_zero, at_infinity):
+    # the six additive types, which no configuration of table1_expected holds: each at
+    # u = 0 or at infinity, every other fiber I1.  The Euler numbers sum to 12 and both
+    # signature routes give -nf
+    family = CurveFamily(ComplexPoly.of(g2), ComplexPoly.of(g3), nf=nf, name="additive")
+    path = tmp_path / "additive.json"
+    path.write_text(json.dumps(family_to_dict(family)))
+    assert main(["classify", "--family", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    *finite, infinity = doc["fibers"]
+    zero = min(finite, key=lambda f: abs(complex(*f["location"])))
+    assert abs(complex(*zero["location"])) < 1e-12 and zero["kodaira"] == at_zero
+    assert infinity["location"] == "infinity" and infinity["kodaira"] == at_infinity
+    assert all(f["kodaira"] == "I1" for f in finite if f is not zero)
+    assert doc["total_euler"] == sum(f["euler"] for f in doc["fibers"]) == 12
+    assert main(["signature", "--family", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["signature"] == doc["sign_z_surface"] == -nf

@@ -14,6 +14,7 @@ from uplane import (
     EVEN_STRUCTURES,
     ODD_STRUCTURE,
     OddStructure,
+    CrossCheckFailed,
     Periods,
     SpinStructure,
     WeierstrassCurve,
@@ -30,12 +31,13 @@ from uplane import (
     reduce_periods,
     sample_family,
 )
+import uplane.spectral as S
 from uplane.spectral import CONTINUATION_OVER_CLOSED_FORM
 
 
 def _periods(tau: complex, two_omega: complex = 1.0) -> Periods:
     omega = two_omega / 2.0
-    return Periods(omega=omega, omega_prime=tau * omega, tau=tau, q=cmath.exp(2j * math.pi * tau))
+    return Periods(omega=omega, omega_prime=tau * omega, tau=tau)
 
 
 def test_det_prime_at_i():
@@ -377,3 +379,16 @@ def test_spectral_cross_check_failure_exits_1_under_python_O(patch, argv, messag
     assert proc.stdout == ""
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_det_twisted_refuses_a_theta_series_that_disagrees(monkeypatch):
+    p = _periods(0.3 + 1.7j)
+    nu = SpinStructure(0, 0)
+    det = det_twisted(nu, p)
+    series = S._theta_series
+    monkeypatch.setattr(S, "_theta_series", lambda a, b, t: series(a, b, t) * (1.0 + 1e-6))
+    with pytest.raises(CrossCheckFailed) as info:
+        det_twisted(nu, p)
+    assert info.value.quantity == "twisted determinant: eta quotient vs theta series"
+    assert info.value.value == det
+    assert info.value.reference == pytest.approx(det * (1.0 + 1e-6) ** 2, rel=1e-12)
