@@ -42,7 +42,7 @@ class NotSingular(UPlaneError):
 
 
 class NonMinimal(UPlaneError):
-    """Vanishing orders that no row of Kodaira's table takes (a non-minimal model)."""
+    """Vanishing orders with min(3 ord g2, 2 ord g3) >= 12: a non-minimal model."""
 
 
 class EulerMismatch(UPlaneError):

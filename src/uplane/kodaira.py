@@ -1,8 +1,8 @@
 """Kodaira classification of singular fibers, Euler numbers, the fiber
 configuration table for nf = 0..4, and topological signatures.
 
-Classification uses the standard vanishing-order table on (ord g2, ord g3,
-ord Delta).  At finite points the orders come from Taylor coefficients with a
+Classification reads Kodaira's table from (ord g2, ord g3) and checks ord Delta
+against it.  At finite points the orders come from Taylor coefficients with a
 relative tolerance, read in units of the gap to the nearest other node; at
 infinity they are exact: weight - degree, the weights of g2, g3 and Delta
 being 4, 6 and 12.
@@ -16,6 +16,7 @@ from .curves import (CurveFamily, WeierstrassCurve, discriminant_poly, discrimin
                      order_at_infinity)
 from .errors import (
     BadNf,
+    CrossCheckFailed,
     EulerMismatch,
     NonMinimal,
     NotSingular,
@@ -38,10 +39,10 @@ class _AtInfinity:
 
 AT_INFINITY = _AtInfinity()
 
-_EULER_ADDITIVE = {"II": 2, "III": 3, "IV": 4, "IV*": 8, "III*": 9, "II*": 10}
-#: an additive type's ord Delta equals its Euler number
-_ADDITIVE_BY_DELTA = {e: kind for kind, e in _EULER_ADDITIVE.items()}
-_KINDS = ("I", "I*", "II", "III", "IV", "II*", "III*", "IV*")
+#: Kodaira's table: each kind's e = min(3 ord g2, 2 ord g3), which is the Euler number
+#: and ord Delta of its n = 0 member; I_n and I*_n add n to both
+_EULER = {"I": 0, "I*": 6, "II": 2, "III": 3, "IV": 4, "IV*": 8, "III*": 9, "II*": 10}
+_KIND = {e: kind for kind, e in _EULER.items()}
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,7 @@ class KodairaType:
     n: int = 0
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in _EULER:
             raise ValueError(f"unknown Kodaira kind {self.kind!r}")
         if self.kind == "I" and self.n < 1:
             raise ValueError("I_n requires n >= 1")
@@ -67,11 +68,7 @@ class KodairaType:
 
     @property
     def euler(self) -> int:
-        if self.kind == "I":
-            return self.n
-        if self.kind == "I*":
-            return self.n + 6
-        return _EULER_ADDITIVE[self.kind]
+        return _EULER[self.kind] + self.n
 
     @property
     def label(self) -> str:
@@ -179,16 +176,18 @@ def _linked(group, r: float):
 
 
 def _classify_orders(a: int, b: int, d: int) -> KodairaType:
-    """The vanishing-order table: a = ord g2, b = ord g3, d = ord Delta."""
+    """Kodaira's table on a = ord g2, b = ord g3, d = ord Delta: the kind of
+    e = min(3a, 2b), with n = d - e.  Delta = g2^3 - 27 g3^2 gives d = e unless 3a = 2b
+    (I_n and I*_n, where d >= e), so any other d is a misread order: CrossCheckFailed."""
     if d == 0:
         raise NotSingular("discriminant does not vanish here")
-    if a == 0:
-        return KodairaType("I", d)
-    if d == 6 or (a == 2 and b == 3 and d not in (2, 3, 4)):
-        return KodairaType("I*", d - 6)
-    if d in _ADDITIVE_BY_DELTA:
-        return KodairaType(_ADDITIVE_BY_DELTA[d])
-    raise NonMinimal(f"unclassifiable vanishing orders (g2, g3, Delta) = ({a}, {b}, {d})")
+    e = min(3 * a, 2 * b)
+    if e >= 12:
+        raise NonMinimal(f"non-minimal vanishing orders (g2, g3, Delta) = ({a}, {b}, {d})")
+    if d < e or d > e and 3 * a != 2 * b:
+        raise CrossCheckFailed(f"ord Delta of the vanishing orders (g2, g3, Delta) = ({a}, {b},"
+                               f" {d}) against min(3 ord g2, 2 ord g3)", d, e, 0)
+    return KodairaType(_KIND[e], d - e)
 
 
 def node_gap(family: CurveFamily, location: complex) -> float:

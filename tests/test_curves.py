@@ -1,7 +1,9 @@
 import cmath
 import json
 import math
+import sys
 from itertools import zip_longest
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -36,6 +38,12 @@ from uplane import (
     to_v_chart,
 )
 from uplane.curves import ORDER_INFINITE, expand_discriminant, order_at_infinity, poly_to_v_chart
+
+ROOT = str(Path(__file__).resolve().parents[1])
+if ROOT not in sys.path:
+    sys.path.insert(0, ROOT)
+
+from tools import invariance_sweep  # noqa: E402
 
 
 def test_discriminant_direct_values():
@@ -324,45 +332,36 @@ def test_expansions_built_once_per_family(monkeypatch):
     assert len(calls) == 2
 
 
-_SWEPT = (0, 1, 2, 3, 4, "coalesced")
-
-
-def _swept_family(key):
-    return coalesced_family() if key == "coalesced" else sample_family(key)
-
-
 def _moves_alike(fam, moved, must_pass):
-    """moved reproduces fam's fiber configuration and sign(Z) = -nf by both routes
-    (Euler numbers and monodromy), or raises a typed UPlaneError, unless must_pass."""
-    want = [f.kodaira for f in surface_report(fam).fibers]
+    """moved reproduces fam's fiber types (`invariance_sweep.fiber_types`) and sign(Z) = -nf
+    by both routes (Euler numbers and monodromy), or raises a typed UPlaneError, unless
+    must_pass."""
     try:
-        report = moved.cached("report", surface_report)
+        types = invariance_sweep.fiber_types(moved)
         sig = signature_from_monodromy(moved)
     except UPlaneError:
         if must_pass:
             raise
         return
-    assert [f.kodaira for f in report.fibers] == want
-    assert report.sign_z == sig == -fam.nf
+    assert types == invariance_sweep.fiber_types(fam)
+    assert moved.cached("report", surface_report).sign_z == sig == -fam.nf
 
 
-@pytest.mark.parametrize("nf, lam", [(key, 10.0**e) for key in _SWEPT for e in range(-9, 10)])
+@pytest.mark.parametrize("nf, lam", [(key, 10.0**e) for key in invariance_sweep.FIXTURES
+                                     for e in range(-9, 10)])
 def test_family_rescaled_in_u_loads_and_signs(nf, lam):
     # u -> u / lam scales coefficient k of g2, g3 and Delta by lam^-k; each coefficient
     # of Delta is judged against the same degree of |g2|^3 + 27 |g3|^2, so no top
     # coefficient turns into dust and no cancellation dust survives.  The roots are
     # grouped by lengths that scale with u, and orders are read in units of the gap to
     # the nearest other node, so the fibers classify alike at any scale
-    fam = _swept_family(nf)
-    d = family_to_dict(fam)
-    for key in ("g2", "g3"):
-        d[key] = [[re / lam**k, im / lam**k] for k, (re, im) in enumerate(d[key])]
-    moved = family_from_dict(d)
+    fam = invariance_sweep.fixture(nf)
+    moved = invariance_sweep.moved(fam, 1 / lam, 0, 1)
     assert discriminant_poly(moved).degree == discriminant_poly(fam).degree
     _moves_alike(fam, moved, must_pass=True)
 
 
-@pytest.mark.parametrize("nf, s", [(key, s) for key in _SWEPT
+@pytest.mark.parametrize("nf, s", [(key, s) for key in invariance_sweep.FIXTURES
                                    for s in (1, 3, 10, 30, 100, 300, -10, -30, 10j, 30j)])
 def test_family_shifted_in_u_loads_and_signs(nf, s):
     # u -> u + s moves every root by -s and leaves the Taylor coefficients at each node,
@@ -370,14 +369,10 @@ def test_family_shifted_in_u_loads_and_signs(nf, s):
     # coefficients reach 2e10 at s = 30, and at |s| >= 30 it can drown a node's low
     # Taylor terms (NotSingular) or a contour integral (NonIntegerWinding); those moves
     # may be refused.  At s = 30 the Euler route still classifies nf0-nf3
-    fam = _swept_family(nf)
-    d = family_to_dict(fam)
-    d["g2"], d["g3"] = ([[c.real, c.imag] for c in p.taylor_at(s)]
-                        for p in (fam.g2_poly, fam.g3_poly))
-    moved = family_from_dict(d)
+    fam = invariance_sweep.fixture(nf)
+    moved = invariance_sweep.moved(fam, 1, s, 1)
     if s == 30 and nf in range(4):
-        assert [f.kodaira for f in surface_report(moved).fibers] == [
-            f.kodaira for f in surface_report(fam).fibers]
+        assert invariance_sweep.fiber_types(moved) == invariance_sweep.fiber_types(fam)
     _moves_alike(fam, moved, must_pass=abs(s) <= 10)
 
 

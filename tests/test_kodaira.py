@@ -7,6 +7,7 @@ from uplane import (
     coalesced_family,
     BadNf,
     ComplexPoly,
+    CrossCheckFailed,
     CurveFamily,
     DegreeMismatch,
     EulerMismatch,
@@ -110,15 +111,63 @@ def test_classify_isotrivial_star_fibers():
 def test_classify_non_minimal_at_infinity():
     # constant g2, g3 (orders 4 and 6 at v = 0) make Delta constant, for every nf: such a
     # family is refused at construction, so no fiber at infinity reads as non-minimal;
-    # orders that fit no row of the table still do
+    # orders with min(3 ord g2, 2 ord g3) >= 12 still do, and orders that break
+    # ord Delta = min(3 ord g2, 2 ord g3) + n fail the cross-check
     from uplane.kodaira import _classify_orders
 
     for nf in range(5):
         expected = f"deg\\(discriminant\\) = 0, expected nf \\+ 2 = {nf + 2}"
         with pytest.raises(DegreeMismatch, match=expected):
             CurveFamily(ComplexPoly.of([4]), ComplexPoly.of([1]), nf=nf)
-    with pytest.raises(NonMinimal, match="unclassifiable vanishing orders"):
+    with pytest.raises(NonMinimal, match="non-minimal vanishing orders"):
+        _classify_orders(4, 6, 12)
+    with pytest.raises(CrossCheckFailed, match="\\(1, 1, 5\\)"):
         _classify_orders(1, 1, 5)
+
+
+def _kodaira_table() -> dict:
+    """Kodaira's table (Tate's algorithm in characteristic 0, as Silverman's Advanced
+    Topics, table IV.4.1, lists it) over ord g2 <= 7 and ord g3 <= 9:
+    (ord g2, ord g3, ord Delta) -> type, for the singular fibers (ord Delta >= 1)."""
+    table = {(0, 0, n): f"I{n}" for n in range(1, 13)}
+    table.update({(2, 3, 6 + n): f"I{n}*" for n in range(1, 7)})
+    for a in range(8):
+        for b in range(10):
+            for kind, d, takes in (("II", 2, a >= 1 and b == 1), ("III", 3, a == 1 and b >= 2),
+                                   ("IV", 4, a >= 2 and b == 2),
+                                   ("I0*", 6, a == 2 and b >= 3 or a >= 3 and b == 3),
+                                   ("IV*", 8, a >= 3 and b == 4), ("III*", 9, a == 3 and b >= 5),
+                                   ("II*", 10, a >= 4 and b == 5)):
+                if takes:
+                    table[(a, b, d)] = kind
+    return table
+
+
+def test_classify_orders_accepts_exactly_kodairas_table():
+    # over a <= 7, b <= 9, d <= 12 the orders classify to a type only on the table's 65
+    # triples, each with Euler number d; every other triple is refused, naming itself:
+    # NotSingular at d = 0, NonMinimal where min(3a, 2b) >= 12, else CrossCheckFailed
+    from uplane.kodaira import _classify_orders
+
+    table = _kodaira_table()
+    assert len(table) == 65
+    for a in range(8):
+        for b in range(10):
+            for d in range(13):
+                if d == 0:
+                    with pytest.raises(NotSingular):
+                        _classify_orders(a, b, d)
+                elif (a, b, d) in table:
+                    kt = _classify_orders(a, b, d)
+                    assert (kt.label, kt.euler) == (table[(a, b, d)], d)
+                else:
+                    error = NonMinimal if min(3 * a, 2 * b) >= 12 else CrossCheckFailed
+                    with pytest.raises(error, match=f"\\({a}, {b}, {d}\\)"):
+                        _classify_orders(a, b, d)
+    # the orders of I*_n with d < 6 are no fiber: a misread ord Delta, not I*_{-1}
+    for d in (1, 5):
+        with pytest.raises(CrossCheckFailed, match=f"\\(2, 3, {d}\\)"):
+            _classify_orders(2, 3, d)
 
 
 def test_euler_ord_delta_match_for_multiplicative():
@@ -347,3 +396,25 @@ def test_additive_fibers_through_the_cli(tmp_path, capsys, g2, g3, nf, at_zero, 
     assert main(["signature", "--family", str(path)]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["signature"] == doc["sign_z_surface"] == -nf
+
+
+@pytest.mark.parametrize("nf, orders", [(0, "(2, 3, 2)"), (1, "(2, 3, 3)")])
+def test_merged_nodes_are_refused_not_typed(tmp_path, capsys, nf, orders):
+    # nf0 and nf1 under u -> 2^60 w with (g2, g3) -> (1e-120 g2, 1e-180 g3): the low
+    # coefficients of g2^3 (nf0) and of 27 g3^2 (nf1) underflow, so the expanded Delta
+    # merges nodes into one zero, at which g2 and g3 read orders 2 and 3.  Read from
+    # ord Delta alone, that zero would be II (nf0) or III (nf1), a type the Euler sum
+    # cannot catch; its ord Delta breaks d = min(3 ord g2, 2 ord g3), so both commands
+    # refuse.  The nf1 signature is refused too, though its winding route reads -1:
+    # the Euler route it is checked against has no types to give
+    family = sample_family(nf)
+    g2, g3 = ([c * 2.0 ** (60 * k) * lam for k, c in enumerate(p.coeffs)]
+              for p, lam in ((family.g2_poly, 1e-120), (family.g3_poly, 1e-180)))
+    moved = CurveFamily(ComplexPoly.of(g2), ComplexPoly.of(g3), nf=nf, name=f"nf{nf} moved")
+    path = tmp_path / "moved.json"
+    path.write_text(json.dumps(family_to_dict(moved)))
+    for command in ("classify", "signature"):
+        assert main([command, "--family", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and err.startswith("error: ")
+        assert orders in err and "min(3 ord g2, 2 ord g3)" in err
