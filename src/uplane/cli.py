@@ -49,7 +49,7 @@ def _parse_complex(text: str, what: str) -> complex:
 
 def _json(value):
     """The JSON form of a library value json cannot write itself (`json.dumps`'s default=):
-    an enum is its value, a Kodaira type its label and AT_INFINITY "infinity"."""
+    an enum is its value (AT_INFINITY's is "infinity") and a Kodaira type its label."""
     if isinstance(value, complex):
         return [value.real, value.imag]
     if isinstance(value, Fraction):
@@ -58,8 +58,6 @@ def _json(value):
         return value.value
     if isinstance(value, kodaira.KodairaType):
         return value.label
-    if value is kodaira.AT_INFINITY:
-        return "infinity"
     # a loop or a fiber report, in field order; fields() raises TypeError for the rest
     return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
 

@@ -86,7 +86,7 @@ class ComplexPoly:
                 a[j] += u0 * a[j + 1]
         return tuple(a)
 
-    def order_at(self, u0: complex, rho: float = 1.0) -> int:
+    def order_at(self, u0: complex, rho: float) -> int:
         """Vanishing order at u0: the first k with |t_k| rho^k above _ORDER_RTOL times the
         largest such term, t_k the Taylor coefficients of p(u0 + t).
 
@@ -268,24 +268,8 @@ def near_singular_fiber(family: CurveFamily, u: complex) -> bool:
     return abs(d(u)) < _NEAR_NODE_RTOL * (scale + 1e-300)
 
 
-def poly_to_v_chart(p: ComplexPoly, weight: int) -> ComplexPoly:
-    """v^weight * p(-1/v) as a polynomial in v (requires deg p <= weight).
-
-    Pure reindexing with sign flips: the coefficient of v^(weight-k) is
-    (-1)^k c_k, so structurally-zero coefficients stay exactly zero.
-    """
-    if p.degree > weight:
-        raise DegreeMismatch(f"deg {p.degree} exceeds chart weight {weight}")
-    out = [0j] * (weight + 1)
-    for k, c in enumerate(p.coeffs):
-        out[weight - k] = c if k % 2 == 0 else -c
-    # trimming drops only top-degree zeros (a zero c_0 of p); the exact low-degree
-    # zeros, which carry the order at v = 0, stay
-    return ComplexPoly.of(out)
-
-
 def order_at_infinity(p: ComplexPoly, weight: int) -> int:
-    """Vanishing order at v = 0 of poly_to_v_chart(p, weight): weight - deg p, exactly.
+    """Vanishing order at v = 0 of v^weight p(-1/v) (deg p <= weight): weight - deg p, exactly.
 
     The order of g2, g3 and Delta at u = infinity (weights 4, 6 and 12);
     ORDER_INFINITE for the zero polynomial.
@@ -296,10 +280,17 @@ def order_at_infinity(p: ComplexPoly, weight: int) -> int:
 def to_v_chart(family: CurveFamily) -> ComplexPoly:
     """Delta_v = v^12 Delta(-1/v), the discriminant in the chart at infinity.
 
-    It vanishes at v = 0 to order_at_infinity(Delta, 12) = 10 - nf, as every
-    family has deg Delta = nf + 2.  Built once per family object.
+    The coefficient of v^(12-k) is (-1)^k c_k, so exact zeros stay exactly zero: Delta_v
+    vanishes at v = 0 to order_at_infinity(Delta, 12) = 10 - nf, as every family has
+    deg Delta = nf + 2.  Built once per family object.
     """
-    return family.cached("v_chart", lambda fam: poly_to_v_chart(discriminant_poly(fam), 12))
+    def build(fam):
+        out = [0j] * 13
+        for k, c in enumerate(discriminant_poly(fam).coeffs):
+            out[12 - k] = c if k % 2 == 0 else -c
+        return ComplexPoly.of(out)  # trims only the top zeros, from c_0 = 0
+
+    return family.cached("v_chart", build)
 
 
 # ---------------------------------------------------------------------------

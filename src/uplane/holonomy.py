@@ -96,10 +96,6 @@ class CurvatureLedger:
     total: Fraction
 
 
-def _chart_delta(family: CurveFamily, chart: Chart) -> ComplexPoly:
-    return discriminant_poly(family) if chart is Chart.U else to_v_chart(family)
-
-
 def _chart_zeros(family: CurveFamily, chart: Chart) -> tuple:
     """Zeros of the chart discriminant as (location, multiplicity) pairs.
 
@@ -173,7 +169,7 @@ def _ccw_winding(family: CurveFamily, loop: LoopSpec) -> tuple:
     """
     import numpy as np
 
-    delta = _chart_delta(family, loop.chart)
+    delta = discriminant_poly(family) if loop.chart is Chart.U else to_v_chart(family)
     n = _sample_count(_chart_zeros(family, loop.chart), loop)
     rim = _rim(n)
     dz = 1j * loop.radius * rim * (2.0 * math.pi / n)
@@ -198,10 +194,16 @@ def _ccw_winding(family: CurveFamily, loop: LoopSpec) -> tuple:
     return (loop if n == loop.samples else replace(loop, samples=n)), k, integral
 
 
-def _holonomy_result(
-    operator: Operator, loop: LoopSpec, w_ccw: int, integral: complex
-) -> HolonomyResult:
-    """Exact log-monodromy 4 c w and numeric phase exp(-c integral) of one ccw integration."""
+def holonomy(operator: Operator, family: CurveFamily, loop: LoopSpec) -> HolonomyResult:
+    """Numeric holonomy and exact logarithmic monodromy around a loop.
+
+    The winding is the signed winding of the chart discriminant along the
+    loop as traversed; log monodromies are (1/3) * winding for the dbar
+    operator (reduced mod 4 into (-4, 0]) and (2/3) * winding, exact, for the
+    signature operator.  The numeric phase exp(-c contour integral), c = 1/12
+    or 1/6, is within 2 pi c _INTEGRAL_TOL of exp(-i pi/2 * log_monodromy).
+    """
+    loop, w_ccw, integral = _ccw_winding(family, loop)
     transport = float(_COEFF[operator]) * integral
     if loop.orientation is Orientation.CLOCKWISE:
         w = -w_ccw
@@ -216,18 +218,6 @@ def _holonomy_result(
     return HolonomyResult(
         loop=loop, operator=operator, winding=w, log_monodromy=eta, phase=cmath.exp(-transport)
     )
-
-
-def holonomy(operator: Operator, family: CurveFamily, loop: LoopSpec) -> HolonomyResult:
-    """Numeric holonomy and exact logarithmic monodromy around a loop.
-
-    The winding is the signed winding of the chart discriminant along the
-    loop as traversed; log monodromies are (1/3) * winding for the dbar
-    operator (reduced mod 4 into (-4, 0]) and (2/3) * winding, exact, for the
-    signature operator.  The numeric phase exp(-c contour integral), c = 1/12
-    or 1/6, is within 2 pi c _INTEGRAL_TOL of exp(-i pi/2 * log_monodromy).
-    """
-    return _holonomy_result(operator, *_ccw_winding(family, loop))
 
 
 def canonical_trivialization_check(family: CurveFamily, loop: LoopSpec) -> bool:

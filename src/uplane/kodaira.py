@@ -8,6 +8,7 @@ infinity they are exact: weight - degree, the weights of g2, g3 and Delta
 being 4, 6 and 12.
 """
 
+import enum
 import math
 import sys
 from dataclasses import dataclass
@@ -23,21 +24,13 @@ from .errors import (
 )
 
 
-class _AtInfinity:
-    """Sentinel for the fiber over u = infinity (v = 0)."""
+class _Infinity(enum.Enum):
+    """The fiber over u = infinity (v = 0): a location no complex u names."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "AT_INFINITY"
+    AT_INFINITY = "infinity"
 
 
-AT_INFINITY = _AtInfinity()
+AT_INFINITY = _Infinity.AT_INFINITY
 
 #: Kodaira's table: each kind's e = min(3 ord g2, 2 ord g3), which is the Euler number
 #: and ord Delta of its n = 0 member; I_n and I*_n add n to both
@@ -77,9 +70,6 @@ class KodairaType:
         if self.kind == "I*":
             return f"I{self.n}*"
         return self.kind
-
-    def __str__(self):
-        return self.label
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from uplane import (
     surface_report,
     to_v_chart,
 )
-from uplane.curves import ORDER_INFINITE, expand_discriminant, order_at_infinity, poly_to_v_chart
+from uplane.curves import ORDER_INFINITE, expand_discriminant, order_at_infinity
 
 ROOT = str(Path(__file__).resolve().parents[1])
 if ROOT not in sys.path:
@@ -79,6 +79,15 @@ def _first_nonzero(coeffs) -> int:
     return next((k for k, c in enumerate(coeffs) if c != 0), ORDER_INFINITE)
 
 
+def _v_chart(p, weight) -> ComplexPoly:
+    """v^weight p(-1/v) for deg p <= weight: the coefficient of v^(weight-k) is (-1)^k c_k,
+    the reindexing `to_v_chart` does at weight 12, written out as the reference."""
+    out = [0j] * (weight + 1)
+    for k, c in enumerate(p.coeffs):
+        out[weight - k] = c if k % 2 == 0 else -c
+    return ComplexPoly.of(out)
+
+
 def test_v_chart_examples():
     # g2 = 4, g3 = u^3: Delta = 64 - 27 u^6 becomes 64 v^12 - 27 v^6
     fam = CurveFamily(ComplexPoly.of([4]), ComplexPoly.of([0, 0, 0, 1]), nf=4)
@@ -86,10 +95,10 @@ def test_v_chart_examples():
     assert [order_at_infinity(p, w) for p, w in
             ((fam.g2_poly, 4), (fam.g3_poly, 6), (discriminant_poly(fam), 12))] == [4, 3, 6]
     # constant g2 = 4 becomes 4 v^4
-    assert poly_to_v_chart(fam.g2_poly, 4).coeffs == (0j, 0j, 0j, 0j, 4 + 0j)
+    assert _v_chart(fam.g2_poly, 4).coeffs == (0j, 0j, 0j, 0j, 4 + 0j)
     # delta = u^2 + 1 -> v^10 (1 + v^2), order 10 at v = 0
     p = ComplexPoly.of([1, 0, 1])
-    pv = poly_to_v_chart(p, 12)
+    pv = _v_chart(p, 12)
     assert order_at_infinity(p, 12) == _first_nonzero(pv.coeffs) == 10
     assert pv.coeffs[10] == 1 and pv.coeffs[12] == 1
     # constant delta c -> c v^12; the zero polynomial vanishes to every order
@@ -103,6 +112,7 @@ def test_v_chart_discriminant_degree_is_true(fam, degree):
     # deg Delta_v = 12 - ord_{u=0} Delta: the isotrivial Delta = 37 u^6 becomes 37 v^6
     dv = to_v_chart(fam)
     delta = discriminant_poly(fam)
+    assert dv == _v_chart(delta, 12)
     assert dv.degree == degree == 12 - _first_nonzero(delta.coeffs)
     assert dv.coeffs[-1] != 0
     assert _first_nonzero(dv.coeffs) == order_at_infinity(delta, 12) == 10 - fam.nf
@@ -118,7 +128,7 @@ _COEFFS = st.one_of(st.just(0j), st.complex_numbers(max_magnitude=1e8, allow_nan
 def test_order_at_infinity_is_the_first_nonzero_v_chart_coefficient(weight, coeffs):
     # exact zero coefficients are drawn often; degree at most the weight
     p = ComplexPoly.of(coeffs[:weight + 1])
-    assert order_at_infinity(p, weight) == _first_nonzero(poly_to_v_chart(p, weight).coeffs)
+    assert order_at_infinity(p, weight) == _first_nonzero(_v_chart(p, weight).coeffs)
 
 
 def test_v_chart_involution():
@@ -126,7 +136,7 @@ def test_v_chart_involution():
     for _ in range(20):
         coeffs = rng.normal(size=3) + 1j * rng.normal(size=3)
         p = ComplexPoly.of(coeffs)
-        back = poly_to_v_chart(poly_to_v_chart(p, 4), 4)
+        back = _v_chart(_v_chart(p, 4), 4)
         assert max(abs(a - b) for a, b in zip(back.coeffs, p.coeffs)) == 0
 
 
@@ -347,14 +357,18 @@ def _moves_alike(fam, moved, must_pass):
     assert moved.cached("report", surface_report).sign_z == sig == -fam.nf
 
 
-@pytest.mark.parametrize("nf, lam", [(key, 10.0**e) for key in invariance_sweep.FIXTURES
-                                     for e in range(-9, 10)])
+@pytest.mark.parametrize("nf, lam", [(key, lam) for key in invariance_sweep.FIXTURES
+                                     for lam in [10.0**e for e in range(-9, 10)]
+                                     + [2.0**-150, 2.0**-100, 2.0**-80, 2.0**80]])
 def test_family_rescaled_in_u_loads_and_signs(nf, lam):
     # u -> u / lam scales coefficient k of g2, g3 and Delta by lam^-k; each coefficient
     # of Delta is judged against the same degree of |g2|^3 + 27 |g3|^2, so no top
     # coefficient turns into dust and no cancellation dust survives.  The roots are
     # grouped by lengths that scale with u, and orders are read in units of the gap to
-    # the nearest other node, so the fibers classify alike at any scale
+    # the nearest other node, so the fibers classify alike at any scale.  The powers of
+    # two put every node near 1e-45, 1e-30, 1e-24 or 1e24, past the scales the sweep
+    # signs; at the small ones every node lies below the infinity loop's absolute 1e-12
+    # cut (`holonomy._infinity_loop`), which that loop needs there
     fam = invariance_sweep.fixture(nf)
     moved = invariance_sweep.moved(fam, 1 / lam, 0, 1)
     assert discriminant_poly(moved).degree == discriminant_poly(fam).degree

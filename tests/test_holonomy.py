@@ -29,11 +29,13 @@ from uplane import (
     Orientation,
     canonical_trivialization_check,
     curvature_ledger,
+    discriminant_poly,
     family_to_dict,
     find_singular_fibers,
     sample_family,
     signature_from_monodromy,
     surface_report,
+    to_v_chart,
 )
 import uplane.holonomy as H
 import uplane.kodaira as K
@@ -308,7 +310,7 @@ def test_rim_is_the_cached_read_only_unit_circle():
 def _parent_winding(family, loop):
     """The contour integral `_ccw_winding` must reproduce bit for bit: its own unit
     circle, the Horner loop inline, the same checks in order."""
-    delta = H._chart_delta(family, loop.chart)
+    delta = discriminant_poly(family) if loop.chart is Chart.U else to_v_chart(family)
     n = H._sample_count(H._chart_zeros(family, loop.chart), loop)
     rim = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, n, endpoint=False))
     z = loop.center + loop.radius * rim
@@ -524,10 +526,14 @@ def test_unresolvable_loop_is_refused_before_sampling(monkeypatch):
 def test_chart_zeros_are_the_zeros_of_the_chart_discriminant(fam):
     # with multiplicity, in both charts; the isotrivial family's node sits at u = 0
     for chart in Chart:
-        delta = H._chart_delta(fam, chart)
+        delta = discriminant_poly(fam) if chart is Chart.U else to_v_chart(fam)
         zeros = H._chart_zeros(fam, chart)
         assert sum(m for _, m in zeros) == delta.degree
-        assert all(delta.order_at(z) == m for z, m in zeros)
+        # each order is read in units of the distance to the nearest other zero, or of
+        # |z| (1 at z = 0) when there is none, as `kodaira.node_gap` reads them
+        for z, m in zeros:
+            gap = min((abs(z - w) for w, _ in zeros if w != z), default=abs(z) or 1.0)
+            assert delta.order_at(z, gap) == m
 
 
 _SWEEP_FAMILIES = [sample_family(nf) for nf in range(5)]

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 
 import pytest
 
@@ -98,6 +100,15 @@ def test_classify_at_infinity_by_nf():
         assert rep.euler == 10 - nf
         assert rep.ord_delta == 10 - nf
         assert rep.is_surface_singularity
+
+
+def test_at_infinity_survives_pickle_and_copy():
+    # the fiber at infinity is tested with `is`, so a copied report must still name it
+    assert pickle.loads(pickle.dumps(AT_INFINITY)) is AT_INFINITY
+    assert copy.deepcopy(AT_INFINITY) is AT_INFINITY
+    report = pickle.loads(pickle.dumps(surface_report(sample_family(2))))
+    assert report.fibers[-1].location is AT_INFINITY
+    assert [f.location is AT_INFINITY for f in copy.deepcopy(report).fibers] == [False] * 4 + [True]
 
 
 def test_classify_isotrivial_star_fibers():

@@ -67,14 +67,20 @@ def test_a_basis_eta_has_one_home():
 
 
 def test_the_chart_change_has_one_home():
-    # the v-chart polynomials are built in curves (to_v_chart); every other module reads
-    # Delta_v from there and the orders at infinity from order_at_infinity (weight - degree)
+    # the v-chart polynomial is built in curves alone (to_v_chart, kept under the family
+    # memo key "v_chart"); every other module reads Delta_v from there and the orders at
+    # infinity from order_at_infinity (weight - degree).  Building one elsewhere means a
+    # reversed store out[w - k] = +-c_k, or the memo key
     found = [
-        f"{path.name}:{line}"
+        f"{path.name}:{node.lineno}"
         for path in sorted(SRC.glob("*.py"))
         if path.name != "curves.py"
-        for name, line in _names(ast.parse(path.read_text(encoding="utf-8")))
-        if name == "poly_to_v_chart"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and node.value == "v_chart"
+        or isinstance(node, (ast.Assign, ast.AugAssign)) and any(
+            isinstance(t, ast.Subscript) and isinstance(t.slice, ast.BinOp)
+            and isinstance(t.slice.op, ast.Sub)
+            for t in (node.targets if isinstance(node, ast.Assign) else [node.target]))
     ]
     assert found == []
 

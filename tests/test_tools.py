@@ -74,31 +74,36 @@ def test_outputs_digest_prints_cold_digests_and_refuses_a_warm_difference(tmp_pa
         for line in lines if line.startswith("signature\t")]
 
 
-#: each curve scale's refusals, by error type: ceilings that a better classifier may
-#: only lower.  A refusal is a typed error; only a different answer at exit 0 is wrong
+#: each curve scale's and route's refusals, by error type: ceilings that a better
+#: classifier or contour may only lower.  A refusal is a typed error; only a different
+#: answer at exit 0 is wrong
 _REFUSED_AT_MOST = {
-    "1.0": {"DegreeMismatch": 15, "NotSingular": 140, "EulerMismatch": 5},
-    "1e-30": {"DegreeMismatch": 385, "EulerMismatch": 76, "CrossCheckFailed": 19},
+    ("1.0", "classify"): {"DegreeMismatch": 15, "NotSingular": 140, "EulerMismatch": 5},
+    ("1.0", "signature"): {"DegreeMismatch": 15, "NonIntegerWinding": 165, "EulerMismatch": 5},
+    ("1e-30", "classify"): {"DegreeMismatch": 385, "EulerMismatch": 76, "CrossCheckFailed": 19},
+    ("1e-30", "signature"): {"DegreeMismatch": 385, "LoopTooCloseToSingularity": 81,
+                             "NonIntegerWinding": 13, "CrossCheckFailed": 1},
 }
 
 
 def test_invariance_sweep_gives_no_different_type_at_exit_0(capsys):
     # 480 moves u = a w + b, (g2, g3) -> (lam^4 g2, lam^6 g3) of the 6 fixtures per curve
-    # scale: none classifies to other Kodaira types.  Shifts |b| = 1e4 are left out: there
-    # the coalesced family reads four I1 for its two I2 at exit 0, and whether the rounded
-    # moved coefficients still hold a double node is not settled
+    # scale: none classifies to other Kodaira types or signs otherwise.  Shifts |b| = 1e4
+    # are left out: there the coalesced family reads four I1 for its two I2 at exit 0,
+    # and whether the rounded moved coefficients still hold a double node is not settled
     assert invariance_sweep.main() == 0
     out, err = capsys.readouterr()
     assert err == ""
     counts = {}
     for line in out.splitlines():
-        lam, result, count = line.split("\t")
-        counts.setdefault(lam, {})[result] = int(count)
+        lam, route, result, count = line.split("\t")
+        counts.setdefault((lam, route), {})[result] = int(count)
     assert sorted(counts) == sorted(_REFUSED_AT_MOST)
-    for lam, ceilings in _REFUSED_AT_MOST.items():
-        results = counts[lam]
+    for key, ceilings in _REFUSED_AT_MOST.items():
+        results = counts[key]
         assert sum(results.values()) == 480 and "different" not in results
         refused = {r.removeprefix("refused "): n for r, n in results.items() if r != "same"}
         assert set(refused) <= set(ceilings)
         assert all(n <= ceilings[error] for error, n in refused.items())
-    assert counts["1.0"]["same"] >= 320
+    assert counts["1.0", "classify"]["same"] >= 320
+    assert counts["1.0", "signature"]["same"] >= 295

@@ -13,12 +13,14 @@ a in {1, 2^+-20, 2^+-60} and each fixture: 480 per curve scale lam, for lam = 1 
 there the coalesced family reads four I1 for its two I2, and whether the rounded moved
 coefficients still hold a double node is not settled.
 
-Each moved family is built and classified by `surface_report`.  Its outcome is "same"
-when the finite fibers' types (as a multiset) and the type at infinity are the
-fixture's, "refused <error type>" when building or classifying it raises, and
-"different" when it classifies to other types: a wrong answer at exit 0.  Prints one
-tab-separated line per curve scale and outcome, `lam<TAB>outcome<TAB>count`, and names
-each different move on stderr.
+Each moved family is built and read by two routes: "classify", the fiber types of
+`surface_report`, and "signature", sign(Z) by `signature_from_monodromy` (contour
+windings, cross-checked against the Euler-number route).  A route's outcome is "same"
+when it reads what it reads of the fixture (the finite fibers' types as a multiset and
+the type at infinity, or the signature), "refused <error type>" when building or reading
+the family raises, and "different" when it reads something else: a wrong answer at exit
+0.  Prints one tab-separated line per curve scale, route and outcome,
+`lam<TAB>route<TAB>outcome<TAB>count`, and names each different move on stderr.
 """
 
 import cmath
@@ -29,7 +31,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from uplane import (AT_INFINITY, ComplexPoly, CurveFamily, UPlaneError,  # noqa: E402
-                    coalesced_family, sample_family, surface_report)
+                    coalesced_family, sample_family, signature_from_monodromy, surface_report)
 
 SCALES = (1.0, 1e-30)
 SHIFTS = (1, 10, 30, 100, 1e3)
@@ -66,33 +68,41 @@ def fiber_types(family: CurveFamily) -> tuple:
             next(f.kodaira.label for f in fibers if f.location is AT_INFINITY))
 
 
-def outcome(family: CurveFamily, a: float, b: complex, lam: float, truth: tuple) -> str:
+#: what each route reads of a family
+ROUTES = {"classify": fiber_types, "signature": signature_from_monodromy}
+
+
+def outcome(family: CurveFamily, a: float, b: complex, lam: float, route: str,
+            truth) -> str:
     try:
-        got = fiber_types(moved(family, a, b, lam))
+        got = ROUTES[route](moved(family, a, b, lam))
     except (UPlaneError, ValueError) as exc:
         return f"refused {type(exc).__name__}"
     return "same" if got == truth else "different"
 
 
 def sweep(lam: float) -> Counter:
-    """Outcome counts of every move at curve scale lam; names each different on stderr."""
+    """(route, outcome) counts of every move at curve scale lam; names each different on
+    stderr.  Each route reads its own copy of the moved family, so neither reuses what the
+    other built."""
     counts = Counter()
     for family in map(fixture, FIXTURES):
-        truth = fiber_types(family)
-        for a, b in moves():
-            result = outcome(family, a, b, lam, truth)
-            counts[result] += 1
-            if result == "different":
-                print(f"different: {family.name} at u = {a!r} w + {b!r}, lam = {lam!r}",
-                      file=sys.stderr)
+        for route, read in ROUTES.items():
+            truth = read(family)
+            for a, b in moves():
+                result = outcome(family, a, b, lam, route, truth)
+                counts[route, result] += 1
+                if result == "different":
+                    print(f"different ({route}): {family.name} at u = {a!r} w + {b!r},"
+                          f" lam = {lam!r}", file=sys.stderr)
     return counts
 
 
 def main() -> int:
     for lam in SCALES:
         counts = sweep(lam)
-        for result, count in sorted(counts.items()):
-            print(f"{lam!r}\t{result}\t{count}")
+        for (route, result), count in sorted(counts.items()):
+            print(f"{lam!r}\t{route}\t{result}\t{count}")
     return 0
 
 
