@@ -131,23 +131,21 @@ def uplane_point(family: CurveFamily, u: complex, h: float = None) -> UPlanePoin
     return UPlanePoint(u=u, periods=center, d_tau_du=d1)
 
 
-def d_tau_du(family: CurveFamily, u: complex, p: Periods, delta: complex = None) -> complex:
+def d_tau_du(family: CurveFamily, u: complex, p: Periods, delta: complex) -> complex:
     """Closed-form d tau/du = (3 pi i / 4) W(u) / (omega^2 Delta(u)).
 
     p are the periods of the fiber at u; d tau/du is in their frame.  delta is
-    discriminant_poly(family)(u), evaluated here unless the caller passes it.
+    Delta(u), discriminant_poly(family)(u).
     """
     w, _ = family.cached("j_numerator", _j_numerator)
-    if delta is None:
-        delta = discriminant_poly(family)(u)
     return 0.75j * math.pi * w(u) / (p.omega**2 * delta)
 
 
-def scalar_curvature(family: CurveFamily, u: complex, p: Periods, delta: complex = None) -> float:
+def scalar_curvature(family: CurveFamily, u: complex, p: Periods, delta: complex) -> float:
     """S = |d tau / d a|^2 / (8 Im^3 tau) with d tau/d a = (1/omega) d tau/du.
 
-    p are the periods of the fiber at u; d tau/du is the closed form of `d_tau_du`,
-    with its delta.
+    p are the periods of the fiber at u and delta is Delta(u); d tau/du is the closed
+    form of `d_tau_du`.
     """
     dtau_da = d_tau_du(family, u, p, delta) / p.omega
     return abs(dtau_da) ** 2 / (8.0 * p.tau.imag**3)
@@ -189,7 +187,7 @@ def anomaly_check(family: CurveFamily, u: complex, h: float = None) -> AnomalyRe
 
     lap_r = (4.0 * lap(h / 2.0) - lap(h)) / 3.0
     lhs = lap_r / 4.0 / (center.tau.imag * abs(center.omega) ** 2)
-    rhs = scalar_curvature(family, u, center)
+    rhs = scalar_curvature(family, u, center, discriminant_poly(family)(u))
     if is_isotrivial(family):
         # both sides are exactly zero in exact arithmetic; the ratio is noise
         return AnomalyRecord(lhs=lhs, rhs=rhs, ratio=float("nan"))

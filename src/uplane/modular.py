@@ -169,26 +169,23 @@ def dedekind_eta(tau) -> complex:
     return eta / (_eta_multiplier(a, c, d) * root)
 
 
-def theta_ab(a: int, b: int, tau, eta: complex = None, eta_at=None) -> complex:
+def theta_ab(a: int, b: int, tau, eta: complex = None) -> complex:
     """Theta constant theta_ab(0|tau) = sum_n exp[i pi (n + a/2)^2 tau + i pi (n + a/2) b],
     a, b in {0, 1}, from the eta quotients (Koehler, Eta Products, 2011): theta_00 =
     eta^5 / (eta(tau/2)^2 eta(2 tau)^2), theta_01 = eta(tau/2)^2 / eta,
-    theta_10 = 2 eta(2 tau)^2 / eta and theta_11 = 0.  eta is eta(tau) and eta_at(k) is
-    eta(k tau) for k = 1/2 and 2, each taken here unless the caller has them (a period
-    basis' `Periods.eta` and `Periods.eta_at`, which keep every eta they evaluate)."""
+    theta_10 = 2 eta(2 tau)^2 / eta and theta_11 = 0.  eta is eta(tau), taken here
+    unless the caller has it (a period basis' `Periods.eta`); eta(tau/2) and eta(2 tau)
+    are taken here, each only by the constants that read it."""
     if (a, b) == (1, 1):
         return 0j
     if eta is None:
         eta = dedekind_eta(tau)
-    if eta_at is None:
-        def eta_at(k):
-            return dedekind_eta(k * tau)
     if a == 1:
-        return 2.0 * eta_at(2.0) ** 2 / eta
-    half = eta_at(0.5)
+        return 2.0 * dedekind_eta(2.0 * tau) ** 2 / eta
+    half = dedekind_eta(0.5 * tau)
     if b == 1:
         return half**2 / eta
-    return eta**5 / (half * eta_at(2.0)) ** 2
+    return eta**5 / (half * dedekind_eta(2.0 * tau)) ** 2
 
 
 def eisenstein_in_f(q: complex) -> tuple:

@@ -94,15 +94,6 @@ class Periods:
         object.__setattr__(self, "eta", dedekind_eta(self.tau))
         object.__setattr__(self, "q", cmath.exp(2j * math.pi * self.tau))
 
-    def eta_at(self, k: float) -> complex:
-        """dedekind_eta(k tau), kept with the basis after the first read: the theta
-        quotients of the twisted determinants read eta(tau / 2) and eta(2 tau) of a basis
-        once each, whichever spin structures they are taken for."""
-        etas = self.__dict__.setdefault("_eta_at", {})
-        if k not in etas:
-            etas[k] = dedekind_eta(k * self.tau)
-        return etas[k]
-
 
 def cubic_roots(curve: WeierstrassCurve):
     """Roots of 4x^3 - g2 x - g3, sorted lexicographically by (Re, Im).
@@ -116,9 +107,7 @@ def cubic_roots(curve: WeierstrassCurve):
     g2, g3 = curve.g2, curve.g3
     p, q = -0.25 * g2, -0.25 * g3
     s = cmath.sqrt(0.25 * q * q + p * p * p / 27.0)
-    c, other = -0.5 * q + s, -0.5 * q - s
-    if abs(other) > abs(c):  # max(c, other, key=abs), without the call
-        c = other
+    c = max(-0.5 * q + s, -0.5 * q - s, key=abs)
     if c == 0:
         return (0j, 0j, 0j)
     t = c ** (1.0 / 3.0)
@@ -142,19 +131,7 @@ def cubic_roots(curve: WeierstrassCurve):
             if abs(step) < 1e-16 * (1.0 + abs(z)):
                 break
         out.append(z)
-    return _sorted_re_im(*out)
-
-
-def _sorted_re_im(r1: complex, r2: complex, r3: complex) -> tuple:
-    """The three sorted as sorted((r1, r2, r3), key=lambda z: (z.real, z.imag)) sorts them
-    when no part is NaN, by a stable insertion, which builds no key tuples."""
-    if r2.real < r1.real or r2.real == r1.real and r2.imag < r1.imag:
-        r1, r2 = r2, r1
-    if r3.real < r2.real or r3.real == r2.real and r3.imag < r2.imag:
-        r2, r3 = r3, r2
-        if r2.real < r1.real or r2.real == r1.real and r2.imag < r1.imag:
-            r1, r2 = r2, r1
-    return r1, r2, r3
+    return tuple(sorted(out, key=lambda z: (z.real, z.imag)))
 
 
 def agm(a: complex, b: complex) -> complex:

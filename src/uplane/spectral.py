@@ -5,7 +5,7 @@ computed with the basis and, on a solved basis, the eta that validated it.
 eta's q-product is checked where it is computed, against Euler's pentagonal series
 (`modular.dedekind_eta`), so the closed forms here carry no second route of their own.
 The twisted determinants also check their eta quotients against the theta series; the
-quotients' eta(tau / 2) and eta(2 tau) are kept with the basis too (`Periods.eta_at`).
+quotients take eta(tau / 2) and eta(2 tau) themselves (`modular.theta_ab`).
 The lattice-zeta continuation (`modular.epstein_zeta_logdet`) checks the closed forms
 through neither eta nor theta: `uplane zeta-oracle` and the tests compare the two.
 
@@ -85,7 +85,7 @@ def det_twisted(nu: SpinStructure, p: Periods) -> float:
     if p.tau.imag < _F_FLOOR:
         raise ValueError(f"det_twisted takes tau in the fundamental domain, got {p.tau};"
                          " move the basis there with periods.reduce_periods")
-    primary = abs(theta_ab(nu.nu1, nu.nu2, p.tau, p.eta, p.eta_at) / p.eta) ** 2
+    primary = abs(theta_ab(nu.nu1, nu.nu2, p.tau, p.eta) / p.eta) ** 2
     alt = abs(_theta_series(nu.nu1, nu.nu2, p.tau) / p.eta) ** 2
     if not abs(primary - alt) <= 1e-10 * primary:  # NaN fails
         raise CrossCheckFailed("twisted determinant: eta quotient vs theta series",

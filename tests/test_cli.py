@@ -570,9 +570,9 @@ def test_overflowing_input_is_one_error_line(capsys, family_file, argv, expected
 
 def test_eta_products_per_determinants_request_and_scan_point(capsys, family_file, monkeypatch):
     # determinants: 1 for the reduced basis' eta, which det', the annulus, the Quillen norm
-    # and the twisted determinants and their theta quotients share, 2 for the quotients'
-    # eta(tau/2) and eta(2 tau), which the reduced basis keeps for all three even
-    # structures, and 1 for the flat annulus on the given basis; a scan
+    # and the twisted determinants and their theta quotients share, 4 for the quotients'
+    # eta(tau/2) and eta(2 tau), which theta_00 reads both of and theta_01 and theta_10
+    # one each, and 1 for the flat annulus on the given basis; a scan
     # point: 1, the solve's, which F1 reads again;
     # an anomaly item: 1 per period solve of its 9-point stencil
     from uplane import modular
@@ -586,7 +586,7 @@ def test_eta_products_per_determinants_request_and_scan_point(capsys, family_fil
         monkeypatch.setattr(module, "eisenstein_in_f", lambda q: loops.append(q) or series(q))
     argv = ["determinants", "--tau", "1.3,0.2", "--two-omega", "1,0.5"]
     assert _run(capsys, argv)[0] == 0
-    assert len(calls) == 4
+    assert len(calls) == 6
     calls.clear()
     code, out, _ = _run(capsys, ["scan", "--family", family_file(0), "--grid", "2,3,2,3,3,3"])
     assert code == 0 and len(out.strip().split("\n")) == 1 + 9
@@ -633,7 +633,8 @@ def test_a_scan_point_evaluates_delta_once(capsys, family_file, monkeypatch):
         u = complex(x, y)
         p = periods_along_family(fam, u)
         expect = (x, y, p.tau.imag, f1_from_periods(p),
-                  abs(discriminant_poly(fam)(u)) ** (1 / 12), scalar_curvature(fam, u, p))
+                  abs(discriminant_poly(fam)(u)) ** (1 / 12),
+                  scalar_curvature(fam, u, p, discriminant_poly(fam)(u)))
         assert row == ",".join(f"{v:.17e}" for v in expect)
 
 
@@ -653,6 +654,7 @@ def test_anomaly_item_solves_through_the_traced_names(capsys, family_file, monke
 
 
 def test_scan_curvature_matches_library(capsys, family_file):
+    from uplane.curves import discriminant_poly
     from uplane.geometry import scalar_curvature
     from uplane.periods import periods_along_family
 
@@ -665,7 +667,8 @@ def test_scan_curvature_matches_library(capsys, family_file):
     for row in out.strip().split("\n")[1:]:
         cells = row.split(",")
         u = complex(float(cells[0]), float(cells[1]))
-        assert cells[5] == f"{scalar_curvature(fam, u, periods_along_family(fam, u)):.17e}"
+        p, delta = periods_along_family(fam, u), discriminant_poly(fam)(u)
+        assert cells[5] == f"{scalar_curvature(fam, u, p, delta):.17e}"
 
 
 def test_every_value_flag_joins_its_value():

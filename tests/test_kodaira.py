@@ -244,6 +244,23 @@ def test_coalesced_family_multiplicity_two():
     assert abs(roots[0][0] + 1) < 1e-7 and abs(roots[1][0] - 1) < 1e-7
 
 
+def test_a_double_node_beside_two_simple_ones_is_split_at_the_longest_link():
+    # g2 = 3u^2, g3 = u^3 + 2 (u - 1e-3)^2: Delta has a double zero at u = 1e-3 and two
+    # simple ones 3e-5 from it.  The four eigenvalues link into one group within 1e-3 of
+    # the spread, wider than rounding splits one zero, so the group is split at its
+    # longest link, which keeps the double zero whole; its two eigenvalues taken apart
+    # are no singular fiber (NotSingular)
+    fam = CurveFamily(ComplexPoly.of([0, 0, 3]), ComplexPoly.of([2e-6, -4e-3, 2, 1]), nf=3)
+    roots = find_singular_fibers(fam)
+    assert sorted(m for _, m in roots) == [1, 1, 1, 2]
+    node, mult = max(roots, key=lambda zm: zm[1])
+    assert abs(node - 1e-3) < 1e-9 and mult == 2
+    rep = surface_report(fam)
+    assert [f.kodaira.label for f in rep.fibers] == ["I1", "I1", "I1", "I2", "I1*"]
+    (double,) = (f for f in rep.fibers if f.kodaira.label == "I2")
+    assert double.ord_delta == double.euler == 2
+
+
 def test_coalesced_family_realizes_2I2_row():
     fam = coalesced_family()
     rep = surface_report(fam)

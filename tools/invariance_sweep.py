@@ -8,8 +8,10 @@ of the base and a rescaling of the curve.  Neither changes the Kodaira types of 
 singular fibers.  The moved coefficients are sum_k t_k a^k lam^wt w^k, with t the
 Taylor coefficients `ComplexPoly.taylor_at(b)`.  The moves are every
 |b| in {0, 1, 10, 30, 100, 1e3} in the directions 1, i and e^{i pi/4} (b = 0 once),
-a in {1, 2^+-20, 2^+-60} and each fixture: 480 per curve scale lam, for lam = 1 and
-1e-30.  The powers of two move u exactly; b and lam round.  |b| = 1e4 is left out:
+a in {1, 2^+-20, 2^+-60} and each fixture: 480 per curve scale lam, for lam = 1, 1e-30
+and 1e30.  The powers of two move u exactly; b and lam round.  At lam = 1e30 every move
+is refused with ValueError by both routes: the moved coefficients reach 1e180, and
+Delta's expansion overflows.  |b| = 1e4 is left out:
 there the coalesced family reads four I1 for its two I2, and whether the rounded moved
 coefficients still hold a double node is not settled.
 
@@ -33,7 +35,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from uplane import (AT_INFINITY, ComplexPoly, CurveFamily, UPlaneError,  # noqa: E402
                     coalesced_family, sample_family, signature_from_monodromy, surface_report)
 
-SCALES = (1.0, 1e-30)
+SCALES = (1.0, 1e-30, 1e30)
 SHIFTS = (1, 10, 30, 100, 1e3)
 DIRECTIONS = (1, 1j, cmath.exp(0.25j * cmath.pi))
 STRETCHES = (1.0, 2.0**20, 2.0**-20, 2.0**60, 2.0**-60)
