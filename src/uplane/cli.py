@@ -6,7 +6,9 @@ Exit codes: 0 success, 1 domain errors (singular fibers, failed validation),
 top-level dict holds library values as they are, and `_json` alone encodes them
 (complex numbers as [re, im], exact rationals as {"num": ..., "den": ...}, a dataclass
 field by field); CSV uses scientific notation with 17 digits after the point (18
-significant digits), so doubles round-trip.
+significant digits), so doubles round-trip.  The text of `classify` and `signature`
+depends on the family alone, so each is rendered once per family and kept in its memo
+(`CurveFamily.cached`).
 """
 
 import argparse
@@ -60,6 +62,11 @@ def _json(value):
         return value.label
     # a loop or a fiber report, in field order; fields() raises TypeError for the rest
     return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+
+
+def _render(result: dict) -> str:
+    """The text of a JSON command's result: the one encoding of every JSON command."""
+    return json.dumps(result, indent=2, default=_json) + "\n"
 
 
 #: the CSV rows of anomaly and scan, one %-format each: "%.17e" writes a float as
@@ -139,17 +146,20 @@ def _cmd_zeta_oracle(args) -> dict:
     }
 
 
-def _cmd_classify(args) -> dict:
-    family = load_family(args.family)
+def _classify_text(family) -> str:
     report = family.cached("report", kodaira.surface_report)
-    return {
+    return _render({
         "family": family.name,
         "nf": family.nf,
         "fibers": report.fibers,
         "total_euler": report.total_euler,
         "sign_zbar": report.sign_zbar,
         "sign_z": report.sign_z,
-    }
+    })
+
+
+def _cmd_classify(args) -> str:
+    return load_family(args.family).cached("classify_text", _classify_text)
 
 
 def _cmd_anomaly(args) -> str:
@@ -180,21 +190,25 @@ def _cmd_holonomy(args) -> dict:
     }
 
 
-def _cmd_signature(args) -> dict:
-    family = load_family(args.family)
+def _signature_text(family) -> str:
     # the signature and the ledger read the family's fiber rows, integrated once, and
     # the signature its surface report, built once
     report = family.cached("report", kodaira.surface_report)
     sig = signature_from_monodromy(family)
     ledger = curvature_ledger(family)
-    return {
+    return _render({
         "family": family.name,
         "nf": family.nf,
         "signature": sig,
         "sign_zbar": report.sign_zbar,
         "sign_z_surface": report.sign_z,
         "curvature_total": ledger.total,
-    }
+    })
+
+
+def _cmd_signature(args) -> str:
+    # kept only once rendered: a refused cross-check raises again on every call
+    return load_family(args.family).cached("signature_text", _signature_text)
 
 
 def _cmd_scan(args) -> str:
@@ -331,7 +345,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(_join_flag_values(argv))
         text = args.func(args)
         if isinstance(text, dict):
-            text = json.dumps(text, indent=2, default=_json) + "\n"
+            text = _render(text)
     except (SchemaError, ValueError) as exc:
         # ValueError covers input validation (e.g. tau outside the upper
         # half-plane, zero omega); both are caller errors, not domain errors

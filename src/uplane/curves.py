@@ -10,6 +10,7 @@ import cmath
 import functools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from itertools import zip_longest
 
@@ -224,7 +225,9 @@ def expand_discriminant(family: CurveFamily) -> ComplexPoly:
     or below 1e-12 of it are trimmed, so the test is unchanged by a rescaling
     of u; if every coefficient is trimmed the discriminant is identically
     zero and the zero polynomial is returned.  Reads only g2_poly and g3_poly; ValueError
-    when a coefficient or its scale is not a finite double (g2^3 or g3^2 overflowed).
+    when a coefficient or its scale is not a finite double (g2^3 or g3^2 overflowed), or
+    when a degree that has a product of nonzero coefficients has its scale below the
+    normal range (the terms of that degree underflowed, so Delta would lose them).
     """
     g2, g3 = family.g2_poly.coeffs, family.g3_poly.coeffs
     coeffs = difference(convolve(convolve(g2, g2), g2), [27.0 * c for c in convolve(g3, g3)])
@@ -237,6 +240,13 @@ def expand_discriminant(family: CurveFamily) -> ComplexPoly:
     if not all(cmath.isfinite(c) and cmath.isfinite(s) for c, s in zip(coeffs, scale)):
         raise ValueError("the family's discriminant overflows: a coefficient of"
                          " g2^3 - 27 g3^2 is beyond the double range")
+    # the degrees that have a product of nonzero coefficients, counted exactly
+    n2, n3 = [float(c != 0) for c in g2], [float(c != 0) for c in g3]
+    terms = [x + y for x, y in zip_longest(convolve(convolve(n2, n2), n2), convolve(n3, n3),
+                                           fillvalue=0.0)]
+    if any(t and abs(s) < sys.float_info.min for t, s in zip(terms, scale)):
+        raise ValueError("the family's discriminant underflows: the terms of a coefficient"
+                         " of g2^3 - 27 g3^2 are below the normal double range")
     while coeffs and abs(coeffs[-1]) <= 1e-12 * abs(scale[len(coeffs) - 1]):
         coeffs.pop()
     return ComplexPoly.of(coeffs or [0.0])

@@ -140,12 +140,15 @@ def _horner(poly: ComplexPoly, z: np.ndarray) -> np.ndarray:
     """poly at every point of a complex array, by the Horner recurrence of
     `ComplexPoly.__call__` run elementwise: reproducible from run to run and free of the
     array's shape, length and order, but it may differ from the scalar path by a
-    rounding (about 3e-16 relative)."""
+    rounding (about 3e-16 relative).  Each step multiplies and adds in place
+    (acc *= z; acc += c), the same float operations as acc = acc * z + c without two
+    new arrays per coefficient."""
     import numpy as np
 
     acc = np.zeros_like(z)
     for c in reversed(poly.coeffs):
-        acc = acc * z + c
+        acc *= z
+        acc += c
     return acc
 
 
@@ -163,6 +166,10 @@ def _ccw_winding(family: CurveFamily, loop: LoopSpec) -> tuple:
     """(loop at the sample count used, ccw winding of Delta, integral of Delta'/Delta dz).
 
     One trapezoid rule in the loop's chart, at the `_sample_count` of its `_chart_zeros`.
+    The chart polynomial's exact zeros at the origin are factored out, Delta = z^k0 R(z)
+    (k0 = 10 - nf at v = 0 in the v-chart; 0 in the u-chart unless Delta(0) = 0): the rule
+    samples R, adds k0/z to its log-derivative and k0 arg z to its argument, so a small
+    loop around the origin never forms the power z^k0, which would underflow.
     The one winding check: the winding is read from the unwrapped argument of Delta
     (within 1e-8 of an integer) and as integral / (2 pi i) (within _INTEGRAL_TOL of it);
     else NonIntegerWinding.  An operator's transport is its coefficient times the integral.
@@ -170,6 +177,8 @@ def _ccw_winding(family: CurveFamily, loop: LoopSpec) -> tuple:
     import numpy as np
 
     delta = discriminant_poly(family) if loop.chart is Chart.U else to_v_chart(family)
+    k0 = next(k for k, c in enumerate(delta.coeffs) if c != 0)  # deg Delta = nf + 2 >= 2
+    reduced = ComplexPoly(delta.coeffs[k0:])
     n = _sample_count(_chart_zeros(family, loop.chart), loop)
     rim = _rim(n)
     dz = 1j * loop.radius * rim * (2.0 * math.pi / n)
@@ -177,15 +186,25 @@ def _ccw_winding(family: CurveFamily, loop: LoopSpec) -> tuple:
     # refused below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         z = loop.center + loop.radius * rim
-        vals = _horner(delta, z)
-        dvals = _horner(delta.derivative(), z)
-        integral = (dvals / vals * dz).sum()
+        vals = _horner(reduced, z)
+        dlog = _horner(reduced.derivative(), z) / vals
+        if k0:
+            dlog += k0 / z
+        dlog *= dz
+        integral = dlog.sum()
     if (vals == 0.0).any():
         raise LoopTooCloseToSingularity("contour hits a discriminant zero")
     if not cmath.isfinite(integral):
         raise NonIntegerWinding(f"contour integral is not finite at {n} samples")
     args = np.angle(vals)
-    jumps = (np.concatenate([args[1:], args[:1]]) - args + math.pi) % (2.0 * math.pi) - math.pi
+    if k0:
+        args += k0 * np.angle(z)
+    # each step's change of argument, brought into [-pi, pi): (x + pi) mod 2 pi - pi
+    jumps = np.concatenate([args[1:], args[:1]])
+    jumps -= args
+    jumps += math.pi
+    jumps %= 2.0 * math.pi
+    jumps -= math.pi
     winding = float(jumps.sum() / (2.0 * math.pi))
     k = round(winding)
     if abs(winding - k) > 1e-8 or abs(integral / (2j * math.pi) - k) > _INTEGRAL_TOL:
@@ -237,8 +256,12 @@ def _node_loop(family: CurveFamily, z: complex) -> LoopSpec:
 
 
 def _infinity_loop(roots) -> LoopSpec:
-    """Counterclockwise loop around v = 0 that encloses no finite node."""
-    images = [1.0 / abs(z) for z, _ in roots if abs(z) > 1e-12]
+    """Counterclockwise loop around v = 0 that encloses no finite node: radius 0.4 of the
+    nearest image 1/|z| of a nonzero node (a node at u = 0 has none), else 0.5.
+
+    Free of the scale of u: `_ccw_winding` factors v^(10 - nf) out of Delta_v, so a loop
+    of radius 4e-31 (nodes near 1e30) or 4e44 (nodes near 1e-45) is integrated alike."""
+    images = [1.0 / abs(z) for z, _ in roots if z != 0]
     radius = 0.4 * min(images) if images else 0.5
     return LoopSpec(center=0.0, radius=radius, chart=Chart.V)
 

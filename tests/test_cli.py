@@ -298,16 +298,19 @@ def test_family_coefficient_beyond_double_or_boolean_exit_2(family_file, capsys,
         assert _one_error_line(err) and len(err) < 120
 
 
-#: families that pass construction but whose nodes double precision cannot place: a node
-#: at -3.8e77, where the grouping's rounding scale overflows, and one at -1.5e310, where
-#: np.roots' companion matrix overflows.  Each once ended in an OverflowError traceback
-#: or in numpy RuntimeWarnings
+#: families whose nodes double precision cannot place: a node at -3.8e77, where the
+#: grouping's rounding scale overflows (it passes construction), and one at -1.5e310,
+#: where np.roots' companion matrix overflows.  Each once ended in an OverflowError
+#: traceback or in numpy RuntimeWarnings.  The second's top coefficient of g2^3,
+#: (2.2e-311)^3, underflows to 0, so construction now refuses it
 _NODES_BEYOND_DOUBLE = {
     "far": {"name": "far", "nf": 4, "g2": [[0.0, 0.0]],
             "g3": [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [2.6e-78, 0.0]]},
     "subnormal": {"name": "subnormal", "nf": 2, "g2": [[0.0, 0.0], [1.0, 0.0], [2.2e-311, 0.0]],
                   "g3": [[0.0, 0.0]]},
 }
+_MESSAGE = {"far": "error: the family's nodes are beyond double precision",
+            "subnormal": "error: the family's discriminant underflows"}
 
 
 @pytest.mark.filterwarnings("error")
@@ -316,7 +319,8 @@ def test_overflowing_family_discriminant_exit_2(family_file, capsys, case):
     # nf0 with the curve scaled by s = 1e100 (g2 by s^2, g3 by s^3): g2^3 overflows, and
     # the NaN of inf - inf once survived the dust trim and read as a degree mismatch.  A
     # coefficient whose modulus passes the double range ended in an OverflowError traceback.
-    # The families of _NODES_BEYOND_DOUBLE pass construction, and their nodes overflow
+    # The nodes of the families of _NODES_BEYOND_DOUBLE overflow, and the subnormal
+    # one's Delta underflows first
     path = Path(family_file(0))
     doc = _NODES_BEYOND_DOUBLE.get(case) or json.loads(path.read_text())
     if case == "scaled":
@@ -325,8 +329,7 @@ def test_overflowing_family_discriminant_exit_2(family_file, capsys, case):
     elif case == "modulus":
         doc["g2"][0] = [1.5e308, 1.5e308]
     path.write_text(json.dumps(doc))
-    message = ("error: the family's nodes are beyond double precision"
-               if case in _NODES_BEYOND_DOUBLE else "error: the family's discriminant overflows")
+    message = _MESSAGE.get(case, "error: the family's discriminant overflows")
     for argv in (["classify", "--family", str(path)], ["signature", "--family", str(path)]):
         code, out, err = _run(capsys, argv)
         assert code == 2 and out == ""

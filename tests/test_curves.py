@@ -178,7 +178,9 @@ def test_j_scaling_invariance():
 def _product_route(family):
     """Delta with its trim and (W, its scale) by the chains of ComplexPoly products, sums
     and scalings that built them before the plain-list expansions: every product by the
-    schoolbook loop below, every difference as a + (-1) b, each result trimmed."""
+    schoolbook loop below, every difference as a + (-1) b, each result trimmed.  Delta is
+    None where a degree that has a product of nonzero coefficients has its scale below
+    the normal range (a trimmed top degree's is 0): those terms underflowed."""
     def mul(p, other):
         if not isinstance(other, ComplexPoly):
             return ComplexPoly.of([complex(other) * c for c in p.coeffs])
@@ -199,11 +201,16 @@ def _product_route(family):
     coeffs = list(sub(mul(mul(g2, g2), g2), mul(mul(g3, g3), 27.0)).coeffs)
     a2, a3 = (ComplexPoly.of([abs(c) for c in p.coeffs]) for p in (g2, g3))
     scale = add(mul(mul(a2, a2), a2), mul(mul(a3, a3), 27.0)).coeffs
-    while coeffs and abs(coeffs[-1]) <= 1e-12 * abs(scale[len(coeffs) - 1]):
+    n2, n3 = (ComplexPoly.of([float(c != 0) for c in p.coeffs]) for p in (g2, g3))
+    terms = add(mul(mul(n2, n2), n2), mul(n3, n3)).coeffs
+    padded = scale + (0j,) * (len(terms) - len(scale))
+    underflows = any(t != 0 and abs(x) < sys.float_info.min for t, x in zip(terms, padded))
+    while not underflows and coeffs and abs(coeffs[-1]) <= 1e-12 * abs(scale[len(coeffs) - 1]):
         coeffs.pop()
     a = mul(mul(g2, g3.derivative()), 2.0)
     b = mul(mul(g2.derivative(), g3), 3.0)
-    return ComplexPoly.of(coeffs or [0.0]), sub(a, b), max(abs(c) for c in a.coeffs + b.coeffs)
+    delta = None if underflows else ComplexPoly.of(coeffs or [0.0])
+    return delta, sub(a, b), max(abs(c) for c in a.coeffs + b.coeffs)
 
 
 #: exact zeros, small integers, and magnitudes 1e-20 .. 1e20, real or complex
@@ -217,16 +224,23 @@ _MIXED = st.one_of(
 
 @settings(max_examples=500, deadline=None)
 @given(g2=st.lists(_MIXED, min_size=1, max_size=3), g3=st.lists(_MIXED, min_size=1, max_size=4))
+@example(g2=[0j], g3=[complex(sys.float_info.min)])
+@example(g2=[1.0, 1e-110], g3=[1.0])
 def test_convolved_expansions_are_the_product_route(g2, g3):
     # expand_discriminant (with its trim) and W = 2 g2 g3' - 3 g2' g3 are plain coefficient
     # convolutions, summed in the product route's order: equal coefficient tuples.  Both
     # read only g2_poly and g3_poly, so a stand-in carries polynomials of any degree
-    # that no CurveFamily would accept
+    # that no CurveFamily would accept.  Where the route's terms underflow (g2 = [0],
+    # g3 = [2.2250738585072014e-308]: 27 g3^2 is 0), expand_discriminant refuses
     from uplane.geometry import _j_numerator
 
     fam = SimpleNamespace(g2_poly=ComplexPoly.of(g2), g3_poly=ComplexPoly.of(g3))
     delta, w, scale = _product_route(fam)
-    assert expand_discriminant(fam).coeffs == delta.coeffs
+    if delta is None:
+        with pytest.raises(ValueError, match="the family's discriminant underflows"):
+            expand_discriminant(fam)
+    else:
+        assert expand_discriminant(fam).coeffs == delta.coeffs
     assert _j_numerator(fam)[0].coeffs == w.coeffs and _j_numerator(fam)[1] == scale
 
 
@@ -359,16 +373,18 @@ def _moves_alike(fam, moved, must_pass):
 
 @pytest.mark.parametrize("nf, lam", [(key, lam) for key in invariance_sweep.FIXTURES
                                      for lam in [10.0**e for e in range(-9, 10)]
-                                     + [2.0**-150, 2.0**-100, 2.0**-80, 2.0**80]])
+                                     + [2.0**-150, 2.0**-100, 2.0**-80, 2.0**80,
+                                        2.0**100, 2.0**120, 2.0**150]])
 def test_family_rescaled_in_u_loads_and_signs(nf, lam):
     # u -> u / lam scales coefficient k of g2, g3 and Delta by lam^-k; each coefficient
     # of Delta is judged against the same degree of |g2|^3 + 27 |g3|^2, so no top
     # coefficient turns into dust and no cancellation dust survives.  The roots are
     # grouped by lengths that scale with u, and orders are read in units of the gap to
     # the nearest other node, so the fibers classify alike at any scale.  The powers of
-    # two put every node near 1e-45, 1e-30, 1e-24 or 1e24, past the scales the sweep
-    # signs; at the small ones every node lies below the infinity loop's absolute 1e-12
-    # cut (`holonomy._infinity_loop`), which that loop needs there
+    # two put every node near 1e-45, 1e-30, 1e-24, 1e24, 1e30, 1e36 or 1e45, past the
+    # scales the sweep signs.  The infinity loop's v-radius 0.4 / |z| then reaches 4e44
+    # or 4e-46, and the contour samples Delta_v / v^(10 - nf), which neither overflows
+    # nor underflows there (`holonomy._ccw_winding`)
     fam = invariance_sweep.fixture(nf)
     moved = invariance_sweep.moved(fam, 1 / lam, 0, 1)
     assert discriminant_poly(moved).degree == discriminant_poly(fam).degree

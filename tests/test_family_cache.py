@@ -5,6 +5,7 @@ check that a warm request prints what a cold one does, that the key is the conte
 and not the path, that failures are never kept, and that the cache stays bounded.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -14,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from uplane import coalesced_family, family_to_dict, holonomy, kodaira, sample_family
+from uplane import cli, coalesced_family, family_to_dict, holonomy, kodaira, sample_family
 from uplane.cli import main
 from uplane.curves import _family_from_text, load_family
 from uplane.errors import SchemaError
@@ -24,6 +25,7 @@ if ROOT not in sys.path:
     sys.path.insert(0, ROOT)
 
 from bench import workloads  # noqa: E402
+from tools import invariance_sweep  # noqa: E402
 
 BOUND = _family_from_text.cache_info().maxsize
 
@@ -155,9 +157,31 @@ def test_a_warm_family_holds_only_hashable_values(tmp_path):
                   "--orientation", "ccw", "--chart", "v"]):
         assert _run(argv[:1] + ["--family", path] + argv[1:])[0] == 0
     memo = load_family(path).__dict__["_memo"]
-    assert set(memo) == {"delta", "v_chart", "nodes", "j_numerator", "report", "fibers"}
+    assert set(memo) == {"delta", "v_chart", "nodes", "j_numerator", "report", "fibers",
+                         "classify_text", "signature_text"}
     for value in memo.values():
         hash(value)
+
+
+@pytest.mark.parametrize("key", invariance_sweep.FIXTURES)
+def test_family_level_text_is_rendered_once(tmp_path, key):
+    # classify and signature print what the family alone decides: a warm request hands
+    # back the very text the first one rendered, which is a cold request's text, and
+    # --out writes its bytes
+    path = _write(tmp_path / "fam.json", invariance_sweep.fixture(key))
+    for command, handler in (("classify", cli._cmd_classify),
+                             ("signature", cli._cmd_signature)):
+        args = argparse.Namespace(family=path)
+        _family_from_text.cache_clear()
+        first = handler(args)
+        assert handler(args) is first
+        _family_from_text.cache_clear()
+        cold = handler(args)
+        assert cold == first and cold is not first
+        assert _run([command, "--family", path]) == (0, first, "")
+        out = tmp_path / f"{command}.json"
+        assert main([command, "--family", path, "--out", str(out)]) == 0
+        assert out.read_bytes() == first.encode("utf-8")
 
 
 def test_threads_that_share_a_family_print_what_a_cold_request_does(tmp_path):

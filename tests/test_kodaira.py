@@ -426,23 +426,32 @@ def test_additive_fibers_through_the_cli(tmp_path, capsys, g2, g3, nf, at_zero, 
     assert doc["signature"] == doc["sign_z_surface"] == -nf
 
 
-@pytest.mark.parametrize("nf, orders", [(0, "(2, 3, 2)"), (1, "(2, 3, 3)")])
+@pytest.mark.parametrize("nf, orders", [(0, (2, 3, 2)), (1, (2, 3, 3))],
+                         ids=["0-(2, 3, 2)", "1-(2, 3, 3)"])
 def test_merged_nodes_are_refused_not_typed(tmp_path, capsys, nf, orders):
     # nf0 and nf1 under u -> 2^60 w with (g2, g3) -> (1e-120 g2, 1e-180 g3): the low
     # coefficients of g2^3 (nf0) and of 27 g3^2 (nf1) underflow, so the expanded Delta
-    # merges nodes into one zero, at which g2 and g3 read orders 2 and 3.  Read from
-    # ord Delta alone, that zero would be II (nf0) or III (nf1), a type the Euler sum
-    # cannot catch; its ord Delta breaks d = min(3 ord g2, 2 ord g3), so both commands
-    # refuse.  The nf1 signature is refused too, though its winding route reads -1:
-    # the Euler route it is checked against has no types to give
+    # would merge nodes into one zero, at which g2 and g3 read orders 2 and 3.  Read
+    # from ord Delta alone, that zero would be II (nf0) or III (nf1), a type the Euler
+    # sum cannot catch.  The expansion refuses a degree whose terms underflowed, so
+    # neither the family nor either command gets that far (exit 2).  The order triple
+    # the merged zero would read breaks d = min(3 ord g2, 2 ord g3), so the
+    # classification refuses it too
+    from uplane.kodaira import _classify_orders
+
+    with pytest.raises(CrossCheckFailed, match="min\\(3 ord g2, 2 ord g3\\)"):
+        _classify_orders(*orders)
     family = sample_family(nf)
     g2, g3 = ([c * 2.0 ** (60 * k) * lam for k, c in enumerate(p.coeffs)]
               for p, lam in ((family.g2_poly, 1e-120), (family.g3_poly, 1e-180)))
-    moved = CurveFamily(ComplexPoly.of(g2), ComplexPoly.of(g3), nf=nf, name=f"nf{nf} moved")
+    with pytest.raises(ValueError, match="the family's discriminant underflows"):
+        CurveFamily(ComplexPoly.of(g2), ComplexPoly.of(g3), nf=nf, name=f"nf{nf} moved")
     path = tmp_path / "moved.json"
-    path.write_text(json.dumps(family_to_dict(moved)))
+    path.write_text(json.dumps({"name": f"nf{nf} moved", "nf": nf,
+                                "g2": [[c.real, c.imag] for c in g2],
+                                "g3": [[c.real, c.imag] for c in g3]}))
     for command in ("classify", "signature"):
-        assert main([command, "--family", str(path)]) == 1
+        assert main([command, "--family", str(path)]) == 2
         out, err = capsys.readouterr()
-        assert out == "" and err.count("\n") == 1 and err.startswith("error: ")
-        assert orders in err and "min(3 ord g2, 2 ord g3)" in err
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: the family's discriminant underflows")

@@ -11,7 +11,9 @@ Taylor coefficients `ComplexPoly.taylor_at(b)`.  The moves are every
 a in {1, 2^+-20, 2^+-60} and each fixture: 480 per curve scale lam, for lam = 1, 1e-30
 and 1e30.  The powers of two move u exactly; b and lam round.  At lam = 1e30 every move
 is refused with ValueError by both routes: the moved coefficients reach 1e180, and
-Delta's expansion overflows.  |b| = 1e4 is left out:
+Delta's expansion overflows.  At lam = 1e-30 every move is refused with ValueError too:
+products of the moved coefficients fall below the normal range, and Delta's expansion
+would lose their terms.  |b| = 1e4 is left out:
 there the coalesced family reads four I1 for its two I2, and whether the rounded moved
 coefficients still hold a double node is not settled.
 
