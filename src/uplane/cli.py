@@ -235,7 +235,7 @@ def _cmd_scan(args) -> str:
             x = x0 if nx == 1 else x0 + (x1 - x0) * ix / (nx - 1)
             y = y0 if ny == 1 else y0 + (y1 - y0) * iy / (ny - 1)
             u = complex(x, y)
-            if roots and min(abs(u - z) for z in roots) < args.margin:
+            if min(abs(u - z) for z in roots) < args.margin:
                 print(f"scan: skipping u={u} (within margin of a node)", file=sys.stderr)
                 continue
             try:

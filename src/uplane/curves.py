@@ -25,8 +25,8 @@ class ComplexPoly:
 
     The trailing stored coefficient is nonzero unless the polynomial is
     identically zero.  Evaluation uses Horner's rule in a fixed descending
-    order so results are bit-reproducible; contour sampling runs the same
-    recurrence over a numpy array (`holonomy._horner`).
+    order so results are bit-reproducible.  A point and a numpy array of contour
+    samples run the same lines: each step multiplies and adds in place.
     """
 
     coeffs: tuple = _ZERO
@@ -51,25 +51,20 @@ class ComplexPoly:
     def is_zero(self) -> bool:
         return self.degree < 0
 
-    def __call__(self, u: complex) -> complex:
+    def __call__(self, u):
         acc = 0j
         for c in reversed(self.coeffs):
-            acc = acc * u + c
+            acc *= u
+            acc += c
         return acc
 
-    def __add__(self, other: "ComplexPoly") -> "ComplexPoly":
-        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0j)
-        return ComplexPoly.of([x + y for x, y in pairs])
-
-    def __sub__(self, other: "ComplexPoly") -> "ComplexPoly":
-        return ComplexPoly.of(difference(self.coeffs, other.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, ComplexPoly):
-            return ComplexPoly.of(convolve(self.coeffs, other.coeffs))
-        return ComplexPoly.of([complex(other) * c for c in self.coeffs])
-
-    __rmul__ = __mul__
+    def term_size(self, r):
+        """sum_k |c_k| r^k by Horner's rule: the size of the terms of a value at |u| = r."""
+        acc = 0.0
+        for c in reversed(self.coeffs):
+            acc *= r
+            acc += abs(c)
+        return acc
 
     def derivative(self) -> "ComplexPoly":
         if len(self.coeffs) == 1:
@@ -113,7 +108,7 @@ _ORDER_RTOL = 1e-8
 
 def convolve(a, b) -> list:
     """The product of two ascending coefficient sequences, untrimmed: the one summation
-    order of a polynomial product (`ComplexPoly.__mul__`, the expansions of Delta and W)."""
+    order of a polynomial product (the expansions of Delta and W)."""
     out = [0j] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
@@ -123,7 +118,7 @@ def convolve(a, b) -> list:
 
 def difference(a, b) -> list:
     """a - b of two ascending coefficient sequences, formed as a + (-1) b: the one form of
-    a polynomial difference (`ComplexPoly.__sub__`, the expansions of Delta and W)."""
+    a polynomial difference (the expansions of Delta and W)."""
     return [x + y for x, y in zip_longest(a, [-1.0 * c for c in b], fillvalue=0j)]
 
 
@@ -266,13 +261,11 @@ def near_singular_fiber(family: CurveFamily, u: complex) -> bool:
     """Whether |Delta(u)| < _NEAR_NODE_RTOL * sum_k |c_k| |u|^k.
 
     The right side is the size of the terms of the expanded discriminant that
-    cancel at a node, so the test is scale-free in u and in the coefficients.  It is
-    summed by Horner's rule; ValueError when it overflows.
+    cancel at a node (`ComplexPoly.term_size`), so the test is scale-free in u and in
+    the coefficients; ValueError when it overflows.
     """
     d = discriminant_poly(family)
-    r, scale = abs(u), 0.0
-    for c in reversed(d.coeffs):
-        scale = scale * r + abs(c)
+    scale = d.term_size(abs(u))
     if not scale < math.inf:
         raise ValueError(f"discriminant overflows at u={u}")
     return abs(d(u)) < _NEAR_NODE_RTOL * (scale + 1e-300)

@@ -95,9 +95,9 @@ def find_singular_fibers(family: CurveFamily):
     """Zeros of the discriminant with multiplicities, as a tuple of (location, mult).
 
     The companion-matrix eigenvalues of Delta that np.roots returns, taken as they
-    are, linked within 1e-3 of their spread max |z - mean|.  A group no wider than
-    that, and no wider than rounding can split one zero (`_rounding_splits`), is one
-    zero at its mean, of multiplicity its size; any other group is split at its
+    are, split top down from one group.  A group no wider than 1e-3 of their spread
+    max |z - mean|, and no wider than rounding can split one zero (`_rounding_splits`),
+    is one zero at its mean, of multiplicity its size; any other group is split at its
     longest link, where single linkage joins it last.  So distinct zeros stay apart
     down to the rounding, and a scale of u leaves the grouping as it was.  Sorted by
     (Re, Im).  Callers that want each family's roots once read them through
@@ -113,7 +113,7 @@ def find_singular_fibers(family: CurveFamily):
             eig = [complex(z) for z in np.roots(discriminant_poly(family).coeffs[::-1])]
         mean = sum(eig) / len(eig)
         cap = 1e-3 * max(abs(z - mean) for z in eig)
-        groups, out = (_linked(eig, cap) if cap else [eig]), []
+        groups, out = [eig], []
         while groups:
             g = groups.pop()
             diam = max(abs(z - w) for z in g for w in g)
@@ -134,12 +134,13 @@ def _rounding_splits(family: CurveFamily, group, eig, diam: float) -> bool:
     absolute coefficients (the terms Delta cancels): a split of (eps N / D)^(1/m).
     Up to 10 times that is allowed."""
     z, m = sum(group) / len(group), len(group)
-    n2, n3 = (sum(abs(a) * abs(z) ** k for k, a in enumerate(p.coeffs))
-              for p in (family.g2_poly, family.g3_poly))
+    n2, n3 = family.g2_poly.term_size(abs(z)), family.g3_poly.term_size(abs(z))
+    rounding = sys.float_info.epsilon * discriminant_scale(WeierstrassCurve(n2, n3))
+    if not rounding < math.inf:  # term_size overflows quietly to inf
+        raise OverflowError("the terms of Delta overflow at the group")
     d = abs(discriminant_poly(family).coeffs[-1]) * math.prod(
         [abs(z - w) for w in eig if w not in group])
-    return (diam / 10.0) ** m * d <= sys.float_info.epsilon * discriminant_scale(
-        WeierstrassCurve(n2, n3))
+    return (diam / 10.0) ** m * d <= rounding
 
 
 def _longest_link(group) -> float:

@@ -294,6 +294,11 @@ def test_horner_is_deterministic():
     assert len(vals) == 1
 
 
+def test_term_size_sums_the_terms_by_horner():
+    p = ComplexPoly.of([3 - 4j, 0, -2, 1j])
+    assert p.term_size(0.0) == 5.0 and p.term_size(2.0) == 5.0 + 2.0 * 4 + 8
+
+
 #: small Gaussian integers: exact zeros and the exact cancellations of the degree contract
 #: (Delta = 0, or deg Delta = 5 for nf = 3) come up often, as no float draw makes them
 _SMALL = st.builds(complex, st.integers(-3, 3), st.integers(-1, 1))

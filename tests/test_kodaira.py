@@ -29,6 +29,7 @@ from uplane import (
     to_v_chart,
 )
 from uplane.cli import main
+from uplane.curves import convolve, difference
 
 
 def test_euler_numbers():
@@ -344,9 +345,15 @@ def _sw_family(nf, masses, lam=1.0):
         a = [-(lam**2) / 64, -1]
         b = [-s2 * lam**2 / 64 + m1 * m2 * m3 * lam / 4, 2 * lam**2 / 64]
         c = [-s4 * lam**2 / 64, s2 * lam**2 / 64, -(lam**2) / 64]
-    a, b, c = (ComplexPoly.of(p) for p in (a, b, c))
-    g2 = -4.0 * (b - a * a * (1 / 3))
-    g3 = -4.0 * (a * a * a * (2 / 27) - a * b * (1 / 3) + c)
+
+    def times(s, p):
+        return [s * x for x in p]
+
+    a, b, c = (ComplexPoly.of(p).coeffs for p in (a, b, c))
+    aa = convolve(a, a)
+    g2 = difference(b, times(1 / 3, aa))
+    g3 = difference(times(2 / 27, convolve(aa, a)), difference(times(1 / 3, convolve(a, b)), c))
+    g2, g3 = (ComplexPoly.of(times(-4.0, p)) for p in (g2, g3))
     return CurveFamily(g2, g3, nf=nf, name=f"sw-nf{nf}", masses=tuple(map(complex, masses)))
 
 
@@ -365,7 +372,9 @@ def test_sw_family_builder_matches_the_fixtures():
 # nf2 I2 comes from m1 = m2 or m1 = -m2 alike.  The generic rows close to a constrained
 # one keep two nodes apart that are 5e-4 and 6e-4 of the root spread apart, and a heavy
 # flavor (m = 1e3) puts one node near u = m^2 and leaves the others ~1e-4 of the spread
-# apart: distinct nodes, which no grouping of the roots may read as one fiber
+# apart: distinct nodes, which no grouping of the roots may read as one fiber.  At nf2
+# masses (0.3, 0.3002) the pair is 3.4e-4 of the spread apart, where the signature's
+# fiber rows need the rounding allowance of `holonomy._ccw_winding`
 _SW_ROWS = [
     (0, (), "-"),
     (1, (0.5,), "-"),
@@ -380,6 +389,7 @@ _SW_ROWS = [
     (3, (0.6, 0.0, 0.0), "m_3 = m_4 = 0"),
     (3, (0.0, 0.0, 0.0), "m_1 = m_2 = m_3 = 0"),
     (2, (0.3, 0.3003), "-"),
+    (2, (0.3, 0.3002), "-"),
     (3, (0.2, 0.5, 0.5003), "-"),
     (1, (1e3,), "-"),
     (2, (0.3, 1e3), "-"),

@@ -198,17 +198,35 @@ def test_scalar_commands_load_no_numpy(tmp_path):
     assert json.loads(proc.stdout) == [False, [0, False], [0, False], [0, False], [0, True]]
 
 
+def test_horner_has_one_home():
+    # ComplexPoly evaluates a polynomial, at a point or on an array of contour samples,
+    # and sums the size of its terms: no other code runs Horner over a coefficient tuple,
+    # a loop or comprehension over reversed(<x>.coeffs)
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        home = [range(node.lineno, node.end_lineno + 1) for node in tree.body
+                if isinstance(node, ast.ClassDef) and node.name == "ComplexPoly"]
+        for node in ast.walk(tree):
+            it = getattr(node, "iter", None)
+            if (isinstance(node, (ast.For, ast.comprehension)) and isinstance(it, ast.Call)
+                    and isinstance(it.func, ast.Name) and it.func.id == "reversed"
+                    and isinstance(it.args[0], ast.Attribute) and it.args[0].attr == "coeffs"
+                    and not any(it.lineno in lines for lines in home)):
+                found.append(f"{path.name}:{it.lineno}")
+    assert found == []
+
+
 def test_the_contour_integral_has_one_home():
-    # holonomy._ccw_winding samples every loop: it alone calls the array Horner and the
-    # cached unit circle, and nothing else builds a circle of samples
+    # holonomy._ccw_winding samples every loop: it alone calls the cached unit circle,
+    # and nothing else builds a circle of samples
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         homes = {node.name: range(node.lineno, node.end_lineno + 1) for node in tree.body
                  if isinstance(node, ast.FunctionDef)}
         for name, line in _names(tree):
-            home = {"_horner": "_ccw_winding", "_rim": "_ccw_winding",
-                    "linspace": "_rim"}.get(name)
+            home = {"_rim": "_ccw_winding", "linspace": "_rim"}.get(name)
             if home and (path.name != "holonomy.py" or line not in homes[home]):
                 found.append(f"{path.name}:{line} {name}")
     assert found == []

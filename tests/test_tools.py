@@ -79,7 +79,10 @@ def test_outputs_digest_prints_cold_digests_and_refuses_a_warm_difference(tmp_pa
 #: answer at exit 0 is wrong
 _REFUSED_AT_MOST = {
     ("1.0", "classify"): {"DegreeMismatch": 15, "NotSingular": 140, "EulerMismatch": 5},
-    ("1.0", "signature"): {"DegreeMismatch": 15, "NonIntegerWinding": 165, "EulerMismatch": 5},
+    # the fiber rows accept Delta's rounding, so moves that classify refuses as
+    # NotSingular reach the Euler route's cross-check and are refused there alike
+    ("1.0", "signature"): {"DegreeMismatch": 15, "NonIntegerWinding": 30, "NotSingular": 110,
+                           "EulerMismatch": 5},
     # Delta's expansion underflows on every move: products of the moved coefficients
     # fall below the normal range, and the terms they lose would merge or drop nodes
     ("1e-30", "classify"): {"ValueError": 480},
@@ -110,7 +113,7 @@ def test_invariance_sweep_gives_no_different_type_at_exit_0(capsys):
         assert set(refused) <= set(ceilings)
         assert all(n <= ceilings[error] for error, n in refused.items())
     assert counts["1.0", "classify"]["same"] >= 320
-    assert counts["1.0", "signature"]["same"] >= 295
+    assert counts["1.0", "signature"]["same"] >= 320
 
 
 def test_bench_pairs_verdicts_on_fixed_runs():
