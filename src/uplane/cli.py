@@ -219,8 +219,9 @@ def _cmd_scan(args) -> str:
         nx, ny = int(nx), int(ny)
         if nx < 1 or ny < 1:
             raise ValueError("grid counts must be positive")
-        if not all(map(math.isfinite, (x0, x1, y0, y1))):
-            raise ValueError("grid bounds must be finite")
+        spans = [x1 - x0] * (nx > 1) + [y1 - y0] * (ny > 1)  # the steps' numerators
+        if not all(map(math.isfinite, (x0, x1, y0, y1, *spans))):
+            raise ValueError("grid bounds and the spans of multi-point axes must be finite")
         if not all(math.hypot(x, y) < math.inf for x in (x0, x1) for y in (y0, y1)):
             raise ValueError("a grid corner has a modulus beyond the double range")
     except ValueError as exc:

@@ -82,6 +82,18 @@ class ComplexPoly:
                 a[j] += u0 * a[j + 1]
         return tuple(a)
 
+    def root_free_radius(self, u0: complex) -> float:
+        """R = 1/2 min |t_0 / t_k|^(1/k) over k >= 1 with t_k != 0, t = taylor_at(u0): no zero
+        lies within R of u0, for the t as computed (Fujiwara's bound, Tohoku Math. J. 10, 1916,
+        on the zeros of t^n p(u0 + 1/t)).  In exact arithmetic R >= d / (2 deg), d the distance
+        to the nearest zero, as |t_k / t_0| <= C(deg, k) / d^k.  0 at a zero, inf for a nonzero
+        constant; ValueError when a t_k is not finite."""
+        size = [math.hypot(t.real, t.imag) for t in self.taylor_at(u0)]
+        if not all(a < math.inf for a in size):
+            raise ValueError(f"a Taylor coefficient at u={u0} is beyond the double range")
+        return 0.5 * min(((size[0] / a) ** (1.0 / k) for k, a in enumerate(size) if k and a),
+                         default=math.inf if size[0] else 0.0)
+
     def order_at(self, u0: complex, rho: float) -> int:
         """Vanishing order at u0: the first k with |t_k| rho^k above _ORDER_RTOL times the
         largest such term, t_k the Taylor coefficients of p(u0 + t).
@@ -251,24 +263,6 @@ def discriminant_poly(family: CurveFamily) -> ComplexPoly:
     """Coefficient-level expansion of g2^3 - 27 g3^2, of degree nf + 2: the one the
     family expanded and checked at construction (`expand_discriminant`)."""
     return family.cached("delta", expand_discriminant)
-
-
-#: `near_singular_fiber` reads a fiber as singular below this fraction of Delta's terms
-_NEAR_NODE_RTOL = 1e-9
-
-
-def near_singular_fiber(family: CurveFamily, u: complex) -> bool:
-    """Whether |Delta(u)| < _NEAR_NODE_RTOL * sum_k |c_k| |u|^k.
-
-    The right side is the size of the terms of the expanded discriminant that
-    cancel at a node (`ComplexPoly.term_size`), so the test is scale-free in u and in
-    the coefficients; ValueError when it overflows.
-    """
-    d = discriminant_poly(family)
-    scale = d.term_size(abs(u))
-    if not scale < math.inf:
-        raise ValueError(f"discriminant overflows at u={u}")
-    return abs(d(u)) < _NEAR_NODE_RTOL * (scale + 1e-300)
 
 
 def order_at_infinity(p: ComplexPoly, weight: int) -> int:

@@ -19,7 +19,9 @@ differences with one Richardson level (default step 1e-4 * (1 + |u|)):
 in `anomaly_check`, the independent side of the anomaly equation.  The
 d tau/du stencil continues the period frame from the stencil center, so tau
 never jumps lattice basis inside it.  F1 is SL(2,Z)-invariant, so its
-evaluations need no seed.
+evaluations need no seed.  F1 carries -(1/12) ln|Delta|, so a stencil of step h
+is taken only when the disc of radius h around u provably holds no node: h below
+Delta's `ComplexPoly.root_free_radius` at u, from its Taylor coefficients there.
 
 The anomaly ratio constant below was fixed by symbolic differentiation before
 anything here was implemented: with ln|Delta(u)| and ln|omega(u)|^2 harmonic
@@ -38,8 +40,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .curves import (ComplexPoly, CurveFamily, convolve, difference, discriminant_poly,
-                     near_singular_fiber)
+from .curves import ComplexPoly, CurveFamily, convolve, difference, discriminant_poly
 from .errors import DivisionByZero, StencilCrossesSingularity
 from .periods import Periods, periods_along_family
 from .spectral import det_prime_laplacian
@@ -87,10 +88,12 @@ def _step(u: complex, h: float = None) -> float:
     return h
 
 
-def _check_stencil(family: CurveFamily, points):
-    for z in points:
-        if near_singular_fiber(family, z):
-            raise StencilCrossesSingularity(f"stencil point {z} is on a singular fiber")
+def _check_stencil(family: CurveFamily, u: complex, h: float):
+    """Refuse unless h < Delta's `root_free_radius` at u: the disc |z - u| <= h is node-free."""
+    r = discriminant_poly(family).root_free_radius(u)
+    if not h < r:
+        raise StencilCrossesSingularity(f"stencil of step {h} at u={u} may reach a singular"
+                                        f" fiber: Delta is node-free only within {r:.6g} of u")
 
 
 def _j_numerator(family: CurveFamily):
@@ -117,7 +120,7 @@ def uplane_point(family: CurveFamily, u: complex, h: float = None) -> UPlanePoin
     Five period solves; the finite-difference check route for `d_tau_du`.
     """
     h = _step(u, h)
-    _check_stencil(family, [u, u + h, u - h, u + h / 2, u - h / 2])
+    _check_stencil(family, u, h)
     center = periods_along_family(family, u)
 
     def tau_at(z: complex) -> complex:
@@ -173,10 +176,7 @@ def anomaly_check(family: CurveFamily, u: complex, h: float = None) -> AnomalyRe
     ratio is 0/0).
     """
     h = _step(u, h)
-    stencil = [u]
-    for hh in (h, h / 2.0):
-        stencil += [u + hh, u - hh, u + 1j * hh, u - 1j * hh]
-    _check_stencil(family, stencil)
+    _check_stencil(family, u, h)
 
     center = periods_along_family(family, u)
     f0 = f1_from_periods(center)

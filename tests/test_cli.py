@@ -302,19 +302,24 @@ def test_family_coefficient_beyond_double_or_boolean_exit_2(family_file, capsys,
 #: grouping's rounding scale overflows (it passes construction), and one at -1.5e310,
 #: where np.roots' companion matrix overflows.  Each once ended in an OverflowError
 #: traceback or in numpy RuntimeWarnings.  The second's top coefficient of g2^3,
-#: (2.2e-311)^3, underflows to 0, so construction now refuses it
+#: (2.2e-311)^3, underflows to 0, so construction now refuses it.  A node at -1e70 is
+#: placed, but the weights rho^k of its orders overflow (rho = 1e70, the gap to u = 0)
 _NODES_BEYOND_DOUBLE = {
     "far": {"name": "far", "nf": 4, "g2": [[0.0, 0.0]],
             "g3": [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [2.6e-78, 0.0]]},
     "subnormal": {"name": "subnormal", "nf": 2, "g2": [[0.0, 0.0], [1.0, 0.0], [2.2e-311, 0.0]],
                   "g3": [[0.0, 0.0]]},
+    "weights": {"name": "weights", "nf": 4, "g2": [[0.0, 0.0]],
+                "g3": [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [1e-70, 0.0]]},
 }
 _MESSAGE = {"far": "error: the family's nodes are beyond double precision",
-            "subnormal": "error: the family's discriminant underflows"}
+            "subnormal": "error: the family's discriminant underflows",
+            "weights": "error: the family's nodes are beyond double precision: the weights rho^k"
+                       " of the orders at "}
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("case", ["scaled", "modulus", "far", "subnormal"])
+@pytest.mark.parametrize("case", ["scaled", "modulus", "far", "subnormal", "weights"])
 def test_overflowing_family_discriminant_exit_2(family_file, capsys, case):
     # nf0 with the curve scaled by s = 1e100 (g2 by s^2, g3 by s^3): g2^3 overflows, and
     # the NaN of inf - inf once survived the dust trim and read as a degree mismatch.  A
@@ -534,6 +539,11 @@ def test_non_finite_complex_flag_exit_2(capsys, family_file, flag, value):
     ("--margin", "-1"),
     ("--grid", "nan,3,2,3,3,3"),
     ("--grid", "2,3,2,inf,3,3"),
+    # an axis span past the double range made a grid point inf, and the scan ended in
+    # "discriminant overflows for g2=(nan+nanj)"
+    ("--grid", "-1e308,1e308,0,0,3,1"),
+    ("--grid", "0,0,-1e308,1e308,1,3"),
+    ("--grid", "-1.5e308,1.5e308,0,0,2,1"),
 ])
 def test_scan_bad_margin_or_grid_exit_2(capsys, family_file, flag, value):
     argv = ["scan", "--family", family_file(0), "--grid", "2,3,2,3,3,3", "--margin", "0.1"]
@@ -564,6 +574,10 @@ def test_scan_bad_margin_or_grid_exit_2(capsys, family_file, flag, value):
     (["determinants", "--tau", "1e-320,1e-320", "--two-omega", "1,0"], 2),
     (["zeta-oracle", "--tau", "1e-320,5e-324", "--two-omega", "1,0", "--nu1", "0", "--nu2", "0"],
      2),
+    # a loop of radius 1e-300 around the node u = 1: 1 + 1e-300 rounds to 1, so samples land
+    # on the node
+    (["holonomy", "--family", None, "--center", "1,0", "--radius", "1e-300", "--operator", "dbar",
+      "--orientation", "cw"], 1),
 ])
 def test_overflowing_input_is_one_error_line(capsys, family_file, argv, expected):
     code, out, err = _run(capsys, [family_file(0) if a is None else a for a in argv])

@@ -299,6 +299,59 @@ def test_term_size_sums_the_terms_by_horner():
     assert p.term_size(0.0) == 5.0 and p.term_size(2.0) == 5.0 + 2.0 * 4 + 8
 
 
+#: the zeros of a polynomial of degree 1-6 at scale 1e-3 .. 1e3 around a center u0 of
+#: modulus at most the scale: simple, repeated (multiplicity up to 6), or clustered to 1e-6
+_ROOTED = st.tuples(
+    st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 10.0), st.integers(-3, 2)),
+    st.complex_numbers(max_magnitude=1.0),
+    st.lists(st.tuples(st.complex_numbers(min_magnitude=0.05, max_magnitude=1.0),
+                       st.integers(1, 6), st.sampled_from(["repeated", "clustered"]),
+                       st.complex_numbers(max_magnitude=1e-6)), min_size=1, max_size=6),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=_ROOTED)
+@example(drawn=(1.0, 0j, [(0.5 + 0.5j, 6, "repeated", 0j)]))
+def test_root_free_radius_brackets_the_nearest_zero(drawn):
+    # Fujiwara's bound: no zero lies within R of u0, and in exact arithmetic R >= d / (2 deg)
+    # (equality at a deg-fold zero), d the distance to the nearest zero.  d is found by
+    # mpmath from the same coefficients, so rounding the roots into them does not count
+    import mpmath as mp
+    from mpmath.libmp import NoConvergence
+
+    scale, center, groups = drawn
+    u0, roots = center * scale, []
+    for w, m, kind, spread in groups:
+        for j in range(min(m, 6 - len(roots))):
+            roots.append(u0 + scale * (w + (j * spread if kind == "clustered" else 0)))
+    coeffs = [1 + 0j]
+    for r in roots:
+        coeffs = [a + b for a, b in zip_longest([0j] + coeffs, [-r * c for c in coeffs],
+                                                fillvalue=0j)]
+    p = ComplexPoly.of(coeffs)
+    with mp.workdps(20):
+        for extra, steps in ((60, 100), (1000, 3000)):  # a 6-fold zero needs the second
+            try:
+                zeros = mp.polyroots([mp.mpc(c) for c in reversed(p.coeffs)], maxsteps=steps,
+                                     extraprec=extra)
+                break
+            except NoConvergence:
+                pass
+        d = float(min(abs(z - mp.mpc(u0)) for z in zeros))
+    r = p.root_free_radius(u0)
+    assert d / (2 * p.degree) * (1 - 1e-9) <= r <= d * (1 + 1e-9)
+
+
+def test_root_free_radius_at_a_zero_and_off_the_double_range():
+    p = ComplexPoly.of([-1, 0, 1])
+    assert p.root_free_radius(1.0) == 0.0 and p.root_free_radius(-1.0) == 0.0
+    assert p.root_free_radius(0.0) == 0.5  # t = (-1, 0, 1): 1/2 |t_0 / t_2|^(1/2)
+    assert ComplexPoly.of([2.0]).root_free_radius(0.3) == math.inf
+    with pytest.raises(ValueError, match="Taylor coefficient"):
+        p.root_free_radius(1e200)
+
+
 #: small Gaussian integers: exact zeros and the exact cancellations of the degree contract
 #: (Delta = 0, or deg Delta = 5 for nf = 3) come up often, as no float draw makes them
 _SMALL = st.builds(complex, st.integers(-3, 3), st.integers(-1, 1))

@@ -1,3 +1,4 @@
+import cmath
 import math
 import re
 
@@ -167,11 +168,36 @@ def test_stencil_crossing_detected():
 
 @pytest.mark.parametrize("direction", [1.0, -1.0, 1j])
 def test_stencil_screen_threshold(direction):
-    # |u^2 - 1| / (1 + |u|^2) = |u - 1| to first order near the node u = 1 of nf0
-    fam = sample_family(0)
+    # Delta of nf0 is c (u^2 - 1): at u = 1 + e its node-free radius is
+    # 1/2 min(|e (2 + e)| / |2 + 2e|, |e (2 + e)|^(1/2)) = |e| / 2 to first order, so a step
+    # h is taken at |e| = 3h and refused at |e| = 1.5h and on the node
+    fam, h = sample_family(0), 1e-4
+    for e in (0.0, 1.5 * h):
+        with pytest.raises(StencilCrossesSingularity):
+            _check_stencil(fam, 1.0 + direction * e, h)
+    _check_stencil(fam, 1.0 + direction * 3.0 * h, h)
+
+
+#: nf0 within 1.5 steps of its nodes u = 1 and u = -1 at the default step 1e-4 (1 + |u|),
+#: about 2e-4, where the node-free radius is about |u -+ 1| / 2: each printed a ratio at
+#: exit 0 (86.88, 59.55, 30.77, 11.55, -15.66; then 1.9964, 2.3272, 2.7016 at |u + 1| = 3e-4,
+#: 2e-4, 1e-4)
+_NEAR_NODE = [1.00010002, 1.0001001, 1.000101, 1.00011, 1.0002] + [
+    -1.0 + cmath.rect(d, 0.3) for d in (3e-4, 2e-4, 1e-4)]
+
+
+@pytest.mark.parametrize("u", _NEAR_NODE)
+def test_stencil_reaching_a_node_is_refused(u):
+    with pytest.raises(StencilCrossesSingularity, match="node-free only within"):
+        anomaly_check(sample_family(0), complex(u))
     with pytest.raises(StencilCrossesSingularity):
-        _check_stencil(fam, [1.0 + direction * 0.5e-9])
-    _check_stencil(fam, [1.0 + direction * 2e-9])
+        uplane_point(sample_family(0), complex(u))
+
+
+@pytest.mark.parametrize("d, ratio", [(5e-4, 1.997498), (1e-3, 1.999832)])
+def test_stencil_clear_of_a_node_still_computes(d, ratio):
+    rec = anomaly_check(sample_family(0), -1.0 + cmath.rect(d, 0.3))
+    assert abs(rec.ratio - ratio) < 1e-6
 
 
 def test_f1_example_square_fiber():

@@ -217,6 +217,22 @@ def test_horner_has_one_home():
     assert found == []
 
 
+def test_taylor_shift_has_one_home():
+    # Taylor coefficients of a polynomial are read only inside ComplexPoly: by order_at (the
+    # vanishing order at a node) and root_free_radius (the stencil guard's node-free disc)
+    readers = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        methods = {f"{node.name}.{m.name}": range(m.lineno, m.end_lineno + 1)
+                   for node in tree.body if isinstance(node, ast.ClassDef)
+                   for m in node.body if isinstance(m, ast.FunctionDef)}
+        for name, line in _names(tree):
+            if name == "taylor_at":
+                home = [method for method, lines in methods.items() if line in lines]
+                readers.add(f"{path.name}:{home[0] if home else line}")
+    assert readers == {"curves.py:ComplexPoly.order_at", "curves.py:ComplexPoly.root_free_radius"}
+
+
 def test_the_contour_integral_has_one_home():
     # holonomy._ccw_winding samples every loop: it alone calls the cached unit circle,
     # and nothing else builds a circle of samples
